@@ -92,7 +92,7 @@ func main() {
 	scaleFlag := flag.String("scale", "", "simulation scale: small, default, or paper")
 	runFlag := flag.String("run", "all", "comma-separated experiments: fig1,table2,fig2,fig6,fig7,fig8,fig9,fig10,ablations,mixstudy,all")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = REPRO_WORKERS or GOMAXPROCS)")
-	intraWorkers := flag.Int("intra-workers", 0, "bound-weave workers inside each simulation (0/1 = serial; the -workers budget is split between levels)")
+	intraWorkers := flag.Int("intra-workers", 0, "bound-weave and fast-forward workers inside each simulation (0/1 = serial for grid cells; the -workers budget is split between levels)")
 	intraEpoch := flag.Int("intra-epoch", 0, "bound-weave epoch depth K in blocks per core (0/1 = exact mode; K>1 is a documented approximation)")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	traceDir := flag.String("trace", "", "replay a capture directory through the timing model instead of the synthetic suite")

@@ -2,13 +2,18 @@ package main
 
 // TestSampleSmoke is the end-to-end acceptance check the Makefile's
 // sample-smoke target runs (gated behind SAMPLE_SMOKE=1 because it
-// builds the real binary and runs a full figure sweep twice): Figure 1 —
-// the BTB capacity sweep, a full figure of prefetcherless cells — must
-// come out of sampled mode within 1% of exact on every cell while
-// detailing at least 10× fewer instructions. Sweep BTBs have no
-// prefetcher, so the sampled cells' full-coverage MPKI is event-exact;
-// anything off by ≥1% here means the functional fast-forward path and
-// the detailed path disagreed on the miss stream.
+// builds the real binary and runs full figure sweeps): Figure 1 — the BTB
+// capacity sweep, a full figure of prefetcherless cells — must come out
+// of sampled mode within 1% of exact on every cell while detailing at
+// least 10× fewer instructions. Sweep BTBs have no prefetcher, so the
+// sampled cells' full-coverage MPKI is event-exact; anything off by ≥1%
+// here means the functional fast-forward path and the detailed path
+// disagreed on the miss stream.
+//
+// The sampled sweep also runs twice more to gate parallel fast-forward's
+// determinism end to end: with four fast-forward workers per cell at
+// GOMAXPROCS=4, and fully serial at GOMAXPROCS=1. Their stdout must be
+// byte-identical but for the elapsed-time line.
 
 import (
 	"bytes"
@@ -35,9 +40,12 @@ func TestSampleSmoke(t *testing.T) {
 		t.Fatalf("building confluence-sim: %v", err)
 	}
 
-	run := func(args ...string) string {
+	run := func(env string, args ...string) string {
 		t.Helper()
 		cmd := exec.Command(bin, append([]string{"-scale", "small", "-run", "fig1"}, args...)...)
+		if env != "" {
+			cmd.Env = append(os.Environ(), env)
+		}
 		var out, errb bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &out, &errb
 		if err := cmd.Run(); err != nil {
@@ -46,8 +54,11 @@ func TestSampleSmoke(t *testing.T) {
 		return out.String()
 	}
 
-	exact := run()
-	sampled := run("-sample")
+	exact := run("")
+	sampled := run("GOMAXPROCS=4", "-sample", "-intra-workers", "4")
+	if serial := run("GOMAXPROCS=1", "-sample"); stripElapsed(serial) != stripElapsed(sampled) {
+		t.Errorf("sampled Figure 1 differs between 4 fast-forward workers at GOMAXPROCS=4 and serial at GOMAXPROCS=1:\n--- GOMAXPROCS=4\n%s\n--- GOMAXPROCS=1\n%s", sampled, serial)
+	}
 
 	// The banner pins the plan; recompute the detail reduction from it.
 	// At small scale: warmup 800k + measure 800k per core, all of it
@@ -81,6 +92,15 @@ func TestSampleSmoke(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stripElapsed drops the trailing "done in Xs" line, the only output that
+// depends on the host rather than the simulation.
+func stripElapsed(out string) string {
+	if i := strings.LastIndex(out, "done in "); i >= 0 {
+		return out[:i]
+	}
+	return out
 }
 
 // parseSampleBanner extracts the plan from the "sampled mode: N windows

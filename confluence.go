@@ -286,10 +286,12 @@ type Config struct {
 	// GOMAXPROCS. A single Run is one simulation and ignores it.
 	Parallelism int
 	// IntraParallelism bounds the worker goroutines stepping cores inside
-	// this single simulation (bound-weave epochs; see internal/cmp). The
-	// default (0 or 1) is the serial engine — today's behavior. At
-	// EpochBlocks=1 (the default) results are bit-identical to serial for
-	// any IntraParallelism, so the knob is pure wall-clock.
+	// this single simulation (bound-weave epochs and sampled mode's
+	// fast-forward phases; see internal/cmp). Zero keeps detailed phases
+	// serial and fast-forwards on min(GOMAXPROCS, cores) workers; 1 is
+	// the serial engine throughout. At EpochBlocks=1 (the default)
+	// results are bit-identical to serial for any IntraParallelism, so
+	// the knob is pure wall-clock.
 	IntraParallelism int
 	// EpochBlocks is K, the per-core epoch depth in basic blocks for
 	// bound-weave stepping. 0/1 (the default) is the exact mode; K>1 is a

@@ -32,12 +32,20 @@
 //     records) arrives one epoch late. Within an epoch the apply order is
 //     canonical, so the mode is still bit-deterministic across worker
 //     counts — just not bit-identical to K=1.
+//
+// Functional fast-forward (System.FastForward) applies the same idea
+// exactly, for any K: FastStep reads no state another core writes
+// (PhantomBTB's shared store aside, which keeps the serial schedule), so
+// cores step whole chunks concurrently, logging their LLC and history
+// writes by round, and the chunk barrier replays the logs in (round,
+// core) order — the serial interleaving itself (see engine.phaseFF).
 package cmp
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"confluence/internal/frontend"
 	"confluence/internal/mem"
@@ -163,26 +171,38 @@ type coreProg struct {
 // weaveDesign is implemented by BTB designs backed by cross-core shared
 // state (PhantomBTB's group store): SetDeferred(true) switches them to
 // frozen reads plus logged writes for bound phases, ApplyLog replays a
-// core's log at the weave barrier.
+// core's log at the weave barrier. Their FastStep reads that shared
+// state too, so fast-forward steps them on the serial schedule.
 type weaveDesign interface {
 	SetDeferred(bool)
 	ApplyLog()
 }
 
+// ffChunkRounds is the fast-forward chunk depth: the rounds every core
+// steps between barriers. Deep enough that barrier and replay overhead
+// vanish against the stepping (each round is one basic block per core),
+// shallow enough that a chunk is milliseconds — the latency of a
+// cancellation — and that the per-core write logs stay cache-sized.
+const ffChunkRounds = 4096
+
 // engine is the bound-weave epoch scheduler for one System (see the
 // package comment for the model).
 type engine struct {
 	s       *System
-	workers int
+	workers int // detailed-phase workers
 	k       int // epoch depth in blocks; 1 = exact mode
 
 	// ff switches phases to the functional fast-forward path: cores
-	// advance through Core.FastStep instead of Core.Step, always under
-	// the exact (serial-weave) scheduler regardless of K — FastStep's
-	// shared-state writes apply directly, in canonical order, so no
-	// deferral is needed and results are worker-count independent by the
-	// same argument as K=1. See System.FastForward.
-	ff bool
+	// advance through Core.FastStep instead of Core.Step, concurrently on
+	// ffWorkers workers in chunks (see phaseFF). The cores' shared-state
+	// writes are logged and replayed in canonical (round, core) order at
+	// each chunk barrier, so fast-forward is bit-identical to the serial
+	// round-robin schedule for any worker count and any K. ffSerial (a
+	// BTB reading cross-core shared state) steps chunks on that serial
+	// schedule instead. See System.FastForward.
+	ff        bool
+	ffWorkers int
+	ffSerial  bool
 
 	q      []coreQ
 	active []int // compacted list of cores still below target
@@ -204,13 +224,23 @@ type engine struct {
 // probe-and-log forms.
 func newEngine(s *System) *engine {
 	w, k := s.intraWorkers, s.epochBlocks
-	if w < 1 {
-		w = 1
-	}
 	if k < 1 {
 		k = 1
 	}
-	e := &engine{s: s, workers: w, k: k}
+	// An unset worker count keeps detailed phases serial but lets
+	// fast-forward use the machine: nothing it computes depends on the
+	// worker count.
+	ffw := w
+	if w < 1 {
+		w = 1
+		ffw = min(runtime.GOMAXPROCS(0), len(s.Cores))
+	}
+	e := &engine{s: s, workers: w, k: k, ffWorkers: ffw}
+	for _, c := range s.Cores {
+		if _, ok := c.BTB().(weaveDesign); ok {
+			e.ffSerial = true
+		}
+	}
 	qcap := decodeBatch
 	if k > qcap {
 		qcap = k
@@ -251,17 +281,22 @@ func (e *engine) phase(ctx context.Context, n uint64) error {
 		e.prog[i].target = e.prog[i].instr + n
 		e.active = append(e.active, i)
 	}
-	if e.k == 1 || e.ff {
+	switch {
+	case e.ff:
+		return e.phaseFF(ctx)
+	case e.k == 1:
 		return e.phaseExact(ctx)
 	}
 	return e.phaseBound(ctx)
 }
 
-// refill tops core c's queue up from its source. One NextBatch call
-// suffices: the batch only comes back short on an error, which is deferred
-// in q.err until (unless) the core actually runs dry.
-func (e *engine) refill(c int) {
-	q := &e.q[c]
+// refill tops core c's queue up from its source.
+func (e *engine) refill(c int) { e.q[c].refill(e.s.Sources[c]) }
+
+// refill tops the queue up from src. One NextBatch call suffices: the
+// batch only comes back short on an error, which is deferred in q.err
+// until (unless) the core actually runs dry.
+func (q *coreQ) refill(src trace.Source) {
 	if q.err != nil || q.n == len(q.buf) {
 		return
 	}
@@ -269,7 +304,7 @@ func (e *engine) refill(c int) {
 		copy(q.buf, q.buf[q.head:q.head+q.n])
 		q.head = 0
 	}
-	k, err := e.s.Sources[c].NextBatch(q.buf[q.n:])
+	k, err := src.NextBatch(q.buf[q.n:])
 	q.n += k
 	q.err = err
 }
@@ -290,7 +325,7 @@ func (e *engine) dryErr(c int) error {
 // round-robin order — bit-identical to the serial simulator by
 // construction, for any worker count.
 func (e *engine) phaseExact(ctx context.Context) error {
-	p := e.startPool(e.refill)
+	p := e.startPool(e.workers, e.refill)
 	defer p.stop()
 	for len(e.active) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -313,21 +348,16 @@ func (e *engine) phaseExact(ctx context.Context) error {
 				}
 			}
 		}
-		// Slice headers and the mode flag are loop-invariant, but the
-		// compiler cannot prove that across the Step call — hoisting them
-		// into locals keeps the detailed inner loop as tight as it was
-		// before the fast-forward path and progress bookkeeping existed.
-		ff, cores, qs, prog := e.ff, e.s.Cores, e.q, e.prog
+		// Slice headers are loop-invariant, but the compiler cannot prove
+		// that across the Step call — hoisting them into locals keeps the
+		// detailed inner loop tight.
+		cores, qs, prog := e.s.Cores, e.q, e.prog
 		for r := 0; r < rounds && len(e.active) > 0; r++ {
 			w := 0
 			for _, c := range e.active {
 				q := &qs[c]
 				rec := &q.buf[q.head]
-				if ff {
-					cores[c].FastStep(rec)
-				} else {
-					cores[c].Step(rec)
-				}
+				cores[c].Step(rec)
 				q.head++
 				q.n--
 				pg := &prog[c]
@@ -344,11 +374,124 @@ func (e *engine) phaseExact(ctx context.Context) error {
 	return nil
 }
 
+// phaseFF is the fast-forward engine. Each chunk, every active core
+// steps up to ffChunkRounds rounds — one FastStep per round, stopping
+// early only at its target or when its source runs dry — concurrently on
+// the pool. FastStep reads nothing another core writes, and its writes to
+// shared state, LLC warm touches and history records, are logged per core
+// with their round. At the barrier the logs are replayed in (round, core)
+// order, which is exactly how the serial round-robin loop would have
+// interleaved them: the result is bit-identical for any worker count.
+//
+// A BTB reading cross-core shared state (weaveDesign) breaks the first
+// premise, so such systems step each chunk on one worker, one round of
+// every core at a time — the serial schedule itself.
+func (e *engine) phaseFF(ctx context.Context) error {
+	cores := e.s.Cores
+	for _, c := range cores {
+		c.DeferFF(true)
+	}
+	var p *pool
+	if !e.ffSerial {
+		p = e.startPool(e.ffWorkers, e.ffChunk)
+		defer p.stop()
+	}
+	for len(e.active) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if e.ffSerial {
+			e.ffSerialChunk()
+		} else {
+			e.barrier(p, e.ffChunk)
+		}
+		// A core below target that stepped fewer rounds than the chunk
+		// ran dry; the serial loop fails at the first such round, on the
+		// lowest such core.
+		rounds, dry, dryAt := 0, -1, 0
+		for _, c := range e.active {
+			n := int(cores[c].FFRounds())
+			rounds = max(rounds, n)
+			if pg := &e.prog[c]; pg.instr < pg.target && n < ffChunkRounds && (dry < 0 || n < dryAt) {
+				dry, dryAt = c, n
+			}
+		}
+		if dry >= 0 {
+			return e.dryErr(dry)
+		}
+		for r := 0; r < rounds; r++ {
+			for _, c := range e.active {
+				cores[c].ReplayFF(uint32(r))
+			}
+		}
+		w := 0
+		for _, c := range e.active {
+			if pg := &e.prog[c]; pg.instr < pg.target {
+				e.active[w] = c
+				w++
+			}
+		}
+		e.active = e.active[:w]
+	}
+	return nil
+}
+
+// ffChunk is one core's share of a fast-forward chunk. It runs
+// concurrently across cores and touches only core-private state and this
+// core's queue, source, and log; the queue and progress are worked on in
+// locals and written back once, so workers share no hot cache lines.
+func (e *engine) ffChunk(c int) {
+	core, src := e.s.Cores[c], e.s.Sources[c]
+	q, pg := e.q[c], e.prog[c]
+	core.ResetFF()
+	for n := 0; n < ffChunkRounds && ffStep(core, src, &q, &pg); n++ {
+	}
+	e.q[c], e.prog[c] = q, pg
+}
+
+// ffSerialChunk is a whole fast-forward chunk on the serial schedule:
+// round by round, every active core in core order.
+func (e *engine) ffSerialChunk() {
+	cores, srcs := e.s.Cores, e.s.Sources
+	for _, c := range e.active {
+		cores[c].ResetFF()
+	}
+	for r, live := 0, true; r < ffChunkRounds && live; r++ {
+		live = false
+		for _, c := range e.active {
+			if ffStep(cores[c], srcs[c], &e.q[c], &e.prog[c]) {
+				live = true
+			}
+		}
+	}
+}
+
+// ffStep advances one core by one fast-forward round, refilling its
+// decode queue first if drained. It steps nothing and reports false once
+// the core is at its target or its source has run dry.
+func ffStep(core *frontend.Core, src trace.Source, q *coreQ, pg *coreProg) bool {
+	if pg.instr >= pg.target {
+		return false
+	}
+	if q.n == 0 {
+		if q.refill(src); q.n == 0 {
+			return false
+		}
+	}
+	rec := &q.buf[q.head]
+	core.FastStep(rec)
+	q.head++
+	q.n--
+	pg.instr += uint64(rec.N)
+	pg.recs++
+	return true
+}
+
 // phaseBound is the K>1 engine: the bound phase steps each active core up
 // to K blocks against frozen shared state (logging shared ops), the weave
 // applies the logs in canonical core order and compacts the active list.
 func (e *engine) phaseBound(ctx context.Context) error {
-	p := e.startPool(e.boundStep)
+	p := e.startPool(e.workers, e.boundStep)
 	defer p.stop()
 	for len(e.active) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -409,21 +552,21 @@ func (e *engine) boundStep(c int) {
 	}
 }
 
-// pool runs bound-phase jobs on persistent worker goroutines for the
-// duration of one phase (workers idle between epoch barriers instead of
-// respawning — epochs can be as small as K blocks per core). Each core is
-// handed to exactly one worker per epoch, and the barrier orders every job
-// before the weave reads its results, so jobs need no locking.
+// pool runs per-core jobs (bound-phase steps, decode-ahead, fast-forward
+// chunks) on persistent worker goroutines for the duration of one phase
+// (workers idle between barriers instead of respawning — epochs can be as
+// small as K blocks per core). Each core is handed to exactly one worker
+// per epoch, and the barrier orders every job before the weave reads its
+// results, so jobs need no locking.
 type pool struct {
 	jobs chan int
 	done chan struct{}
 }
 
-// startPool launches min(workers, cores) workers running job, or returns
-// nil when the engine is single-threaded (callers then run jobs inline).
-func (e *engine) startPool(job func(core int)) *pool {
+// startPool launches min(w, cores) workers running job, or returns nil
+// when that is one (callers then run jobs inline).
+func (e *engine) startPool(w int, job func(core int)) *pool {
 	n := len(e.s.Cores)
-	w := e.workers
 	if w > n {
 		w = n
 	}
@@ -432,7 +575,7 @@ func (e *engine) startPool(job func(core int)) *pool {
 	}
 	p := &pool{jobs: make(chan int, n), done: make(chan struct{}, n)}
 	for i := 0; i < w; i++ {
-		//confluence:allow baregoroutine the epoch engine's bound phase: per-core op logs are applied at the weave barrier in canonical core order, so results are independent of goroutine scheduling
+		//confluence:allow baregoroutine the epoch engine's per-core jobs: per-core op logs are applied at the barrier in canonical order, so results are independent of goroutine scheduling
 		go func() {
 			for c := range p.jobs {
 				job(c)
@@ -467,9 +610,13 @@ func (p *pool) stop() {
 	}
 }
 
-// Close releases sources holding external resources (trace files); the
-// synthetic executors' Close-less sources are unaffected.
+// Close releases sources holding external resources (trace files) and
+// the cores' fast-forward log buffers; the synthetic executors' Close-less
+// sources are unaffected.
 func (s *System) Close() error {
+	for _, c := range s.Cores {
+		c.DeferFF(false)
+	}
 	var first error
 	for _, src := range s.Sources {
 		if c, ok := src.(io.Closer); ok {

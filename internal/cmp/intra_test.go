@@ -1,6 +1,8 @@
 package cmp
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"confluence/internal/isa"
@@ -128,5 +130,28 @@ func BenchmarkPhaseStraggler(b *testing.B) {
 		if _, err := sys.Run(0, 50_000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFastForward measures the functional fast-forward phase of a
+// 4-core system at one and two fast-forward workers: the path sampled
+// mode spends most of its time in.
+func BenchmarkFastForward(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			sys := testSystem(b, 4)
+			sys.SetIntra(workers, 1)
+			ctx := context.Background()
+			if err := sys.FastForward(ctx, 100_000); err != nil { // prime caches & engine
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sys.FastForward(ctx, 200_000); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*4*200_000/b.Elapsed().Seconds()/1e6, "Minstr/s")
+		})
 	}
 }

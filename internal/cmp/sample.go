@@ -141,9 +141,12 @@ func (sp Sampling) TotalInstr() uint64 {
 }
 
 // FastForward advances every core by approximately n instructions
-// through the functional fast-forward path. Shared-state writes apply
-// directly in canonical round-robin core order (the exact scheduler),
-// so fast-forward is bit-deterministic for any worker count and any K.
+// through the functional fast-forward path. Cores step concurrently in
+// chunks (see engine.phaseFF); their shared-state writes are replayed in
+// canonical (round, core) order at each chunk barrier, so fast-forward is
+// bit-identical to the serial round-robin schedule for any worker count
+// and any K. An unset intra worker count (SetIntra's workers = 0) uses
+// min(GOMAXPROCS, cores) workers here; detailed phases stay serial.
 func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if s.eng == nil {
 		s.eng = newEngine(s)
@@ -158,12 +161,13 @@ func (s *System) FastForward(ctx context.Context, n uint64) error {
 }
 
 // setFF flips the engine between detailed and fast-forward stepping.
-// Fast-forward always runs under the exact serial weave, so a K>1
-// engine's deferral plumbing is rewired for the duration: history
-// records go straight to their target and shared-store BTBs apply
-// immediately. Logs are empty at every phase boundary (the weave barrier
-// drains them), so flipping loses nothing. The bound memory port stays
-// installed — FastStep never consults it.
+// Fast-forward brings its own deferral (per-core FastStep logs replayed
+// at chunk barriers) and steps shared-store BTBs on the serial schedule,
+// so a K>1 engine's bound-phase plumbing is rewired for the duration:
+// history records replay straight into their target and shared-store
+// BTBs apply immediately. Logs are empty at every phase boundary (the
+// barriers drain them), so flipping loses nothing. The bound memory port
+// stays installed — FastStep never consults it.
 func (e *engine) setFF(on bool) {
 	if e.ff == on {
 		return

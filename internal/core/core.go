@@ -159,9 +159,10 @@ type Options struct {
 	// the shared one (ablation; the paper shares).
 	HistoryPerCore bool
 	// IntraWorkers bounds the worker goroutines stepping cores inside this
-	// one simulation (bound-weave epochs; see internal/cmp). Zero or one is
-	// the serial engine. At EpochBlocks=1 any worker count is bit-identical
-	// to serial.
+	// one simulation (bound-weave epochs and fast-forward chunks; see
+	// internal/cmp). One is the serial engine; zero keeps detailed phases
+	// serial and fast-forwards on min(GOMAXPROCS, cores) workers. At
+	// EpochBlocks=1 any worker count is bit-identical to serial.
 	IntraWorkers int
 	// EpochBlocks is K, the basic blocks each core advances per bound
 	// epoch. Zero or one (the default) is the exact mode; K>1 trades

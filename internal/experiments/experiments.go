@@ -79,7 +79,8 @@ type Runner struct {
 	// (core.Options.IntraWorkers). The runner's goroutine budget is shared:
 	// with IntraWorkers > 1 the grid fan-out shrinks to
 	// max(1, Workers/IntraWorkers), so grid-level times in-run parallelism
-	// stays bounded by the configured worker count.
+	// stays bounded by the configured worker count. Zero gives the whole
+	// budget to the grid and runs each cell on one worker.
 	IntraWorkers int
 	// EpochBlocks is the bound-weave epoch depth K forwarded to every cell
 	// (core.Options.EpochBlocks); 0/1 is the exact mode.
@@ -160,9 +161,10 @@ func optKey(opt core.Options) string {
 	// results (the determinism contract), so cells differing only in it
 	// share a memo slot. EpochBlocks changes results for K>1 and is part of
 	// the identity.
-	return fmt.Sprintf("c%d-air%d.%d.%d-sw%d-la%d-priv%v-k%d",
+	return fmt.Sprintf("c%d-air%d.%d.%d-sw%d-la%d-he%d-fdp%d.%g-priv%v-k%d",
 		opt.Cores, opt.Air.Bundles, opt.Air.EntriesPerBundle, opt.Air.OverflowEntries,
-		opt.SweepBTBEntries, opt.Shift.Lookahead, opt.HistoryPerCore, max(opt.EpochBlocks, 1))
+		opt.SweepBTBEntries, opt.Shift.Lookahead, opt.Shift.HistoryEntries,
+		opt.FDP.QueueDepth, opt.FDP.CyclesPerBB, opt.HistoryPerCore, max(opt.EpochBlocks, 1))
 }
 
 // samplingMemoKey suffixes the memo key of a sampled cell so it never
@@ -171,8 +173,8 @@ func samplingMemoKey(sp core.Sampling) string {
 	if !sp.Enabled() {
 		return ""
 	}
-	return fmt.Sprintf("|sampled:w%d-p%d-n%d-wu%d",
-		sp.WindowInstr, sp.PeriodInstr, sp.Windows, sp.WindowWarmupInstr)
+	return fmt.Sprintf("|sampled:w%d-p%d-n%d-wu%d-j%d",
+		sp.WindowInstr, sp.PeriodInstr, sp.Windows, sp.WindowWarmupInstr, sp.JitterSeed)
 }
 
 // MixName labels a workload mix: the single workload's name, or the slot
@@ -334,6 +336,13 @@ func (r *Runner) simulate(ctx context.Context, mix []*synth.Workload, dp core.De
 				}
 			}
 		}
+	}
+	if opt.IntraWorkers == 0 {
+		// The grid already spends the goroutine budget on concurrent cells
+		// (SplitWorkers), so an unset in-run count takes the runner's share
+		// — IntraWorkers, floor 1 — instead of every concurrent cell
+		// fast-forwarding on GOMAXPROCS workers of its own.
+		opt.IntraWorkers = max(1, r.IntraWorkers)
 	}
 	sys, err := core.NewMixSystem(mix, dp, opt)
 	if err != nil {

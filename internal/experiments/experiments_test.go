@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"confluence/internal/core"
+	"confluence/internal/frontend"
 	"confluence/internal/synth"
 )
 
@@ -265,5 +266,55 @@ func TestNewRunnerBuildsSuite(t *testing.T) {
 	}
 	if len(r.Workloads) != 5 {
 		t.Errorf("suite has %d workloads", len(r.Workloads))
+	}
+}
+
+// TestMemoKeySeparatesEveryResultField: two cells that differ only in an
+// option that changes results must not share a memo slot. Each variant
+// below once collided with the base cell and was served its result.
+func TestMemoKeySeparatesEveryResultField(t *testing.T) {
+	p := synth.OLTPDB2()
+	p.Functions = 200
+	p.RequestTypes = 2
+	p.Concurrency = 2
+	p.Seed = 5
+	w, err := synth.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := []*synth.Workload{w}
+	r := NewRunnerFor(Scale{Name: "memo", Cores: 1, Warmup: 10_000, Measure: 20_000}, mix)
+	base := r.options()
+	baseSampling := core.AutoSampling(r.Scale.Measure)
+	run := func(dp core.DesignPoint, opt core.Options, sp core.Sampling) *frontend.Stats {
+		t.Helper()
+		r.Sampling = sp
+		st, _, _, err := r.RunMixSampledCtx(t.Context(), mix, dp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, v := range []struct {
+		name string
+		dp   core.DesignPoint
+		opt  func(*core.Options)
+		sp   func(*core.Sampling)
+	}{
+		{name: "Shift.HistoryEntries", dp: core.Confluence, opt: func(o *core.Options) { o.Shift.HistoryEntries /= 2 }},
+		{name: "FDP.QueueDepth", dp: core.FDP1K, opt: func(o *core.Options) { o.FDP.QueueDepth++ }},
+		{name: "FDP.CyclesPerBB", dp: core.FDP1K, opt: func(o *core.Options) { o.FDP.CyclesPerBB *= 2 }},
+		{name: "Sampling.JitterSeed", dp: core.Base1K, sp: func(s *core.Sampling) { s.JitterSeed++ }},
+	} {
+		opt, sp := base, baseSampling
+		if v.opt != nil {
+			v.opt(&opt)
+		}
+		if v.sp != nil {
+			v.sp(&sp)
+		}
+		if run(v.dp, base, baseSampling) == run(v.dp, opt, sp) {
+			t.Errorf("cells differing only in %s share a memo slot", v.name)
+		}
 	}
 }

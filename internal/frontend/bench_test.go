@@ -89,6 +89,50 @@ func BenchmarkCoreStep(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreFastStep measures the per-basic-block cost of the
+// functional fast-forward path, Core.FastStep, on the BenchmarkCoreStep
+// core and streams, driven the way the CMP engine drives it: shared-state
+// writes logged (DeferFF) and replayed into the LLC and the history once
+// per chunk of ffChunk blocks, the replay included in the cost.
+func BenchmarkCoreFastStep(b *testing.B) {
+	const ffChunk = 4096
+	for _, bc := range []struct {
+		name    string
+		nBlocks int
+	}{
+		{"resident", 256},
+		{"streaming", 4096},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, src := benchCore(b, bc.nBlocks)
+			c.DeferFF(true)
+			var rec trace.Record
+			step := func(i int) {
+				src.Next(&rec)
+				c.FastStep(&rec)
+				if i%ffChunk == ffChunk-1 {
+					for r := uint32(0); r < ffChunk; r++ {
+						c.ReplayFF(r)
+					}
+					c.ResetFF()
+				}
+			}
+			for i := 0; i < 1<<15; i++ {
+				step(i)
+			}
+			warm := c.FFCounts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+			ff := c.FFCounts()
+			ff.Sub(&warm)
+			b.ReportMetric(float64(ff.L1IMisses)/float64(ff.Instructions)*1000, "l1i-mpki")
+		})
+	}
+}
+
 // TestCoreStepSteadyStateZeroAllocs pins the tentpole property: after
 // warmup, the per-instruction path — Core.Step with SHIFT, AirBTB, the
 // in-flight fill table, and the shared history all active — performs zero

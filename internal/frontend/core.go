@@ -141,6 +141,12 @@ type Core struct {
 	// (bound phases). Nil keeps the direct, devirtualized hierarchy call on
 	// the hot path.
 	port MemPort
+
+	// ffLog, when on, receives FastStep's shared-state writes instead of
+	// the LLC and the history (DeferFF). It lives inside the core, so
+	// cores fast-forwarding concurrently never write a shared cache line;
+	// it sits last so Step's fields keep their layout.
+	ffLog ffLog
 }
 
 // NewCore builds a core from its config.

@@ -1,6 +1,8 @@
 package frontend
 
 import (
+	"sync"
+
 	"confluence/internal/btb"
 	"confluence/internal/isa"
 	"confluence/internal/trace"
@@ -44,13 +46,98 @@ func (a *FFCounts) Sub(b *FFCounts) {
 // FFCounts returns the core's cumulative fast-forward probe tallies.
 func (c *Core) FFCounts() FFCounts { return c.ffCt }
 
+// ffOp is one shared-state write FastStep deferred into the core's log:
+// an LLC warm touch of block address key, or (hist) a SHIFT history
+// record of block number key, issued during the given round.
+type ffOp struct {
+	key   uint64
+	round uint32
+	hist  bool
+}
+
+// ffLog is a core's deferred-write log for concurrent fast-forward. Each
+// FastStep is one round; its shared writes are tagged with it.
+type ffLog struct {
+	on    bool
+	round uint32 // rounds stepped since the last reset
+	next  int    // replay cursor into ops
+	ops   []ffOp
+}
+
+// DeferFF switches FastStep between applying its shared-state writes —
+// LLC warm touches and history records, the only cross-core effects of
+// the functional path — directly (false, the default) and appending them
+// to a private per-core log (true). Logging lets several cores
+// fast-forward concurrently: the engine counts one round per FastStep
+// and, at a barrier, replays every core's log in (round, core) order
+// with ReplayFF, which reproduces the serial round-robin interleaving of
+// those writes exactly. Nothing FastStep reads depends on them, so the
+// deferral is invisible to the stepping core. Either switch discards an
+// unreplayed log; switching off also hands the log's buffer back for
+// the next core to reuse (see ffBufs), so call DeferFF(false) when done
+// with a logging core.
+func (c *Core) DeferFF(on bool) {
+	c.ResetFF()
+	c.ffLog.on = on
+	ffBufs.Lock()
+	defer ffBufs.Unlock()
+	switch l := &c.ffLog; {
+	case on && l.ops == nil && len(ffBufs.free) > 0:
+		n := len(ffBufs.free) - 1
+		l.ops, ffBufs.free = ffBufs.free[n], ffBufs.free[:n]
+	case !on && l.ops != nil:
+		ffBufs.free = append(ffBufs.free, l.ops)
+		l.ops = nil
+	}
+}
+
+// ffBufs recycles log buffers across cores. A sampled sweep assembles a
+// system per cell; regrowing every core's log in every cell would add
+// garbage per cell, enough to shift where GC cycles land against the
+// sweep's far larger allocations (program generation) and raise its peak
+// resident memory. The list holds at most one buffer per core ever live
+// at once, each sized by the largest chunk it logged.
+var ffBufs struct {
+	sync.Mutex
+	free [][]ffOp
+}
+
+// ReplayFF applies, in issue order, the logged writes of the given round
+// (rounds count FastStep calls since the last ResetFF) — a no-op for
+// rounds the core did not step. Rounds must be replayed in increasing
+// order.
+func (c *Core) ReplayFF(round uint32) {
+	l := &c.ffLog
+	i := l.next
+	for ; i < len(l.ops) && l.ops[i].round == round; i++ {
+		if op := l.ops[i]; op.hist {
+			c.cfg.Recorder.Record(op.key)
+		} else {
+			c.cfg.Hier.Warm(isa.Addr(op.key))
+		}
+	}
+	l.next = i
+}
+
+// FFRounds returns the rounds stepped since the last ResetFF.
+func (c *Core) FFRounds() uint32 { return c.ffLog.round }
+
+// ResetFF empties the log and restarts the round count; call it once
+// every logged round has been replayed.
+func (c *Core) ResetFF() {
+	l := &c.ffLog
+	l.ops = l.ops[:0]
+	l.round, l.next = 0, 0
+}
+
 // FastStep advances one executed basic block through the functional
 // fast-forward path: architectural and history-relevant state evolves —
 // branch predictor tables, RAS, ITC, BTB contents, L1-I and LLC
 // contents, and the SHIFT stream history — while timing (stall and
 // penalty accounting, prefetcher run-ahead, MSHR tracking) is skipped
 // entirely. No Stats counter moves; the engine tracks fast-forwarded
-// progress itself.
+// progress itself. Under DeferFF the LLC and history writes are logged
+// instead of applied.
 //
 // The structure deliberately mirrors Step stage for stage (materialize
 // ready fills, predict + resolve, per-block access, cycle advance) so
@@ -104,18 +191,29 @@ func (c *Core) FastStep(rec *trace.Record) {
 					c.ffCt.L1IMisses++
 					// Functional LLC touch: contents and replacement state
 					// evolve as under a demand access, no latency charged.
-					c.cfg.Hier.Warm(b | c.asBase)
+					if l := &c.ffLog; l.on {
+						l.ops = append(l.ops, ffOp{key: uint64(b | c.asBase), round: l.round})
+					} else {
+						c.cfg.Hier.Warm(b | c.asBase)
+					}
 					c.fillQuiet(now, b, true)
 				}
 			}
 			if c.cfg.Recorder != nil {
 				if !c.hasLast || key != c.lastBlock {
-					c.cfg.Recorder.Record(key | c.keyTag)
+					if l := &c.ffLog; l.on {
+						l.ops = append(l.ops, ffOp{key: key | c.keyTag, round: l.round, hist: true})
+					} else {
+						c.cfg.Recorder.Record(key | c.keyTag)
+					}
 					c.lastBlock = key
 					c.hasLast = true
 				}
 			}
 		}
+	}
+	if l := &c.ffLog; l.on {
+		l.round++
 	}
 
 	var issue float64

@@ -144,3 +144,27 @@ func TestWarmStateRoundTrip(t *testing.T) {
 		t.Error("restore into a PerfectL1I core succeeded")
 	}
 }
+
+// TestDeferFFRecyclesLogBuffer: a core switched out of logging hands its
+// log buffer to the next core that switches in, so systems assembled one
+// after another (a sweep's cells) do not each regrow their logs.
+func TestDeferFFRecyclesLogBuffer(t *testing.T) {
+	a, b := NewCore(testConfig()), NewCore(testConfig())
+	a.DeferFF(true)
+	src := mixedRecords(64)
+	var rec trace.Record
+	for i := 0; i < 256; i++ {
+		src.Next(&rec)
+		a.FastStep(&rec)
+	}
+	grown := cap(a.ffLog.ops)
+	if grown == 0 {
+		t.Fatal("logging core logged nothing")
+	}
+	a.DeferFF(false)
+	b.DeferFF(true)
+	if got := cap(b.ffLog.ops); got != grown {
+		t.Errorf("next logging core got a buffer of capacity %d, want the recycled %d", got, grown)
+	}
+	b.DeferFF(false)
+}
