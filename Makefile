@@ -24,8 +24,12 @@ build:
 test:
 	go test ./...
 
+# The second command pins both K=1 schedules against testdata/golden.json
+# whatever the machine's core count: -cpu 1 runs detailed phases inline,
+# -cpu 4 pipelines them on stage goroutines.
 race:
 	go test -race ./...
+	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged' . ./internal/cmp ./internal/core
 
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x ./...

@@ -286,12 +286,14 @@ type Config struct {
 	// GOMAXPROCS. A single Run is one simulation and ignores it.
 	Parallelism int
 	// IntraParallelism bounds the worker goroutines stepping cores inside
-	// this single simulation (bound-weave epochs and sampled mode's
-	// fast-forward phases; see internal/cmp). Zero keeps detailed phases
-	// serial and fast-forwards on min(GOMAXPROCS, cores) workers; 1 is
-	// the serial engine throughout. At EpochBlocks=1 (the default)
-	// results are bit-identical to serial for any IntraParallelism, so
-	// the knob is pure wall-clock.
+	// this single simulation (see internal/cmp). Zero pipelines exact
+	// detailed phases — each core's record decode and branch prediction
+	// on a stage goroutine ahead of the timing model — when GOMAXPROCS >
+	// 1, and fast-forwards on min(GOMAXPROCS, cores) workers; 1 runs
+	// everything on one goroutine; larger values also size bound-weave
+	// epochs and fast-forward. At EpochBlocks=1 (the default) results are
+	// bit-identical to serial for any IntraParallelism, so the knob is
+	// pure wall-clock.
 	IntraParallelism int
 	// EpochBlocks is K, the per-core epoch depth in basic blocks for
 	// bound-weave stepping. 0/1 (the default) is the exact mode; K>1 is a
@@ -397,9 +399,20 @@ func ConfigStoreKey(cfg Config) (string, bool) {
 // completes is bit-identical to Run — the poll feeds nothing back into
 // the timing model.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
+	return runCtx(ctx, cfg, 0)
+}
+
+// runCtx is RunCtx with intraShare, when non-zero, standing in for an
+// unset in-run worker count: RunMany's share of the goroutine budget for
+// each of its concurrent cells. Like every worker count it changes
+// nothing but wall-clock, so Result.Config keeps the caller's value.
+func runCtx(ctx context.Context, cfg Config, intraShare int) (*Result, error) {
 	mix, opt, cfg, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if opt.IntraWorkers == 0 {
+		opt.IntraWorkers = intraShare
 	}
 	if err := cfg.Sampling.Validate(); err != nil {
 		return nil, err
@@ -519,15 +532,22 @@ func DefaultParallelism() int { return parallel.Workers(0) }
 // deterministic for any worker count. A zero parallelism falls back to the
 // first config's Parallelism, then REPRO_WORKERS, then GOMAXPROCS. The
 // first error cancels the remaining runs, including simulations already
-// in flight (RunCtx polls the context mid-run).
+// in flight (RunCtx polls the context mid-run). Cells that run
+// concurrently split the goroutine budget: a config with no in-run worker
+// count of its own gets its experiments.SplitWorkers share, as a Runner's
+// cells do, rather than every cell sizing itself to the whole machine.
 func RunMany(ctx context.Context, parallelism int, cfgs []Config) ([]*Result, error) {
 	if parallelism <= 0 && len(cfgs) > 0 {
 		parallelism = cfgs[0].Parallelism
 	}
+	share := 0
+	if n := min(parallel.Workers(parallelism), len(cfgs)); n > 1 {
+		share = experiments.SplitWorkers(0, n)
+	}
 	res := make([]*Result, len(cfgs))
 	err := parallel.ForEach(ctx, parallelism, len(cfgs),
 		func(ctx context.Context, i int) error {
-			r, err := RunCtx(ctx, cfgs[i])
+			r, err := runCtx(ctx, cfgs[i], share)
 			res[i] = r
 			return err
 		})

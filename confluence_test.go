@@ -1,6 +1,7 @@
 package confluence
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -140,6 +141,42 @@ func TestRunMany(t *testing.T) {
 		}
 		if res[i].Stats.IPC() <= 0 {
 			t.Errorf("result %d has no IPC", i)
+		}
+	}
+}
+
+// TestRunManySplitsWorkersUnchangedResults: RunMany's concurrent cells
+// take their share of the goroutine budget in place of an unset in-run
+// worker count — an explicit one is kept — and neither the share nor the
+// degree of concurrency moves a result: every cell equals a lone RunCtx of
+// its config, Config included, sampled cells too.
+func TestRunManySplitsWorkersUnchangedResults(t *testing.T) {
+	w, err := BuildWorkload("DSS-Qrys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []Config
+	for _, dp := range []DesignPoint{Base1K, FDP1K, Confluence} {
+		cfgs = append(cfgs, Config{Workload: w, Design: dp, Cores: 2, WarmupInstr: 20_000, MeasureInstr: 40_000})
+	}
+	cfgs[1].IntraParallelism = 2
+	cfgs = append(cfgs, Config{Workload: w, Design: Base1K, Cores: 2, WarmupInstr: 20_000, MeasureInstr: 40_000,
+		Sampling: Sampling{WindowInstr: 2000, PeriodInstr: 10_000, Windows: 3}})
+	want := make([]*Result, len(cfgs))
+	for i, cfg := range cfgs {
+		if want[i], err = RunCtx(t.Context(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, parallelism := range []int{1, 2, 4} {
+		got, err := RunMany(t.Context(), parallelism, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cfgs {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("parallelism %d: cell %d differs from a lone run", parallelism, i)
+			}
 		}
 	}
 }

@@ -203,6 +203,10 @@ func (a *AirBTB) BlockEvicted(block isa.Addr) {
 	a.Evictions++
 }
 
+// StreamOnly implements the frontend BTB interface: false, because the
+// bundles are filled and evicted with their L1-I blocks.
+func (a *AirBTB) StreamOnly() bool { return false }
+
 func (a *AirBTB) dropOverflowed(block isa.Addr, b *Bundle) {
 	// Entries beyond the bundle's capacity live in the overflow buffer;
 	// drop the bitmap slots not present in the bundle in one buffer sweep

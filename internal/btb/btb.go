@@ -42,6 +42,15 @@ type Design interface {
 	// and the eager-insertion intermediate design points; others ignore).
 	BlockFilled(now float64, block isa.Addr, branches []isa.PredecodedBranch, demand bool)
 	BlockEvicted(block isa.Addr)
+	// StreamOnly reports that the design's state and every Lookup result
+	// are a pure function of the Lookup/Resolve sequence: independent of
+	// now, of BlockFilled/BlockEvicted, and of any other core. The
+	// frontend then drives Lookup and Resolve from its stream half
+	// (frontend.Core.StreamPredict, passing now = 0), which may run ahead
+	// of the timing half on another goroutine. Designs coupled to the
+	// L1-I, the clock, or shared state return false and are probed from
+	// the timing half in program order.
+	StreamOnly() bool
 }
 
 // TagMode selects how Conventional keys its entries.
@@ -148,6 +157,10 @@ func (c *Conventional) BlockFilled(now float64, block isa.Addr, branches []isa.P
 // from L1-I content).
 func (c *Conventional) BlockEvicted(block isa.Addr) {}
 
+// StreamOnly implements Design: only the eager variant reacts to L1-I
+// fills.
+func (c *Conventional) StreamOnly() bool { return !c.eager }
+
 // TwoLevel is the aggressive hierarchical BTB: a small single-cycle first
 // level backed by a large second level whose access latency is exposed as a
 // fetch bubble on every L1 miss / L2 hit (the paper's central criticism of
@@ -215,3 +228,7 @@ func (t *TwoLevel) BlockFilled(now float64, block isa.Addr, branches []isa.Prede
 
 // BlockEvicted implements Design (no-op).
 func (t *TwoLevel) BlockEvicted(block isa.Addr) {}
+
+// StreamOnly implements Design: both levels evolve from Lookup/Resolve
+// alone (the L2Hits/L2Misses diagnostics count along).
+func (t *TwoLevel) StreamOnly() bool { return true }

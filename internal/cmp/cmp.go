@@ -20,12 +20,19 @@
 //
 // K (SetIntra's epochBlocks) is the epoch depth in basic blocks per core:
 //
-//   - K=1 is the exact mode and the default: the weave executes the full
-//     steps serially in the canonical round-robin order — exactly the
-//     serial interleaving — while the bound phase is reduced to what is
-//     provably timing-independent, batched record decode (trace.Source
-//     streams take no feedback from the timing model). Results are
-//     bit-identical to the serial simulator for any worker count.
+//   - K=1 is the exact mode and the default: the weave executes the steps
+//     serially in the canonical round-robin order — exactly the serial
+//     interleaving. What is provably independent of timing and of other
+//     cores runs ahead of it on one stage goroutine per core (see
+//     phaseStaged): record decode (trace.Source streams take no feedback
+//     from the timing model) and the stream half of Core.Step
+//     (Core.StreamPredict: the branch predictors, and BTB designs that
+//     declare btb.Design.StreamOnly). The weave runs the timing half
+//     (Core.StepPredicted). The stages stop at exactly the weave's
+//     phase-end record, so every phase boundary sees the serial state.
+//     The pipeline is on unless the worker count is an explicit 1 or
+//     GOMAXPROCS is 1; results are bit-identical to the serial simulator
+//     either way.
 //   - K>1 is a documented approximation: cores advance up to K blocks
 //     against shared state frozen at the epoch boundary, so cross-core
 //     timing feedback (another core's LLC fill, a generator's history
@@ -46,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 
 	"confluence/internal/frontend"
 	"confluence/internal/mem"
@@ -73,12 +81,16 @@ func New(cores []*frontend.Core, srcs []trace.Source, hier *mem.Hierarchy) (*Sys
 	return &System{Cores: cores, Sources: srcs, Hier: hier}, nil
 }
 
-// SetIntra configures in-run bound-weave parallelism: workers bounds the
-// goroutines stepping cores inside this one simulation, epochBlocks is K,
-// the per-core epoch depth (see the package comment). Zero values mean 1.
-// The defaults (1, 1) are the exact serial simulator. SetIntra must be
-// called before the first Run; once the epoch engine exists the
-// configuration is frozen and later calls are ignored.
+// SetIntra configures in-run parallelism: workers bounds the goroutines
+// stepping cores inside this one simulation, epochBlocks is K, the
+// per-core epoch depth (see the package comment); zero K means 1. At K=1,
+// workers = 1 runs everything on the calling goroutine, and any other
+// value pipelines detailed phases when GOMAXPROCS > 1. Zero workers
+// means one bound-phase worker at K>1 and min(GOMAXPROCS, cores)
+// fast-forward workers. Every setting at K=1 is bit-identical to the
+// serial simulator. SetIntra must be called before the first Run; once
+// the epoch engine exists the configuration is frozen and later calls
+// are ignored.
 func (s *System) SetIntra(workers, epochBlocks int) {
 	if s.eng != nil {
 		return
@@ -97,11 +109,16 @@ func (s *System) Run(warmup, measure uint64) (*frontend.Stats, error) {
 }
 
 // RunCtx is Run honoring mid-run cancellation: the epoch engine polls ctx
-// at every epoch barrier (a few dozen basic blocks per core at most), so a
-// cancelled simulation returns ctx.Err() promptly instead of running to
-// its instruction target. The poll reads no simulated state and feeds
+// at every epoch barrier (at most a few thousand basic blocks per core),
+// so a cancelled simulation returns ctx.Err() promptly instead of running
+// to its instruction target. The poll reads no simulated state and feeds
 // nothing back into the timing model, so a run that completes is
 // bit-identical whether or not a context is attached.
+//
+// After any phase returns an error — a source failure or a cancellation —
+// the System is not reusable: cores may have stepped different numbers
+// of records, and a pipelined phase may have dropped records it had
+// decoded. Close it and assemble a new one.
 func (s *System) RunCtx(ctx context.Context, warmup, measure uint64) (*frontend.Stats, error) {
 	if s.eng == nil {
 		s.eng = newEngine(s)
@@ -137,16 +154,18 @@ func (s *System) phase(ctx context.Context, n uint64) error {
 
 // decodeBatch is the per-core record decode-ahead depth: one NextBatch call
 // per decodeBatch basic blocks amortizes the Source interface dispatch (and
-// the file reader's per-record bounds checks) even in serial mode. Sources
-// take no feedback from the timing model, so decode-ahead is invisible to
-// the simulation.
+// the file reader's per-record bounds checks) on every path, inline or on
+// a stage goroutine. Sources take no feedback from the timing model, so
+// decode-ahead is invisible to the simulation.
 const decodeBatch = 64
 
 // coreQ is one core's decoded-record queue. buf[head:head+n] are the
-// records decoded but not yet stepped; they persist across phases (warmup →
-// measure), so decode-ahead never perturbs where a phase boundary falls in
-// the stream. err is a deferred source error: a finite source's io.EOF (or
-// a corruption) is surfaced only if the core still needs records, matching
+// records decoded but not yet stepped (nor, in a pipelined phase, handed
+// to the weave); they persist across phases (warmup → measure, detailed →
+// fast-forward), so decode-ahead never perturbs where a phase boundary
+// falls in the stream. During a pipelined phase the core's stage owns the
+// queue. err is a deferred source error: a finite source's io.EOF (or a
+// corruption) is surfaced only if the core still needs records, matching
 // the serial semantics where a source failure beyond the phase target is
 // never observed.
 type coreQ struct {
@@ -189,8 +208,17 @@ const ffChunkRounds = 4096
 // package comment for the model).
 type engine struct {
 	s       *System
-	workers int // detailed-phase workers
+	workers int // bound-phase (K>1) workers
 	k       int // epoch depth in blocks; 1 = exact mode
+
+	// staged pipelines K=1 detailed phases: each core's stream half runs
+	// on a stage goroutine ahead of the weave (see phaseStaged). stages
+	// and cur are the per-core pipes and the weave's read positions,
+	// built at the first staged phase; wg joins the stages every phase.
+	staged bool
+	stages []*stage
+	cur    []stageCursor
+	wg     sync.WaitGroup
 
 	// ff switches phases to the functional fast-forward path: cores
 	// advance through Core.FastStep instead of Core.Step, concurrently on
@@ -227,15 +255,18 @@ func newEngine(s *System) *engine {
 	if k < 1 {
 		k = 1
 	}
-	// An unset worker count keeps detailed phases serial but lets
-	// fast-forward use the machine: nothing it computes depends on the
-	// worker count.
+	// Any worker count but an explicit 1 pipelines exact detailed phases
+	// when there is a second CPU to run the stages on. An unset count
+	// keeps K>1 bound phases on one worker but lets fast-forward use the
+	// machine. Nothing either computes depends on the worker count.
+	procs := runtime.GOMAXPROCS(0)
+	staged := k == 1 && w != 1 && procs > 1
 	ffw := w
 	if w < 1 {
 		w = 1
-		ffw = min(runtime.GOMAXPROCS(0), len(s.Cores))
+		ffw = min(procs, len(s.Cores))
 	}
-	e := &engine{s: s, workers: w, k: k, ffWorkers: ffw}
+	e := &engine{s: s, workers: w, k: k, ffWorkers: ffw, staged: staged}
 	for _, c := range s.Cores {
 		if _, ok := c.BTB().(weaveDesign); ok {
 			e.ffSerial = true
@@ -284,10 +315,12 @@ func (e *engine) phase(ctx context.Context, n uint64) error {
 	switch {
 	case e.ff:
 		return e.phaseFF(ctx)
-	case e.k == 1:
-		return e.phaseExact(ctx)
+	case e.k > 1:
+		return e.phaseBound(ctx)
+	case e.staged:
+		return e.phaseStaged(ctx)
 	}
-	return e.phaseBound(ctx)
+	return e.phaseExact(ctx)
 }
 
 // refill tops core c's queue up from its source.
@@ -311,27 +344,30 @@ func (q *coreQ) refill(src trace.Source) {
 
 // dryErr returns the error to surface for a core that is below target with
 // an empty queue.
-func (e *engine) dryErr(c int) error {
-	err := e.q[c].err
+func (e *engine) dryErr(c int) error { return e.q[c].dryErr(c) }
+
+// dryErr returns the error to surface when core c, whose queue this is,
+// is below target with the queue empty.
+func (q *coreQ) dryErr(c int) error {
+	err := q.err
 	if err == nil {
 		err = io.ErrUnexpectedEOF // cannot happen: refill either fills or errors
 	}
 	return fmt.Errorf("cmp: core %d source: %w", c, err)
 }
 
-// phaseExact is the K=1 engine: the bound phase batch-decodes every active
-// core's stream in parallel (the only work with no shared-state
-// dependence), and the weave executes the full steps serially in canonical
-// round-robin order — bit-identical to the serial simulator by
-// construction, for any worker count.
+// phaseExact is the K=1 engine on one goroutine: each epoch tops up every
+// active core's decode queue, then executes the full steps serially in
+// canonical round-robin order — the serial simulator itself.
+// phaseStaged is the same schedule with Step's stream half pipelined.
 func (e *engine) phaseExact(ctx context.Context) error {
-	p := e.startPool(e.workers, e.refill)
-	defer p.stop()
 	for len(e.active) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		e.barrier(p, e.refill)
+		for _, c := range e.active {
+			e.refill(c)
+		}
 		// An epoch's round count is the shortest active queue: every round
 		// steps each remaining core exactly once, in core order, exactly as
 		// the serial loop interleaves them.
@@ -552,8 +588,8 @@ func (e *engine) boundStep(c int) {
 	}
 }
 
-// pool runs per-core jobs (bound-phase steps, decode-ahead, fast-forward
-// chunks) on persistent worker goroutines for the duration of one phase
+// pool runs per-core jobs (bound-phase steps, fast-forward chunks) on
+// persistent worker goroutines for the duration of one phase
 // (workers idle between barriers instead of respawning — epochs can be as
 // small as K blocks per core). Each core is handed to exactly one worker
 // per epoch, and the barrier orders every job before the weave reads its
@@ -610,12 +646,15 @@ func (p *pool) stop() {
 	}
 }
 
-// Close releases sources holding external resources (trace files) and
-// the cores' fast-forward log buffers; the synthetic executors' Close-less
-// sources are unaffected.
+// Close releases sources holding external resources (trace files), the
+// cores' fast-forward log buffers and the engine's pipeline stages; the
+// synthetic executors' Close-less sources are unaffected.
 func (s *System) Close() error {
 	for _, c := range s.Cores {
 		c.DeferFF(false)
+	}
+	if s.eng != nil {
+		s.eng.release()
 	}
 	var first error
 	for _, src := range s.Sources {

@@ -146,7 +146,7 @@ func (sp Sampling) TotalInstr() uint64 {
 // canonical (round, core) order at each chunk barrier, so fast-forward is
 // bit-identical to the serial round-robin schedule for any worker count
 // and any K. An unset intra worker count (SetIntra's workers = 0) uses
-// min(GOMAXPROCS, cores) workers here; detailed phases stay serial.
+// min(GOMAXPROCS, cores) workers here.
 func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if s.eng == nil {
 		s.eng = newEngine(s)

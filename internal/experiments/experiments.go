@@ -75,7 +75,7 @@ type Runner struct {
 	// Workers bounds concurrent simulations when a Plan executes. Zero
 	// resolves through REPRO_WORKERS, then GOMAXPROCS (see parallel.Workers).
 	Workers int
-	// IntraWorkers enables bound-weave parallelism inside each simulation
+	// IntraWorkers enables parallelism inside each simulation
 	// (core.Options.IntraWorkers). The runner's goroutine budget is shared:
 	// with IntraWorkers > 1 the grid fan-out shrinks to
 	// max(1, Workers/IntraWorkers), so grid-level times in-run parallelism

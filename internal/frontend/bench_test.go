@@ -89,6 +89,85 @@ func BenchmarkCoreStep(b *testing.B) {
 	}
 }
 
+// halfCases are the BenchmarkCoreStep streams on the Confluence-style
+// core, plus the streaming case on a Base1K-style core (conventional BTB
+// with victim buffer, no prefetcher), whose BTB the stream half probes.
+var halfCases = []struct {
+	name    string
+	nBlocks int
+	conv    bool
+}{
+	{"resident", 256, false},
+	{"streaming", 4096, false},
+	{"streaming-conventional", 4096, true},
+}
+
+// halfCore is benchCore, or its Base1K-style variant.
+func halfCore(b *testing.B, nBlocks int, conv bool) (*Core, *trace.MemSource) {
+	c, src := benchCore(b, nBlocks)
+	if conv {
+		cfg := c.cfg
+		cfg.Recorder, cfg.Prefetcher = nil, nil
+		cfg.BTB = btb.NewConventional("bench", 256, 4, 64)
+		c = NewCore(cfg)
+	}
+	return c, src
+}
+
+var outcomeSink Outcome
+
+// BenchmarkCoreStreamPredict measures the stream half of Core.Step — what
+// the CMP engine's stage goroutines run ahead of the weave — per basic
+// block, after the BenchmarkCoreStep warm-up.
+func BenchmarkCoreStreamPredict(b *testing.B) {
+	for _, bc := range halfCases {
+		b.Run(bc.name, func(b *testing.B) {
+			c, src := halfCore(b, bc.nBlocks, bc.conv)
+			var rec trace.Record
+			for i := 0; i < 1<<15; i++ {
+				src.Next(&rec)
+				c.Step(&rec)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Next(&rec)
+				outcomeSink = c.StreamPredict(&rec)
+			}
+		})
+	}
+}
+
+// BenchmarkCoreStepPredicted measures the timing half of Core.Step — the
+// weave's share — per basic block. One lap of the looping stream is
+// predicted up front and replayed, records with their outcomes, so only
+// StepPredicted is timed.
+func BenchmarkCoreStepPredicted(b *testing.B) {
+	for _, bc := range halfCases {
+		b.Run(bc.name, func(b *testing.B) {
+			c, src := halfCore(b, bc.nBlocks, bc.conv)
+			var rec trace.Record
+			for i := 0; i < 1<<15; i++ {
+				src.Next(&rec)
+				c.Step(&rec)
+			}
+			lap := 2 * bc.nBlocks // benchRecords' records per lap
+			recs := make([]trace.Record, lap)
+			outs := make([]Outcome, lap)
+			for i := range recs {
+				src.Next(&recs[i])
+				outs[i] = c.StreamPredict(&recs[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % lap
+				c.StepPredicted(&recs[j], &outs[j])
+			}
+		})
+	}
+}
+
 // BenchmarkCoreFastStep measures the per-basic-block cost of the
 // functional fast-forward path, Core.FastStep, on the BenchmarkCoreStep
 // core and streams, driven the way the CMP engine drives it: shared-state

@@ -99,9 +99,16 @@ func DefaultConfig() Config {
 type Core struct {
 	cfg Config
 
-	hybrid *bpu.Hybrid
-	ras    *bpu.RAS
-	itc    *bpu.ITC
+	// The stream half's state (StreamPredict): only read here, and kept
+	// off the cache lines of the fields the timing half writes on every
+	// step, so the two halves running on different CPUs do not bounce a
+	// line between them. streamBTB: the BTB is probed and trained in the
+	// stream half — a StreamOnly design, or a perfect BTB.
+	hybrid    *bpu.Hybrid
+	ras       *bpu.RAS
+	itc       *bpu.ITC
+	streamBTB bool
+	_         [64]byte
 
 	l1i      *cache.Cache
 	inflight *cache.InFlight
@@ -160,6 +167,7 @@ func NewCore(cfg Config) *Core {
 		asBase: isa.ASIDBase(cfg.ASID),
 	}
 	c.keyTag = uint64(c.asBase) >> isa.BlockShift
+	c.streamBTB = cfg.PerfectBTB || (cfg.BTB != nil && cfg.BTB.StreamOnly())
 	if !cfg.PerfectL1I {
 		c.l1i = cache.New(cfg.L1ISets, cfg.L1IWays)
 		c.inflight = cache.NewInFlight()
@@ -223,8 +231,97 @@ func (c *Core) fillLatency(b isa.Addr) int {
 
 func blockKey(b isa.Addr) uint64 { return uint64(b) >> isa.BlockShift }
 
-// Step processes one executed basic block.
+// Step processes one executed basic block: the stream half, then the
+// timing half. It is the one stepping path; the CMP engine merely runs the
+// two halves on different goroutines when it pipelines them.
 func (c *Core) Step(rec *trace.Record) {
+	o := c.StreamPredict(rec)
+	c.StepPredicted(rec, &o)
+}
+
+// Outcome is the stream half's verdict on one basic block's terminating
+// branch, produced by StreamPredict and consumed by StepPredicted.
+type Outcome struct {
+	bubble float64 // BTB fetch bubble, valid with outBTB
+	flags  outFlags
+}
+
+type outFlags uint8
+
+const (
+	outBTB   outFlags = 1 << iota // the stream half probed the BTB; outHit and bubble are valid
+	outHit                        // BTB hit
+	outDirOK                      // conditional: direction predicted correctly
+	outRASOK                      // return: RAS predicted the target
+	outITCOK                      // indirect: ITC predicted the target
+)
+
+// StreamPredict is the stream half of Step: everything determined by the
+// record stream alone — hybrid direction prediction and training, RAS
+// push/pop, ITC predict/update, and, when the BTB design is StreamOnly (or
+// the BTB is perfect), the BTB lookup and resolve. It reads no clock, no
+// L1-I, and no other core, and touches neither Stats nor anything
+// StepPredicted touches, so the CMP engine may run it ahead of the timing
+// half on another goroutine, as long as each core's records reach it in
+// stream order and every phase boundary joins the two.
+func (c *Core) StreamPredict(rec *trace.Record) Outcome {
+	br := rec.Br
+	if !br.Kind.IsBranch() {
+		return Outcome{}
+	}
+	var o Outcome
+	if c.streamBTB {
+		res := btb.Result{Hit: true}
+		if !c.cfg.PerfectBTB {
+			res = c.cfg.BTB.Lookup(0, rec.Start, br.PC)
+			c.cfg.BTB.Resolve(0, rec.Start, rec.N, br)
+		}
+		o.bubble, o.flags = res.Bubble, outBTB
+		if res.Hit {
+			o.flags |= outHit
+		}
+	}
+	switch br.Kind {
+	case isa.BrCond:
+		if _, correct := c.hybrid.PredictAndUpdate(br.PC, br.Taken); correct {
+			o.flags |= outDirOK
+		}
+	case isa.BrCall:
+		c.ras.Push(br.PC + isa.InstrBytes)
+	case isa.BrRet:
+		if target, ok := c.ras.Pop(); ok && target == br.Target {
+			o.flags |= outRASOK
+		}
+	case isa.BrIndirect, isa.BrIndCall:
+		if pt, ok := c.itc.Predict(br.PC); ok && pt == br.Target {
+			o.flags |= outITCOK
+		}
+		c.itc.Update(br.PC, br.Target)
+		if br.Kind == isa.BrIndCall {
+			c.ras.Push(br.PC + isa.InstrBytes)
+		}
+	}
+	return o
+}
+
+// probeBTB returns the BTB's verdict on the block's terminating branch:
+// from o when the stream half probed it, otherwise by probing and training
+// the design now, in program order against the timing half's state.
+func (c *Core) probeBTB(now float64, rec *trace.Record, o *Outcome) (hit bool, bubble float64) {
+	if o.flags&outBTB != 0 {
+		return o.flags&outHit != 0, o.bubble
+	}
+	res := c.cfg.BTB.Lookup(now, rec.Start, rec.Br.PC)
+	c.cfg.BTB.Resolve(now, rec.Start, rec.N, rec.Br)
+	return res.Hit, res.Bubble
+}
+
+// StepPredicted is the timing half of Step: given the record's Outcome
+// from StreamPredict, it materializes completed fills, probes a BTB the
+// stream half could not, charges penalties, drives the prefetcher, the
+// L1-I and the shared hierarchy, records history, and advances the clock
+// and Stats.
+func (c *Core) StepPredicted(rec *trace.Record, o *Outcome) {
 	now := c.cycle
 	st := &c.st
 	st.Records++
@@ -253,11 +350,8 @@ func (c *Core) Step(rec *trace.Record) {
 	var penalty float64
 	redirect := false
 
-	if br := rec.Br; br.Kind.IsBranch() {
-		penalty, redirect = c.predict(now, rec)
-		if !c.cfg.PerfectBTB {
-			c.cfg.BTB.Resolve(now, rec.Start, rec.N, br)
-		}
+	if rec.Br.Kind.IsBranch() {
+		penalty, redirect = c.settle(now, rec, o)
 	}
 
 	// BPU emits the fetch region; FDP banks its run-ahead from it.
@@ -309,25 +403,21 @@ func (c *Core) Step(rec *trace.Record) {
 	}
 }
 
-// predict runs the BPU for the block's terminating branch, returning the
-// penalty cycles and whether the pipeline redirected.
-func (c *Core) predict(now float64, rec *trace.Record) (extra float64, redirect bool) {
+// settle combines the BTB's verdict with the predictors' outcomes for the
+// block's terminating branch, returning the penalty cycles and whether the
+// pipeline redirected.
+func (c *Core) settle(now float64, rec *trace.Record, o *Outcome) (extra float64, redirect bool) {
 	st := &c.st
 	br := rec.Br
 
-	var res btb.Result
-	if c.cfg.PerfectBTB {
-		res = btb.Result{Hit: true}
-	} else {
-		res = c.cfg.BTB.Lookup(now, rec.Start, br.PC)
-	}
-	extra += res.Bubble
-	st.BubbleCycles += res.Bubble
+	hit, bubble := c.probeBTB(now, rec, o)
+	extra += bubble
+	st.BubbleCycles += bubble
 
 	if br.Taken {
 		st.TakenBranches++
 		st.BTBTakenLookups++
-		if !res.Hit {
+		if !hit {
 			st.BTBMisses++
 		}
 	}
@@ -340,12 +430,12 @@ func (c *Core) predict(now float64, rec *trace.Record) (extra float64, redirect 
 	switch br.Kind {
 	case isa.BrCond:
 		st.CondBranches++
-		_, correct := c.hybrid.PredictAndUpdate(br.PC, br.Taken)
+		correct := o.flags&outDirOK != 0
 		switch {
-		case res.Hit && !correct:
+		case hit && !correct:
 			st.DirMispredicts++
 			resolve = true
-		case !res.Hit && br.Taken:
+		case !hit && br.Taken:
 			// BTB miss: the BPU assumed sequential flow. Decode discovers
 			// the branch; if the direction predictor agrees "taken" the
 			// redirect costs the misfetch penalty, otherwise the branch
@@ -360,37 +450,26 @@ func (c *Core) predict(now float64, rec *trace.Record) (extra float64, redirect 
 		// BTB miss + not taken: the sequential assumption was right.
 
 	case isa.BrUncond, isa.BrCall:
-		if !res.Hit {
+		if !hit {
 			misfetch = true
-		}
-		if br.Kind == isa.BrCall {
-			c.ras.Push(br.PC + isa.InstrBytes)
 		}
 
 	case isa.BrRet:
-		target, ok := c.ras.Pop()
-		rasOK := ok && target == br.Target
 		switch {
-		case !rasOK:
+		case o.flags&outRASOK == 0:
 			st.RASMispredicts++
 			resolve = true
-		case !res.Hit:
+		case !hit:
 			misfetch = true
 		}
 
 	case isa.BrIndirect, isa.BrIndCall:
-		pt, ok := c.itc.Predict(br.PC)
-		itcOK := ok && pt == br.Target
-		c.itc.Update(br.PC, br.Target)
 		switch {
-		case !itcOK:
+		case o.flags&outITCOK == 0:
 			st.ITCMispredicts++
 			resolve = true
-		case !res.Hit:
+		case !hit:
 			misfetch = true
-		}
-		if br.Kind == isa.BrIndCall {
-			c.ras.Push(br.PC + isa.InstrBytes)
 		}
 	}
 	if misfetch {

@@ -3,7 +3,6 @@ package frontend
 import (
 	"sync"
 
-	"confluence/internal/btb"
 	"confluence/internal/isa"
 	"confluence/internal/trace"
 )
@@ -139,11 +138,13 @@ func (c *Core) ResetFF() {
 // progress itself. Under DeferFF the LLC and history writes are logged
 // instead of applied.
 //
-// The structure deliberately mirrors Step stage for stage (materialize
-// ready fills, predict + resolve, per-block access, cycle advance) so
-// the two walk identical state-update sequences; when Step's order
-// changes, change this in lockstep. The cycle clock still advances by
-// the issue + backend component of Step's charge — structures coupled
+// Predictor and BTB training is Step's own: the same StreamPredict, and
+// the same probeBTB for designs the stream half cannot probe; only the
+// penalty accounting is skipped. The rest mirrors StepPredicted stage for
+// stage (materialize ready fills, branch, per-block access, cycle
+// advance) so the two walk identical state-update sequences; when its
+// order changes, change this in lockstep. The cycle clock still advances
+// by the issue + backend component of Step's charge — structures coupled
 // to time (PhantomBTB's in-flight group fills) must keep maturing at a
 // rate comparable to detailed simulation, and the backend component is
 // pure workload calibration, so the clock stays design-independent
@@ -169,9 +170,12 @@ func (c *Core) FastStep(rec *trace.Record) {
 	}
 
 	if br := rec.Br; br.Kind.IsBranch() {
-		c.fastPredict(now, rec)
-		if !c.cfg.PerfectBTB {
-			c.cfg.BTB.Resolve(now, rec.Start, rec.N, br)
+		o := c.StreamPredict(rec)
+		if hit, _ := c.probeBTB(now, rec, &o); br.Taken {
+			c.ffCt.BTBTakenLookups++
+			if !hit {
+				c.ffCt.BTBMisses++
+			}
 		}
 	}
 
@@ -226,40 +230,4 @@ func (c *Core) FastStep(rec *trace.Record) {
 		issue = 1
 	}
 	c.cycle += issue + float64(rec.N)*c.cfg.BackendCPI
-}
-
-// fastPredict drives the branch predictors and the BTB for the block's
-// terminating branch with the exact training calls predict makes —
-// hybrid PredictAndUpdate, RAS push/pop, ITC predict/update, BTB lookup
-// — minus all penalty and counter accounting. Kept separate from
-// predict because the two share no output: predict's value is the
-// penalty math this path exists to skip.
-func (c *Core) fastPredict(now float64, rec *trace.Record) {
-	br := rec.Br
-	res := btb.Result{Hit: true}
-	if !c.cfg.PerfectBTB {
-		res = c.cfg.BTB.Lookup(now, rec.Start, br.PC)
-	}
-	if br.Taken {
-		c.ffCt.BTBTakenLookups++
-		if !res.Hit {
-			c.ffCt.BTBMisses++
-		}
-	}
-	switch br.Kind {
-	case isa.BrCond:
-		c.hybrid.PredictAndUpdate(br.PC, br.Taken)
-	case isa.BrUncond, isa.BrCall:
-		if br.Kind == isa.BrCall {
-			c.ras.Push(br.PC + isa.InstrBytes)
-		}
-	case isa.BrRet:
-		c.ras.Pop()
-	case isa.BrIndirect, isa.BrIndCall:
-		c.itc.Predict(br.PC)
-		c.itc.Update(br.PC, br.Target)
-		if br.Kind == isa.BrIndCall {
-			c.ras.Push(br.PC + isa.InstrBytes)
-		}
-	}
 }

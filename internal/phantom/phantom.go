@@ -245,3 +245,7 @@ func (p *PhantomBTB) BlockFilled(now float64, block isa.Addr, branches []isa.Pre
 
 // BlockEvicted implements the frontend BTB interface (no-op).
 func (p *PhantomBTB) BlockEvicted(block isa.Addr) {}
+
+// StreamOnly implements the frontend BTB interface: false, because
+// lookups read the group store other cores write and time its fills.
+func (p *PhantomBTB) StreamOnly() bool { return false }
