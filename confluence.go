@@ -285,13 +285,14 @@ type Config struct {
 	// resolves through the REPRO_WORKERS environment variable, then
 	// GOMAXPROCS. A single Run is one simulation and ignores it.
 	Parallelism int
-	// IntraParallelism bounds the worker goroutines stepping cores inside
-	// this single simulation (see internal/cmp). Zero pipelines exact
-	// detailed phases — each core's record decode and branch prediction
-	// on a stage goroutine ahead of the timing model — when GOMAXPROCS >
-	// 1, and fast-forwards on min(GOMAXPROCS, cores) workers; 1 runs
-	// everything on one goroutine; larger values also size bound-weave
-	// epochs and fast-forward. At EpochBlocks=1 (the default) results are
+	// IntraParallelism bounds the worker goroutines stepping cores
+	// inside this single simulation in bound-weave epochs and sampled
+	// mode's fast-forward phases (see internal/cmp). Zero fast-forwards
+	// on min(GOMAXPROCS, cores) workers; 1 steps them on one goroutine.
+	// Exact detailed phases do not use it: each core's record decode and
+	// branch prediction always run on a stage goroutine of their own
+	// ahead of the timing model, so a cell uses cores+1 goroutines there
+	// whatever the value. At EpochBlocks=1 (the default) results are
 	// bit-identical to serial for any IntraParallelism, so the knob is
 	// pure wall-clock.
 	IntraParallelism int
@@ -536,6 +537,9 @@ func DefaultParallelism() int { return parallel.Workers(0) }
 // concurrently split the goroutine budget: a config with no in-run worker
 // count of its own gets its experiments.SplitWorkers share, as a Runner's
 // cells do, rather than every cell sizing itself to the whole machine.
+// The share sizes fast-forward and bound-weave epochs; exact detailed
+// phases run cores+1 goroutines per cell whatever it is (see
+// IntraParallelism).
 func RunMany(ctx context.Context, parallelism int, cfgs []Config) ([]*Result, error) {
 	if parallelism <= 0 && len(cfgs) > 0 {
 		parallelism = cfgs[0].Parallelism

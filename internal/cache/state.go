@@ -140,6 +140,5 @@ func (v *Victim[V]) RestoreState(st VictimState, vals []V) error {
 	v.vals = append(v.vals[:0], vals...)
 	v.stamp = append(v.stamp[:0], st.Stamp...)
 	v.clock = st.Clock
-	v.rebuild()
 	return nil
 }

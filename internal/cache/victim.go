@@ -1,42 +1,23 @@
 package cache
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
-
 // Victim is a small fully-associative LRU buffer, used as the 64-entry
 // victim buffer backing the baseline conventional BTB and as PhantomBTB's
 // prefetch buffer. It is generic over the stored value so entries live
 // inline — putting a value never boxes it into an interface, which kept an
 // allocation on the BTB-eviction path when values were `any`.
 //
-// Entries are unordered slots: recency is a strictly increasing use-stamp
-// and the eviction victim is the minimum stamp, the unique
-// least-recently-used entry. Removal swaps the last slot into the hole.
-// Two derived structures make every operation O(1) instead of a scan of
-// all slots: an open-addressed key→slot index, and an intrusive list
-// linking the slots in stamp order, whose head is the minimum stamp. Both
-// are rebuilt from the slots on RestoreState, so the exported state — the
-// slots and stamps — is exactly what the scanning implementation kept.
+// Entries are unordered: recency is a strictly increasing use-stamp and the
+// eviction victim is the minimum stamp. That is the same true-LRU policy as
+// an ordered list (stamps are unique, so the minimum is the unique
+// least-recently-used entry) without shifting the whole buffer on every
+// insert — Put on the BTB-eviction path was one large memmove per call in
+// the ordered layout.
 type Victim[V any] struct {
 	cap   int
 	keys  []uint64
 	vals  []V
 	stamp []uint64
 	clock uint64
-
-	// index holds slot+1 per key (0 = empty), linear probing from the
-	// key's hashed home over a power-of-two table at least twice the
-	// capacity; deletion shifts the probe run back, leaving no tombstones.
-	index []int32
-	shift uint // 64 - log2(len(index))
-
-	// prev/next link the slots from the least (head) to the most (tail)
-	// recently used; -1 ends the list.
-	prev, next []int32
-	head, tail int32
 }
 
 // NewVictim creates a victim buffer holding up to capacity entries.
@@ -44,18 +25,11 @@ func NewVictim[V any](capacity int) *Victim[V] {
 	if capacity <= 0 {
 		panic("cache: victim capacity must be positive")
 	}
-	tbits := bits.Len(uint(2*capacity - 1))
 	return &Victim[V]{
 		cap:   capacity,
 		keys:  make([]uint64, 0, capacity),
 		vals:  make([]V, 0, capacity),
 		stamp: make([]uint64, 0, capacity),
-		index: make([]int32, 1<<tbits),
-		shift: uint(64 - tbits),
-		prev:  make([]int32, capacity),
-		next:  make([]int32, capacity),
-		head:  -1,
-		tail:  -1,
 	}
 }
 
@@ -68,116 +42,9 @@ func (v *Victim[V]) tick() uint64 {
 	return v.clock
 }
 
-// home is key's first probe position in the index.
-func (v *Victim[V]) home(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> v.shift)
-}
-
-// pos returns key's position in the index, or -1 when absent.
-func (v *Victim[V]) pos(key uint64) int {
-	mask := len(v.index) - 1
-	for h := v.home(key); ; h = (h + 1) & mask {
-		s := v.index[h]
-		if s == 0 {
-			return -1
-		}
-		if v.keys[s-1] == key {
-			return h
-		}
-	}
-}
-
-// find returns key's slot, or -1 when absent.
-func (v *Victim[V]) find(key uint64) int {
-	if h := v.pos(key); h >= 0 {
-		return int(v.index[h] - 1)
-	}
-	return -1
-}
-
-// indexAdd records that key (absent from the index) lives in slot.
-func (v *Victim[V]) indexAdd(key uint64, slot int) {
-	mask := len(v.index) - 1
-	h := v.home(key)
-	for v.index[h] != 0 {
-		h = (h + 1) & mask
-	}
-	v.index[h] = int32(slot + 1)
-}
-
-// indexDel removes present key from the index, shifting later entries of
-// its probe run back so every lookup still finds its key before an empty
-// position.
-func (v *Victim[V]) indexDel(key uint64) {
-	mask := len(v.index) - 1
-	hole := v.pos(key)
-	for j := (hole + 1) & mask; v.index[j] != 0; j = (j + 1) & mask {
-		// The entry at j may fill the hole unless its home lies
-		// cyclically in (hole, j].
-		k := v.home(v.keys[v.index[j]-1])
-		if (j > hole && (k <= hole || k > j)) || (j < hole && k <= hole && k > j) {
-			v.index[hole] = v.index[j]
-			hole = j
-		}
-	}
-	v.index[hole] = 0
-}
-
-// unlink takes slot i out of the recency list.
-func (v *Victim[V]) unlink(i int) {
-	p, n := v.prev[i], v.next[i]
-	if p >= 0 {
-		v.next[p] = n
-	} else {
-		v.head = n
-	}
-	if n >= 0 {
-		v.prev[n] = p
-	} else {
-		v.tail = p
-	}
-}
-
-// pushMRU links slot i at the most recent end of the list.
-func (v *Victim[V]) pushMRU(i int) {
-	v.prev[i], v.next[i] = v.tail, -1
-	if v.tail >= 0 {
-		v.next[v.tail] = int32(i)
-	} else {
-		v.head = int32(i)
-	}
-	v.tail = int32(i)
-}
-
-// touch restamps slot i as the most recently used.
-func (v *Victim[V]) touch(i int) {
-	v.stamp[i] = v.tick()
-	if v.tail != int32(i) {
-		v.unlink(i)
-		v.pushMRU(i)
-	}
-}
-
-// removeAt drops the entry at slot i, moving the last slot into the hole.
+// removeAt drops the entry at index i (order is not meaningful).
 func (v *Victim[V]) removeAt(i int) {
-	v.indexDel(v.keys[i])
-	v.unlink(i)
 	last := len(v.keys) - 1
-	if i != last {
-		v.index[v.pos(v.keys[last])] = int32(i + 1)
-		p, n := v.prev[last], v.next[last]
-		v.prev[i], v.next[i] = p, n
-		if p >= 0 {
-			v.next[p] = int32(i)
-		} else {
-			v.head = int32(i)
-		}
-		if n >= 0 {
-			v.prev[n] = int32(i)
-		} else {
-			v.tail = int32(i)
-		}
-	}
 	v.keys[i], v.vals[i], v.stamp[i] = v.keys[last], v.vals[last], v.stamp[last]
 	var zero V
 	v.vals[last] = zero
@@ -189,10 +56,12 @@ func (v *Victim[V]) removeAt(i int) {
 // Take returns the value for key and removes it (entries migrate back to
 // the main structure on hit, the usual victim-buffer contract).
 func (v *Victim[V]) Take(key uint64) (V, bool) {
-	if i := v.find(key); i >= 0 {
-		val := v.vals[i]
-		v.removeAt(i)
-		return val, true
+	for i, k := range v.keys {
+		if k == key {
+			val := v.vals[i]
+			v.removeAt(i)
+			return val, true
+		}
 	}
 	var zero V
 	return zero, false
@@ -200,9 +69,11 @@ func (v *Victim[V]) Take(key uint64) (V, bool) {
 
 // Peek returns the value for key without removing it, refreshing recency.
 func (v *Victim[V]) Peek(key uint64) (V, bool) {
-	if i := v.find(key); i >= 0 {
-		v.touch(i)
-		return v.vals[i], true
+	for i, k := range v.keys {
+		if k == key {
+			v.stamp[i] = v.tick()
+			return v.vals[i], true
+		}
 	}
 	var zero V
 	return zero, false
@@ -211,47 +82,34 @@ func (v *Victim[V]) Peek(key uint64) (V, bool) {
 // Put inserts (key, val) at MRU, evicting the LRU entry when full. A present
 // key is refreshed/overwritten.
 func (v *Victim[V]) Put(key uint64, val V) {
-	if i := v.find(key); i >= 0 {
-		v.vals[i] = val
-		v.touch(i)
-		return
+	victim := -1
+	var oldest uint64 = ^uint64(0)
+	for i, k := range v.keys {
+		if k == key {
+			v.vals[i] = val
+			v.stamp[i] = v.tick()
+			return
+		}
+		if v.stamp[i] < oldest {
+			oldest, victim = v.stamp[i], i
+		}
 	}
 	if len(v.keys) < v.cap {
 		v.keys = append(v.keys, key)
 		v.vals = append(v.vals, val)
 		v.stamp = append(v.stamp, v.tick())
-		i := len(v.keys) - 1
-		v.indexAdd(key, i)
-		v.pushMRU(i)
 		return
 	}
-	i := int(v.head)
-	v.indexDel(v.keys[i])
-	v.keys[i], v.vals[i] = key, val
-	v.indexAdd(key, i)
-	v.touch(i)
+	v.keys[victim], v.vals[victim], v.stamp[victim] = key, val, v.tick()
 }
 
 // Remove drops key if present.
 func (v *Victim[V]) Remove(key uint64) bool {
-	if i := v.find(key); i >= 0 {
-		v.removeAt(i)
-		return true
+	for i, k := range v.keys {
+		if k == key {
+			v.removeAt(i)
+			return true
+		}
 	}
 	return false
-}
-
-// rebuild derives the index and the recency list from the slots.
-func (v *Victim[V]) rebuild() {
-	clear(v.index)
-	order := make([]int32, len(v.keys))
-	for i, k := range v.keys {
-		v.indexAdd(k, i)
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(v.stamp[a], v.stamp[b]) })
-	v.head, v.tail = -1, -1
-	for _, i := range order {
-		v.pushMRU(int(i))
-	}
 }

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"math/rand/v2"
-	"slices"
-	"testing"
-)
+import "testing"
 
 func TestVictimPutTake(t *testing.T) {
 	v := NewVictim[string](2)
@@ -114,126 +110,6 @@ func TestInFlightExpire(t *testing.T) {
 	}
 	if _, ok := f.Ready(3); !ok {
 		t.Error("unexpired key removed")
-	}
-}
-
-// scanVictim is the scanning victim buffer Victim replaced, kept as the
-// reference its index and recency list must reproduce slot for slot.
-type scanVictim struct {
-	cap   int
-	keys  []uint64
-	vals  []int
-	stamp []uint64
-	clock uint64
-}
-
-func (v *scanVictim) tick() uint64 { v.clock++; return v.clock }
-
-func (v *scanVictim) removeAt(i int) {
-	last := len(v.keys) - 1
-	v.keys[i], v.vals[i], v.stamp[i] = v.keys[last], v.vals[last], v.stamp[last]
-	v.keys, v.vals, v.stamp = v.keys[:last], v.vals[:last], v.stamp[:last]
-}
-
-func (v *scanVictim) Take(key uint64) (int, bool) {
-	for i, k := range v.keys {
-		if k == key {
-			val := v.vals[i]
-			v.removeAt(i)
-			return val, true
-		}
-	}
-	return 0, false
-}
-
-func (v *scanVictim) Peek(key uint64) (int, bool) {
-	for i, k := range v.keys {
-		if k == key {
-			v.stamp[i] = v.tick()
-			return v.vals[i], true
-		}
-	}
-	return 0, false
-}
-
-func (v *scanVictim) Put(key uint64, val int) {
-	victim, oldest := -1, ^uint64(0)
-	for i, k := range v.keys {
-		if k == key {
-			v.vals[i], v.stamp[i] = val, v.tick()
-			return
-		}
-		if v.stamp[i] < oldest {
-			oldest, victim = v.stamp[i], i
-		}
-	}
-	if len(v.keys) < v.cap {
-		v.keys, v.vals, v.stamp = append(v.keys, key), append(v.vals, val), append(v.stamp, v.tick())
-		return
-	}
-	v.keys[victim], v.vals[victim], v.stamp[victim] = key, val, v.tick()
-}
-
-func (v *scanVictim) Remove(key uint64) bool {
-	for i, k := range v.keys {
-		if k == key {
-			v.removeAt(i)
-			return true
-		}
-	}
-	return false
-}
-
-// TestVictimMatchesScanReference drives Victim and the scanning reference
-// with the same random Put/Take/Peek/Remove sequences — key spaces from
-// below to far above capacity, so hits, overwrites, evictions, and index
-// probe-run collisions all occur — and requires identical results and
-// identical exported state (slot order, stamps, clock) after every
-// operation. Periodically the buffer is exported and restored into a
-// fresh one, which must carry on identically: RestoreState rebuilds the
-// index and recency list from the slots alone.
-func TestVictimMatchesScanReference(t *testing.T) {
-	for _, tc := range []struct{ cap, keys int }{{1, 3}, {2, 5}, {7, 10}, {64, 48}, {64, 96}, {64, 1000}} {
-		rng := rand.New(rand.NewPCG(uint64(tc.cap), uint64(tc.keys)))
-		v := NewVictim[int](tc.cap)
-		ref := &scanVictim{cap: tc.cap}
-		for op := 0; op < 20000; op++ {
-			// Keys share low bits, so hashed homes collide too.
-			key := uint64(rng.IntN(tc.keys)) << 6
-			switch rng.IntN(8) {
-			case 0, 1, 2:
-				v.Put(key, op)
-				ref.Put(key, op)
-			case 3, 4:
-				got, gok := v.Take(key)
-				want, wok := ref.Take(key)
-				if got != want || gok != wok {
-					t.Fatalf("cap %d op %d: Take(%d) = %v,%v, reference %v,%v", tc.cap, op, key, got, gok, want, wok)
-				}
-			case 5, 6:
-				got, gok := v.Peek(key)
-				want, wok := ref.Peek(key)
-				if got != want || gok != wok {
-					t.Fatalf("cap %d op %d: Peek(%d) = %v,%v, reference %v,%v", tc.cap, op, key, got, gok, want, wok)
-				}
-			case 7:
-				if got, want := v.Remove(key), ref.Remove(key); got != want {
-					t.Fatalf("cap %d op %d: Remove(%d) = %v, reference %v", tc.cap, op, key, got, want)
-				}
-			}
-			st, vals := v.ExportState()
-			want := VictimState{Cap: ref.cap, Keys: ref.keys, Stamp: ref.stamp, Clock: ref.clock}
-			if !slices.Equal(st.Keys, want.Keys) || !slices.Equal(st.Stamp, want.Stamp) || st.Clock != want.Clock || !slices.Equal(vals, ref.vals) {
-				t.Fatalf("cap %d op %d: state diverged from the reference:\n got  %+v %v\n want %+v %v", tc.cap, op, st, vals, want, ref.vals)
-			}
-			if op%97 == 0 {
-				fresh := NewVictim[int](tc.cap)
-				if err := fresh.RestoreState(st, vals); err != nil {
-					t.Fatal(err)
-				}
-				v = fresh
-			}
-		}
 	}
 }
 

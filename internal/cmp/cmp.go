@@ -23,16 +23,15 @@
 //   - K=1 is the exact mode and the default: the weave executes the steps
 //     serially in the canonical round-robin order — exactly the serial
 //     interleaving. What is provably independent of timing and of other
-//     cores runs ahead of it on one stage goroutine per core (see
-//     phaseStaged): record decode (trace.Source streams take no feedback
+//     cores runs ahead of it on one stage goroutine per active core (see
+//     phaseExact): record decode (trace.Source streams take no feedback
 //     from the timing model) and the stream half of Core.Step
 //     (Core.StreamPredict: the branch predictors, and BTB designs that
 //     declare btb.Design.StreamOnly). The weave runs the timing half
 //     (Core.StepPredicted). The stages stop at exactly the weave's
-//     phase-end record, so every phase boundary sees the serial state.
-//     The pipeline is on unless the worker count is an explicit 1 or
-//     GOMAXPROCS is 1; results are bit-identical to the serial simulator
-//     either way.
+//     phase-end record, so every phase boundary sees the serial state,
+//     and results are bit-identical to the serial simulator for any
+//     worker count and any GOMAXPROCS.
 //   - K>1 is a documented approximation: cores advance up to K blocks
 //     against shared state frozen at the epoch boundary, so cross-core
 //     timing feedback (another core's LLC fill, a generator's history
@@ -82,13 +81,13 @@ func New(cores []*frontend.Core, srcs []trace.Source, hier *mem.Hierarchy) (*Sys
 }
 
 // SetIntra configures in-run parallelism: workers bounds the goroutines
-// stepping cores inside this one simulation, epochBlocks is K, the
-// per-core epoch depth (see the package comment); zero K means 1. At K=1,
-// workers = 1 runs everything on the calling goroutine, and any other
-// value pipelines detailed phases when GOMAXPROCS > 1. Zero workers
-// means one bound-phase worker at K>1 and min(GOMAXPROCS, cores)
-// fast-forward workers. Every setting at K=1 is bit-identical to the
-// serial simulator. SetIntra must be called before the first Run; once
+// stepping cores in K>1 bound phases and fast-forward chunks inside this
+// one simulation, epochBlocks is K, the per-core epoch depth (see the
+// package comment); zero K means 1. Zero workers means one bound-phase
+// worker and min(GOMAXPROCS, cores) fast-forward workers. K=1 detailed
+// phases do not use the count: they always run one stage goroutine per
+// active core beside the calling goroutine. Every setting at K=1 is
+// bit-identical to the serial simulator. SetIntra must be called before the first Run; once
 // the epoch engine exists the configuration is frozen and later calls
 // are ignored.
 func (s *System) SetIntra(workers, epochBlocks int) {
@@ -117,8 +116,8 @@ func (s *System) Run(warmup, measure uint64) (*frontend.Stats, error) {
 //
 // After any phase returns an error — a source failure or a cancellation —
 // the System is not reusable: cores may have stepped different numbers
-// of records, and a pipelined phase may have dropped records it had
-// decoded. Close it and assemble a new one.
+// of records, and a detailed phase may have dropped records its stages
+// had decoded. Close it and assemble a new one.
 func (s *System) RunCtx(ctx context.Context, warmup, measure uint64) (*frontend.Stats, error) {
 	if s.eng == nil {
 		s.eng = newEngine(s)
@@ -154,16 +153,16 @@ func (s *System) phase(ctx context.Context, n uint64) error {
 
 // decodeBatch is the per-core record decode-ahead depth: one NextBatch call
 // per decodeBatch basic blocks amortizes the Source interface dispatch (and
-// the file reader's per-record bounds checks) on every path, inline or on
-// a stage goroutine. Sources take no feedback from the timing model, so
+// the file reader's per-record bounds checks) on every path, fast-forward
+// or a detailed phase's stage goroutine. Sources take no feedback from the timing model, so
 // decode-ahead is invisible to the simulation.
 const decodeBatch = 64
 
 // coreQ is one core's decoded-record queue. buf[head:head+n] are the
-// records decoded but not yet stepped (nor, in a pipelined phase, handed
-// to the weave); they persist across phases (warmup → measure, detailed →
-// fast-forward), so decode-ahead never perturbs where a phase boundary
-// falls in the stream. During a pipelined phase the core's stage owns the
+// records decoded but not yet stepped (nor, in a detailed phase, handed
+// to the weave); they persist across phases (warmup → measure, detailed
+// → fast-forward), so decode-ahead never perturbs where a phase boundary
+// falls in the stream. During a detailed phase the core's stage owns the
 // queue. err is a deferred source error: a finite source's io.EOF (or a
 // corruption) is surfaced only if the core still needs records, matching
 // the serial semantics where a source failure beyond the phase target is
@@ -211,11 +210,10 @@ type engine struct {
 	workers int // bound-phase (K>1) workers
 	k       int // epoch depth in blocks; 1 = exact mode
 
-	// staged pipelines K=1 detailed phases: each core's stream half runs
-	// on a stage goroutine ahead of the weave (see phaseStaged). stages
-	// and cur are the per-core pipes and the weave's read positions,
-	// built at the first staged phase; wg joins the stages every phase.
-	staged bool
+	// stages are the per-core pipes carrying K=1 detailed phases' stream
+	// half from its stage goroutines to the weave (see phaseExact), and
+	// cur the weave's read positions in them; both are built at the first
+	// detailed phase. wg joins the stages every phase.
 	stages []*stage
 	cur    []stageCursor
 	wg     sync.WaitGroup
@@ -255,18 +253,15 @@ func newEngine(s *System) *engine {
 	if k < 1 {
 		k = 1
 	}
-	// Any worker count but an explicit 1 pipelines exact detailed phases
-	// when there is a second CPU to run the stages on. An unset count
-	// keeps K>1 bound phases on one worker but lets fast-forward use the
-	// machine. Nothing either computes depends on the worker count.
-	procs := runtime.GOMAXPROCS(0)
-	staged := k == 1 && w != 1 && procs > 1
+	// An unset worker count keeps K>1 bound phases on one worker but
+	// lets fast-forward use the machine: nothing it computes depends on
+	// the worker count.
 	ffw := w
 	if w < 1 {
 		w = 1
-		ffw = min(procs, len(s.Cores))
+		ffw = min(runtime.GOMAXPROCS(0), len(s.Cores))
 	}
-	e := &engine{s: s, workers: w, k: k, ffWorkers: ffw, staged: staged}
+	e := &engine{s: s, workers: w, k: k, ffWorkers: ffw}
 	for _, c := range s.Cores {
 		if _, ok := c.BTB().(weaveDesign); ok {
 			e.ffSerial = true
@@ -317,8 +312,6 @@ func (e *engine) phase(ctx context.Context, n uint64) error {
 		return e.phaseFF(ctx)
 	case e.k > 1:
 		return e.phaseBound(ctx)
-	case e.staged:
-		return e.phaseStaged(ctx)
 	}
 	return e.phaseExact(ctx)
 }
@@ -356,46 +349,51 @@ func (q *coreQ) dryErr(c int) error {
 	return fmt.Errorf("cmp: core %d source: %w", c, err)
 }
 
-// phaseExact is the K=1 engine on one goroutine: each epoch tops up every
-// active core's decode queue, then executes the full steps serially in
-// canonical round-robin order — the serial simulator itself.
-// phaseStaged is the same schedule with Step's stream half pipelined.
+// phaseExact is the K=1 engine, with the two halves of Core.Step
+// pipelined: each active core's stream stage (runStage, one goroutine
+// per core) decodes the core's records and runs Core.StreamPredict on
+// every record the phase will step, while the weave runs
+// Core.StepPredicted on them serially, in canonical round-robin order —
+// the serial simulator's interleaving. The stream half touches only
+// core-private, stream-determined state, and each stage stops at exactly
+// the record where the weave stops (the same instructions-below-target
+// rule), so when the phase returns every core's state is the serial
+// simulator's, bit for bit, for any scheduling of the goroutines.
 func (e *engine) phaseExact(ctx context.Context) error {
+	stop := e.startStages()
+	defer e.joinStages(stop)
+	// Slice headers are loop-invariant, but the compiler cannot prove
+	// that across the step calls — hoisting them into locals keeps the
+	// detailed inner loop tight.
+	cores, prog, cur := e.s.Cores, e.prog, e.cur
 	for len(e.active) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, c := range e.active {
-			e.refill(c)
-		}
-		// An epoch's round count is the shortest active queue: every round
-		// steps each remaining core exactly once, in core order, exactly as
-		// the serial loop interleaves them.
+		// An epoch runs until the first active core's batch is used up:
+		// every round steps each remaining core exactly once, in core
+		// order, exactly as the serial loop interleaves them. Fetching in
+		// core order, the first core found dry is the lowest core dry at
+		// this round — the serial simulator's error.
 		rounds := -1
 		for _, c := range e.active {
-			if e.q[c].n < rounds || rounds < 0 {
-				rounds = e.q[c].n
-			}
-		}
-		if rounds == 0 {
-			for _, c := range e.active {
-				if e.q[c].n == 0 {
-					return e.dryErr(c)
+			k := &cur[c]
+			if k.b == nil || k.i == k.b.n {
+				if err := e.nextBatch(c); err != nil {
+					return err
 				}
 			}
+			if r := k.b.n - k.i; r < rounds || rounds < 0 {
+				rounds = r
+			}
 		}
-		// Slice headers are loop-invariant, but the compiler cannot prove
-		// that across the Step call — hoisting them into locals keeps the
-		// detailed inner loop tight.
-		cores, qs, prog := e.s.Cores, e.q, e.prog
 		for r := 0; r < rounds && len(e.active) > 0; r++ {
 			w := 0
 			for _, c := range e.active {
-				q := &qs[c]
-				rec := &q.buf[q.head]
-				cores[c].Step(rec)
-				q.head++
-				q.n--
+				k := &cur[c]
+				rec := &k.b.recs[k.i]
+				cores[c].StepPredicted(rec, &k.b.outs[k.i])
+				k.i++
 				pg := &prog[c]
 				pg.instr += uint64(rec.N)
 				pg.recs++

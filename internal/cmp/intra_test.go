@@ -156,25 +156,19 @@ func BenchmarkFastForward(b *testing.B) {
 	}
 }
 
-// BenchmarkDetailed measures an exact detailed phase of a 4-core system
-// inline (workers=1) and with Step's stream half pipelined on stage
-// goroutines (workers=0, the default, with GOMAXPROCS > 1).
+// BenchmarkDetailed measures an exact detailed phase of a 4-core system,
+// Step's stream half pipelined on stage goroutines ahead of the weave.
 func BenchmarkDetailed(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sys := testSystem(b, 4)
-			sys.SetIntra(workers, 1)
-			defer sys.Close()
-			if _, err := sys.Run(0, 100_000); err != nil { // prime caches & engine
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Run(0, 200_000); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*4*200_000/b.Elapsed().Seconds()/1e6, "Minstr/s")
-		})
+	sys := testSystem(b, 4)
+	defer sys.Close()
+	if _, err := sys.Run(0, 100_000); err != nil { // prime caches & engine
+		b.Fatal(err)
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Run(0, 200_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*4*200_000/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }

@@ -1,7 +1,6 @@
 package cmp
 
 import (
-	"context"
 	"sync"
 
 	"confluence/internal/frontend"
@@ -12,27 +11,22 @@ import (
 // costs two channel operations and, when the peer is parked, a goroutine
 // wake-up of several microseconds on the weave's CPU, so batches are long
 // enough to make that vanish against the stepping (at 256 records it
-// still cost a tenth of the gain). The first batches of a phase are
-// shorter (stageFirstRecs, doubling): the weave waits for a phase's first
-// batch, and sampled windows are phases of a few hundred records.
-const (
-	stageBatchRecs = 1024
-	stageFirstRecs = 64
-)
+// still cost a tenth of the gain).
+const stageBatchRecs = 1024
 
-// stageBatches is the batches in flight per core: one the weave steps, one
-// the stage fills, one spare so neither waits on the other's jitter.
+// stageBatches is the batches in flight per core: one the weave steps,
+// one the stage fills, one spare so neither waits on the other's jitter.
 const stageBatches = 3
 
-// stageBatch is one handoff from a core's stream stage to the weave: the
-// next records of the core's stream, in order, each with its stream-half
-// Outcome.
+// stageBatch is the next records of one core's stream, in order, each
+// with the Outcome of Core.StreamPredict — the stream half of Core.Step,
+// already run — for the weave to step the timing half of.
 type stageBatch struct {
 	recs [stageBatchRecs]trace.Record
 	outs [stageBatchRecs]frontend.Outcome
 	n    int
 	// err, when set, ended the batch short: the source ran dry below the
-	// core's target. It is the error the inline engine would return for
+	// core's target. It is the error the serial simulator returns for
 	// this core at the round after the batch's last record.
 	err error
 }
@@ -40,15 +34,16 @@ type stageBatch struct {
 // stage is one core's pipeline plumbing: its batches circulate between
 // free (owned by the stream stage) and full (owned by the weave). Both
 // channels hold every batch, so no send ever blocks. Between phases all
-// batches rest in free, so a stage is reused by every staged phase of the
-// system and then by later systems (see stagePool).
+// batches rest in free, so every detailed phase of the system reuses
+// them, and then later systems (see stagePool).
 type stage struct {
 	full, free chan *stageBatch
 }
 
-// stagePool recycles stages across systems: a grid assembles a system per
-// cell, and regrowing every core's batches (~80 KB) per cell would add
-// garbage the sweeps' peak resident memory is sensitive to.
+// stagePool recycles stages across systems. A grid assembles a system
+// per cell, and a stage holds ~240 KB of batches; allocating them per
+// system raised exact_grid's peak resident memory from 111 MB to 136 MB
+// on a 2-vCPU host.
 var stagePool = sync.Pool{New: func() any {
 	st := &stage{
 		full: make(chan *stageBatch, stageBatches),
@@ -60,22 +55,24 @@ var stagePool = sync.Pool{New: func() any {
 	return st
 }}
 
+// release returns the engine's stages to the pool when the system
+// closes.
+func (e *engine) release() {
+	for _, st := range e.stages {
+		stagePool.Put(st)
+	}
+	e.stages, e.cur = nil, nil
+}
+
 // stageCursor is the weave's read position in a core's current batch.
 type stageCursor struct {
 	b *stageBatch
 	i int
 }
 
-// phaseStaged is the K=1 engine with the two halves of Core.Step
-// pipelined: each active core's stream stage (runStage, one goroutine per
-// core) decodes the core's records and runs Core.StreamPredict on every
-// record the phase will step, while the weave runs Core.StepPredicted on
-// them in the canonical round-robin order. The stream half touches only
-// core-private, stream-determined state, and each stage stops at exactly
-// the record where the weave stops (the same instructions-below-target
-// rule), so when the phase returns every core's state is the serial
-// simulator's, bit for bit, for any scheduling of the goroutines.
-func (e *engine) phaseStaged(ctx context.Context) error {
+// startStages starts a stream stage per active core for a K=1 detailed
+// phase; closing the returned channel stops them.
+func (e *engine) startStages() chan struct{} {
 	if e.stages == nil {
 		e.stages = make([]*stage, len(e.s.Cores))
 		for c := range e.stages {
@@ -89,49 +86,7 @@ func (e *engine) phaseStaged(ctx context.Context) error {
 		//confluence:allow baregoroutine the stream stage runs only core c's stream half, on core-private state, in stream order and up to exactly the weave's stopping record; the weave joins it before the phase returns, so results are independent of goroutine scheduling
 		go e.runStage(c, e.prog[c].instr, e.prog[c].target, stop)
 	}
-	defer e.joinStages(stop)
-
-	cores, prog, cur := e.s.Cores, e.prog, e.cur
-	for len(e.active) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// An epoch runs until the first active core's batch is used up:
-		// every round steps each remaining core exactly once, in core
-		// order, exactly as the serial loop interleaves them. Fetching in
-		// core order, the first core found dry is the lowest core dry at
-		// this round — the serial simulator's error.
-		rounds := -1
-		for _, c := range e.active {
-			k := &cur[c]
-			if k.b == nil || k.i == k.b.n {
-				if err := e.nextBatch(c); err != nil {
-					return err
-				}
-			}
-			if r := k.b.n - k.i; r < rounds || rounds < 0 {
-				rounds = r
-			}
-		}
-		for r := 0; r < rounds && len(e.active) > 0; r++ {
-			w := 0
-			for _, c := range e.active {
-				k := &cur[c]
-				rec := &k.b.recs[k.i]
-				cores[c].StepPredicted(rec, &k.b.outs[k.i])
-				k.i++
-				pg := &prog[c]
-				pg.instr += uint64(rec.N)
-				pg.recs++
-				if pg.instr < pg.target {
-					e.active[w] = c
-					w++
-				}
-			}
-			e.active = e.active[:w]
-		}
-	}
-	return nil
+	return stop
 }
 
 // nextBatch hands core c's used-up batch back to its stage and takes the
@@ -153,11 +108,11 @@ func (e *engine) nextBatch(c int) error {
 	return nil
 }
 
-// joinStages stops and waits for the phase's stages, then returns every
-// batch to its free list. A phase that ran to its targets consumed every
-// batch its stages filled; one that failed or was cancelled may leave
-// some filled, and their records are dropped — a System is not reusable
-// after a phase returns an error.
+// joinStages stops and waits for a detailed phase's stages, then returns
+// every batch to its free list. A phase that ran to its targets consumed
+// every batch its stages filled; one that failed or was cancelled may
+// leave some filled, and their records are dropped — a System is not
+// reusable after a phase returns an error.
 func (e *engine) joinStages(stop chan struct{}) {
 	close(stop)
 	e.wg.Wait()
@@ -172,19 +127,20 @@ func (e *engine) joinStages(stop chan struct{}) {
 	}
 }
 
-// runStage is core c's stream stage for one phase: starting with pred
-// instructions advanced, it runs Core.StreamPredict on each record while
-// pred is below target — the weave's own rule, so the two stop at the
-// same record — and passes the records on in batches. Records it decodes
-// beyond that stay in the core's decode queue, unpredicted, for whatever
-// phase comes next. The queue is worked on in a local and written back
-// once, so concurrent stages share no hot cache line.
+// runStage is core c's stream stage for one detailed phase: starting
+// with pred instructions advanced, it runs Core.StreamPredict on each
+// record while pred is below target — the weave's own rule for stepping
+// a record, so the two stop at the same record — and passes the records
+// on in batches. Records it decodes beyond that stay in the core's decode
+// queue, unpredicted, for whatever phase comes next. The queue is worked
+// on in a local and written back once, so concurrent stages share no hot
+// cache line.
 func (e *engine) runStage(c int, pred, target uint64, stop <-chan struct{}) {
 	defer e.wg.Done()
 	core, src, st := e.s.Cores[c], e.s.Sources[c], e.stages[c]
 	q := e.q[c]
 	defer func() { e.q[c] = q }()
-	for limit := stageFirstRecs; pred < target; limit = min(2*limit, stageBatchRecs) {
+	for pred < target {
 		select {
 		case <-stop:
 			return
@@ -197,7 +153,7 @@ func (e *engine) runStage(c int, pred, target uint64, stop <-chan struct{}) {
 			return
 		}
 		n := 0
-		for ; n < limit && pred < target; n++ {
+		for ; n < stageBatchRecs && pred < target; n++ {
 			if q.n == 0 {
 				if q.refill(src); q.n == 0 {
 					break
@@ -211,7 +167,7 @@ func (e *engine) runStage(c int, pred, target uint64, stop <-chan struct{}) {
 			pred += uint64(rec.N)
 		}
 		b.n, b.err = n, nil
-		if n < limit && pred < target {
+		if n < stageBatchRecs && pred < target {
 			b.err = q.dryErr(c)
 		}
 		st.full <- b
@@ -219,13 +175,4 @@ func (e *engine) runStage(c int, pred, target uint64, stop <-chan struct{}) {
 			return
 		}
 	}
-}
-
-// release returns the engine's stages to the pool; the engine runs no
-// further staged phase.
-func (e *engine) release() {
-	for _, st := range e.stages {
-		stagePool.Put(st)
-	}
-	e.stages, e.cur = nil, nil
 }

@@ -7,66 +7,81 @@ import (
 	"testing"
 )
 
-// stagedSystem is testSystem with the pipelined K=1 engine switched on
-// whatever GOMAXPROCS is, so the staged schedule is tested on one CPU too.
-func stagedSystem(t *testing.T, cores int, staged bool) *System {
+// serialDetailed is the reference schedule the pipelined detailed phase
+// must reproduce: every core below target takes one full Core.Step per
+// round, in core order, from its decode queue.
+func serialDetailed(t *testing.T, s *System, n uint64) {
 	t.Helper()
-	sys := testSystem(t, cores)
-	sys.eng = newEngine(sys)
-	sys.eng.staged = staged
-	t.Cleanup(func() { sys.Close() })
-	return sys
-}
-
-// batchEnd is the records a stage hands over in its first k batches of a
-// phase.
-func batchEnd(k int) int {
-	n := 0
-	for i, limit := 0, stageFirstRecs; i < k; i, limit = i+1, min(2*limit, stageBatchRecs) {
-		n += limit
+	if s.eng == nil {
+		s.eng = newEngine(s)
 	}
-	return n
+	e := s.eng
+	target := make([]uint64, len(s.Cores))
+	for c := range target {
+		target[c] = e.prog[c].instr + n
+	}
+	for live := true; live; {
+		live = false
+		for c, core := range s.Cores {
+			pg, q := &e.prog[c], &e.q[c]
+			if pg.instr >= target[c] {
+				continue
+			}
+			if q.n == 0 {
+				if e.refill(c); q.n == 0 {
+					t.Fatal(e.dryErr(c))
+				}
+			}
+			rec := &q.buf[q.head]
+			core.Step(rec)
+			q.head++
+			q.n--
+			pg.instr += uint64(rec.N)
+			pg.recs++
+			live = true
+		}
+	}
 }
 
 // TestStagedDrySourceMatchesSerial: a finite source running dry in the
-// middle of a pipelined phase fails it with the inline engine's error —
+// middle of a detailed phase fails it with the serial schedule's error —
 // the core dry in the earliest round, the lowest such core on a tie —
 // including when a stage's batch ends exactly at the end of the source.
 // A target inside every finite budget runs clean, although the stages
 // decode up to the end of the sources.
 func TestStagedDrySourceMatchesSerial(t *testing.T) {
-	for _, lens := range [][]int{
-		{0, 900, 0, 300},
-		{0, 300, 0, 300},
-		{0, batchEnd(4), 0, batchEnd(4) + 1},
-		{0, batchEnd(6) + 700, 0, batchEnd(6) + 200},
+	for _, tc := range []struct {
+		lens []int
+		want string
+	}{
+		// Core 3 runs dry first although core 1 is the lower index.
+		{[]int{0, 900, 0, 300}, "cmp: core 3 source: EOF"},
+		{[]int{0, 300, 0, 300}, "cmp: core 1 source: EOF"},
+		{[]int{0, 4 * stageBatchRecs, 0, 4*stageBatchRecs + 1}, "cmp: core 1 source: EOF"},
+		{[]int{0, 6*stageBatchRecs + 700, 0, 6*stageBatchRecs + 200}, "cmp: core 3 source: EOF"},
 	} {
-		inline := stagedSystem(t, 4, false)
-		finiteSources(t, inline, lens)
-		want := inline.eng.phase(context.Background(), 1<<40)
-		if want == nil {
-			t.Fatalf("lens %v: the inline engine did not fail", lens)
+		sys := testSystem(t, 4)
+		finiteSources(t, sys, tc.lens)
+		if _, err := sys.RunCtx(context.Background(), 0, 1<<40); err == nil || err.Error() != tc.want {
+			t.Errorf("lens %v: got error %v, want %q", tc.lens, err, tc.want)
 		}
-		sys := stagedSystem(t, 4, true)
-		finiteSources(t, sys, lens)
-		if got := sys.eng.phase(context.Background(), 1<<40); got == nil || got.Error() != want.Error() {
-			t.Errorf("lens %v: staged error %v, inline %v", lens, got, want)
-		}
+		sys.Close()
 	}
 
-	sys := stagedSystem(t, 4, true)
+	sys := testSystem(t, 4)
+	defer sys.Close()
 	finiteSources(t, sys, []int{0, 900, 0, 300})
 	if _, err := sys.Run(300, 300); err != nil {
-		t.Errorf("in-bounds staged run failed: %v", err)
+		t.Errorf("in-bounds run failed: %v", err)
 	}
 }
 
-// TestStagedCancel: cancelling mid-phase returns ctx.Err() from the
-// pipelined engine within a few batches of the cancellation, with every
-// stage joined.
+// TestStagedCancel: cancelling mid-phase returns ctx.Err() within a few
+// batches of the cancellation, with every stage joined.
 func TestStagedCancel(t *testing.T) {
 	const at = 2*stageBatchRecs + 100
-	sys := stagedSystem(t, 4, true)
+	sys := testSystem(t, 4)
+	defer sys.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sys.Sources[0] = &cancelAfter{Source: sys.Sources[0], n: at, cancel: cancel}
@@ -80,18 +95,22 @@ func TestStagedCancel(t *testing.T) {
 	}
 }
 
-// TestStagedPhasesMatchInline: the pipelined engine leaves exactly the
-// inline engine's state across a sequence of phases of every kind —
+// TestStagedPhasesMatchSerial: pipelined detailed phases leave exactly
+// the serial schedule's state across a sequence of phases of every kind —
 // detailed phases shorter and longer than a batch, fast-forward, and
 // skipped records — which all resume from the records a stage decoded
 // beyond its target.
-func TestStagedPhasesMatchInline(t *testing.T) {
-	run := func(staged bool) ([]uint64, []any) {
-		sys := stagedSystem(t, 3, staged)
+func TestStagedPhasesMatchSerial(t *testing.T) {
+	run := func(serial bool) ([]uint64, []any) {
+		sys := testSystem(t, 3)
+		defer sys.Close()
+		sys.eng = newEngine(sys)
 		ctx := context.Background()
 		var out []any
 		for _, n := range []uint64{700, 3 * stageBatchRecs * 5, 10} {
-			if err := sys.eng.phase(ctx, n); err != nil {
+			if serial {
+				serialDetailed(t, sys, n)
+			} else if err := sys.phase(ctx, n); err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range sys.Cores {
@@ -106,16 +125,16 @@ func TestStagedPhasesMatchInline(t *testing.T) {
 		}
 		return sys.ConsumedRecords(), out
 	}
-	wantRecs, want := run(false)
-	gotRecs, got := run(true)
+	wantRecs, want := run(true)
+	gotRecs, got := run(false)
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("state %d differs between staged and inline phases", i)
+			t.Fatalf("state %d differs between pipelined and serial phases", i)
 		}
 	}
 	for c := range wantRecs {
 		if gotRecs[c] != wantRecs[c] {
-			t.Errorf("core %d consumed %d records staged, %d inline", c, gotRecs[c], wantRecs[c])
+			t.Errorf("core %d consumed %d records pipelined, %d serially", c, gotRecs[c], wantRecs[c])
 		}
 	}
 }

@@ -158,13 +158,13 @@ type Options struct {
 	// HistoryPerCore gives every core a private SHIFT history instead of
 	// the shared one (ablation; the paper shares).
 	HistoryPerCore bool
-	// IntraWorkers bounds the worker goroutines stepping cores inside this
-	// one simulation (pipelined detailed phases, bound-weave epochs and
-	// fast-forward chunks; see internal/cmp.System.SetIntra). One runs
-	// everything on one goroutine; zero pipelines exact detailed phases
-	// when GOMAXPROCS > 1 and fast-forwards on min(GOMAXPROCS, cores)
-	// workers. At EpochBlocks=1 any worker count is bit-identical to
-	// serial.
+	// IntraWorkers bounds the worker goroutines stepping cores inside
+	// this one simulation in bound-weave epochs and fast-forward chunks
+	// (see internal/cmp.System.SetIntra). Zero fast-forwards on
+	// min(GOMAXPROCS, cores) workers. Exact detailed phases do not use
+	// it: they always run each core's stream half on a stage goroutine of
+	// its own, cores+1 goroutines whatever the value. At EpochBlocks=1 any
+	// worker count is bit-identical to serial.
 	IntraWorkers int
 	// EpochBlocks is K, the basic blocks each core advances per bound
 	// epoch. Zero or one (the default) is the exact mode; K>1 trades

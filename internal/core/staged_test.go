@@ -48,15 +48,16 @@ func runStagedCell(t *testing.T, mix []*synth.Workload, dp DesignPoint, workers 
 	return c
 }
 
-// TestStagedMatchesInline: pipelining Step's stream half on stage
-// goroutines is invisible in every result — exact stats and per-core
-// stats, sampled windows, coverage and warm-snapshot bytes — at
-// GOMAXPROCS 1, 2 and 4 and in-run worker counts 0 (staged whenever
-// there is a second CPU) and 1 (always inline). The designs cover BTBs
-// the stream half probes (conventional, two-level) and BTBs it must leave
-// to the timing half (AirBTB, eager insertion, PhantomBTB's shared
-// store), with and without a prefetcher, plus a two-workload mix.
-func TestStagedMatchesInline(t *testing.T) {
+// TestStagedMatchesAcrossSchedules: how the stage goroutines that run
+// Step's stream half are scheduled against the weave is invisible in
+// every result — exact stats and per-core stats, sampled windows,
+// coverage and warm-snapshot bytes — at GOMAXPROCS 1, 2 and 4 and in-run
+// worker counts 0 and 1. (TestGoldenStats pins the results themselves to
+// the serial simulator's.) The designs cover BTBs the stream half probes
+// (conventional, two-level) and BTBs it must leave to the timing half
+// (AirBTB, eager insertion, PhantomBTB's shared store), with and without
+// a prefetcher, plus a two-workload mix.
+func TestStagedMatchesAcrossSchedules(t *testing.T) {
 	a := testWorkload(t)
 	cases := []struct {
 		name string
@@ -82,15 +83,15 @@ func TestStagedMatchesInline(t *testing.T) {
 					got := runStagedCell(t, tc.mix, tc.dp, workers)
 					where := fmt.Sprintf("GOMAXPROCS=%d workers=%d", procs, workers)
 					if !reflect.DeepEqual(got.exact, want.exact) || !reflect.DeepEqual(got.exactPerCore, want.exactPerCore) {
-						t.Errorf("%s: exact stats differ from inline: IPC %v vs %v", where, got.exact.IPC(), want.exact.IPC())
+						t.Errorf("%s: exact stats differ from GOMAXPROCS=1 workers=1: IPC %v vs %v", where, got.exact.IPC(), want.exact.IPC())
 					}
 					g, w := got.sampled, want.sampled
 					if !bytes.Equal(g.snap, w.snap) {
-						t.Errorf("%s: warm snapshot differs from inline", where)
+						t.Errorf("%s: warm snapshot differs from GOMAXPROCS=1 workers=1", where)
 					}
 					if !reflect.DeepEqual(g.agg, w.agg) || !reflect.DeepEqual(g.windows, w.windows) ||
 						!reflect.DeepEqual(g.perCore, w.perCore) || !reflect.DeepEqual(g.cov, w.cov) {
-						t.Errorf("%s: sampled measurement differs from inline: IPC %v vs %v", where, g.agg.IPC(), w.agg.IPC())
+						t.Errorf("%s: sampled measurement differs from GOMAXPROCS=1 workers=1: IPC %v vs %v", where, g.agg.IPC(), w.agg.IPC())
 					}
 				}
 			}
