@@ -131,6 +131,8 @@ cover:
 fuzz:
 	go test ./internal/trace -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime=$(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz FuzzReaderCorrupt -fuzztime=$(FUZZTIME)
+	go test ./internal/store -run '^$$' -fuzz FuzzStoreEntry -fuzztime=$(FUZZTIME)
+	go test . -run '^$$' -fuzz FuzzParseJobSpec -fuzztime=$(FUZZTIME)
 
 # examples runs every runnable example end to end (tiny scales), the smoke
 # test that keeps them honest; mirrors the CI examples step.

@@ -256,7 +256,7 @@ type Config struct {
 	// StoreDir, when non-empty, consults and feeds the durable
 	// content-addressed result store rooted at that directory: a run whose
 	// key (workloads, design, options, instruction counts, code version —
-	// see experiments.CellStoreKey) is already stored returns the persisted
+	// see experiments.CellSpec.Key) is already stored returns the persisted
 	// result without simulating, and a completed run persists its result
 	// for future processes. Stored results are byte-identical to live runs
 	// (exact float64 JSON round trip), so resuming an interrupted grid
@@ -329,68 +329,88 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // resolveConfig applies RunCtx's defaulting rules — mix vs. single
-// workload, CMP width, intra-parallelism knobs, the warmup/measure
-// instruction sentinels — and returns the resolved mix, engine options,
-// and config. It exists so ConfigStoreKey and RunCtx derive store keys
-// from one resolution path: a coordinator that computed keys with its own
-// copy of these rules would silently diverge the moment a default
-// changed.
-func resolveConfig(cfg Config) ([]*Workload, core.Options, Config, error) {
+// workload, the simulation shape (see scale), the Config knobs that win
+// over Options — and returns the resolved cell and config. It exists so
+// ConfigStoreKey, fleet workers and RunCtx derive a cell from one
+// resolution path: a coordinator that computed keys with its own copy of
+// these rules would silently diverge the moment a default changed.
+func resolveConfig(cfg Config) (experiments.CellSpec, Config, error) {
 	mix := cfg.Mix
 	switch {
 	case len(mix) == 0 && cfg.Workload == nil:
-		return nil, core.Options{}, cfg, fmt.Errorf("confluence: Config.Workload or Config.Mix is required")
+		return experiments.CellSpec{}, cfg, fmt.Errorf("confluence: Config.Workload or Config.Mix is required")
 	case len(mix) > 0 && cfg.Workload != nil:
-		return nil, core.Options{}, cfg, fmt.Errorf("confluence: Config.Workload and Config.Mix are mutually exclusive")
+		return experiments.CellSpec{}, cfg, fmt.Errorf("confluence: Config.Workload and Config.Mix are mutually exclusive")
 	case len(mix) == 0:
 		mix = []*Workload{cfg.Workload}
 	}
 	for _, w := range mix {
 		if w == nil {
-			return nil, core.Options{}, cfg, fmt.Errorf("confluence: nil workload in Config.Mix")
+			return experiments.CellSpec{}, cfg, fmt.Errorf("confluence: nil workload in Config.Mix")
 		}
 	}
+	sc := cfg.scale()
+	cfg.WarmupInstr, cfg.MeasureInstr = sc.Warmup, sc.Measure
 	opt := cfg.Options
-	if opt.Cores == 0 {
-		// Only the CMP width needs defaulting here: core.NewMixSystem
-		// field-defaults the remaining tuning, so a caller's
-		// partially-specified Options (custom AirBTB geometry, private
-		// histories, ...) survives intact.
-		opt.Cores = core.DefaultOptions().Cores
-	}
-	if cfg.Cores > 0 {
-		opt.Cores = cfg.Cores
-	}
-	// Like Cores above, the Config knobs win over Options when both are set.
+	opt.Cores = sc.Cores
+	// Like Cores, the Config knobs win over Options when both are set.
 	if cfg.IntraParallelism > 0 {
 		opt.IntraWorkers = cfg.IntraParallelism
 	}
 	if cfg.EpochBlocks > 0 {
 		opt.EpochBlocks = cfg.EpochBlocks
 	}
+	return experiments.CellSpec{
+		Mix: mix, TraceDir: cfg.TraceDir, Design: cfg.Design, Opt: opt,
+		Warmup: sc.Warmup, Measure: sc.Measure, Sampling: cfg.Sampling,
+	}, cfg, nil
+}
+
+// scale resolves cfg's simulation shape from its zero-means-default
+// sentinels: the CMP width (Cores, then Options.Cores, then the paper's
+// 16) and the per-core warmup/measure counts (1.5M each; NoWarmup forces
+// a zero-length warm-up). Only the width of Options is defaulted here:
+// core.NewMixSystem field-defaults the remaining tuning, so a caller's
+// partially-specified Options (custom AirBTB geometry, private
+// histories, ...) survives intact.
+func (cfg Config) scale() experiments.Scale {
+	sc := experiments.Scale{Cores: cfg.Cores, Warmup: cfg.WarmupInstr, Measure: cfg.MeasureInstr}
+	if sc.Cores <= 0 {
+		sc.Cores = cfg.Options.Cores
+	}
+	if sc.Cores == 0 {
+		sc.Cores = core.DefaultOptions().Cores
+	}
 	switch {
 	case cfg.NoWarmup:
-		cfg.WarmupInstr = 0
-	case cfg.WarmupInstr == 0:
-		cfg.WarmupInstr = 1_500_000
+		sc.Warmup = 0
+	case sc.Warmup == 0:
+		sc.Warmup = 1_500_000
 	}
-	if cfg.MeasureInstr == 0 {
-		cfg.MeasureInstr = 1_500_000
+	if sc.Measure == 0 {
+		sc.Measure = 1_500_000
 	}
-	return mix, opt, cfg, nil
+	return sc
+}
+
+// ConfigCellSpec returns the cell RunCtx executes for cfg, after applying
+// its defaulting rules. Fleet workers run it through experiments.Execute.
+func ConfigCellSpec(cfg Config) (experiments.CellSpec, error) {
+	cell, _, err := resolveConfig(cfg)
+	return cell, err
 }
 
 // ConfigStoreKey returns the durable store key RunCtx will read and write
-// for cfg, after applying the same defaulting rules. ok is false when the
-// config is invalid or contains opaque key material (an Options.Sources
-// closure) that keeps it out of the store. Fleet coordinators use this to
-// name grid cells without running anything.
+// for cfg: its cell's CellSpec.Key. ok is false when the config is invalid
+// or contains opaque key material (an Options.Sources closure) that keeps
+// it out of the store. Fleet coordinators use this to name grid cells
+// without running anything.
 func ConfigStoreKey(cfg Config) (string, bool) {
-	mix, opt, cfg, err := resolveConfig(cfg)
+	cell, err := ConfigCellSpec(cfg)
 	if err != nil {
 		return "", false
 	}
-	return experiments.CellStoreKeySampled(cfg.WarmupInstr, cfg.MeasureInstr, mix, cfg.TraceDir, cfg.Design, opt, cfg.Sampling)
+	return cell.Key()
 }
 
 // RunCtx assembles and simulates one design point, honoring cancellation
@@ -408,92 +428,26 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 // each of its concurrent cells. Like every worker count it changes
 // nothing but wall-clock, so Result.Config keeps the caller's value.
 func runCtx(ctx context.Context, cfg Config, intraShare int) (*Result, error) {
-	mix, opt, cfg, err := resolveConfig(cfg)
+	cell, cfg, err := resolveConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if opt.IntraWorkers == 0 {
-		opt.IntraWorkers = intraShare
-	}
-	if err := cfg.Sampling.Validate(); err != nil {
-		return nil, err
-	}
-	// The store key must be derived before TraceDir is folded into an
-	// opt.Sources closure below: a closure is opaque (CellStoreKey skips
-	// the store for it), while the (mix, TraceDir) pair is canonical key
-	// material.
-	var resultStore *store.Store
-	var storeKey string
+	var st *store.Store
 	if cfg.StoreDir != "" {
-		if key, ok := experiments.CellStoreKeySampled(cfg.WarmupInstr, cfg.MeasureInstr, mix, cfg.TraceDir, cfg.Design, opt, cfg.Sampling); ok {
-			resultStore = store.Open(cfg.StoreDir)
-			storeKey = key
-			if payload, hit := resultStore.Get(storeKey); hit {
-				if e, ok := experiments.DecodeStoreEntry(payload); ok {
-					return &Result{
-						Config:       cfg,
-						Stats:        e.Stats,
-						PerCore:      e.PerCore,
-						OverheadMM2:  e.OverheadMM2,
-						RelativeArea: e.RelativeArea,
-						Sampled:      e.Sampled,
-					}, nil
-				}
-			}
-		}
+		st = store.Open(cfg.StoreDir)
 	}
-	// The warm-snapshot key is likewise canonical (mix, TraceDir)
-	// material; it only exists for sampled runs against a store.
-	var snapKey string
-	if resultStore != nil && cfg.Sampling.Enabled() {
-		snapKey, _ = experiments.SnapshotStoreKey(cfg.WarmupInstr, mix, cfg.TraceDir, cfg.Design, opt)
-	}
-	// Options.Sources is the most specific override and wins everywhere
-	// (core.NewMixSystem resolves it first too); TraceDir then beats the
-	// workloads' own supply.
-	if cfg.TraceDir != "" && opt.Sources == nil {
-		dir := cfg.TraceDir
-		opt.Sources = func(i int) (trace.Source, error) { return trace.OpenDirSource(dir, i) }
-	}
-	sys, err := core.NewMixSystem(mix, cfg.Design, opt)
+	e, err := experiments.Execute(ctx, cell, intraShare, st)
 	if err != nil {
 		return nil, err
 	}
-	// The deferred Close releases file-backed trace sources on every exit
-	// path, success and error alike (the assembly above closes its own
-	// partial opens; see TestRunErrorClosesSources).
-	defer sys.Close()
-	var st *Stats
-	var perCore []*Stats
-	var sampled *SampledReport
-	if cfg.Sampling.Enabled() {
-		st, perCore, sampled, err = experiments.RunSampledSystem(ctx, sys, cfg.WarmupInstr, cfg.Sampling, resultStore, snapKey)
-	} else {
-		st, err = sys.RunCtx(ctx, cfg.WarmupInstr, cfg.MeasureInstr)
-		if err == nil {
-			perCore = sys.PerCoreSnapshot()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
+	return &Result{
 		Config:       cfg,
-		Stats:        st,
-		PerCore:      perCore,
-		OverheadMM2:  sys.OverheadMM2,
-		RelativeArea: sys.RelativeArea,
-		Sampled:      sampled,
-	}
-	if resultStore != nil {
-		if payload, err := experiments.EncodeStoreEntry(experiments.StoreEntry{
-			Stats: res.Stats, PerCore: res.PerCore, Sampled: res.Sampled,
-			OverheadMM2: res.OverheadMM2, RelativeArea: res.RelativeArea,
-		}); err == nil {
-			resultStore.Put(storeKey, payload) // best-effort persistence
-		}
-	}
-	return res, nil
+		Stats:        e.Stats,
+		PerCore:      e.PerCore,
+		OverheadMM2:  e.OverheadMM2,
+		RelativeArea: e.RelativeArea,
+		Sampled:      e.Sampled,
+	}, nil
 }
 
 // HarmonicMeanIPC returns the harmonic mean of the cores' IPCs — the

@@ -68,7 +68,7 @@ func (s *System) SnapshotSupported() bool { return !s.HistoryPerCore }
 // WarmSnapshot serializes the system's warm-up state. Capture it at a
 // phase boundary before any measurement (the caller keys it by workload,
 // warm-up length, and warm-relevant design knobs; see
-// experiments.SnapshotStoreKey).
+// experiments.CellSpec.WarmKey).
 func (s *System) WarmSnapshot() ([]byte, error) {
 	if !s.SnapshotSupported() {
 		return nil, fmt.Errorf("core: warm snapshots unsupported with per-core histories")

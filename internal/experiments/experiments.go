@@ -97,13 +97,12 @@ type Runner struct {
 	// default and the golden anchor.
 	Sampling core.Sampling
 	// Store, if set, is the durable result store consulted before and
-	// written after every simulation: a cell whose key (CellStoreKey —
-	// workloads, design, options, instruction counts, ResultVersion) is
-	// already stored returns the persisted result without simulating, which
-	// is what makes an interrupted grid resumable across processes. Nil
-	// keeps the in-memory memo cache as the only caching layer, exactly the
-	// pre-store behavior. Cells the store cannot identify (an
-	// Options.Sources override) bypass it silently.
+	// written after every simulation: a cell whose key (CellSpec.Key, the
+	// memo's key too — workloads, design, options, instruction counts,
+	// ResultVersion) is already stored returns the persisted result without
+	// simulating, which is what makes an interrupted grid resumable across
+	// processes. Nil keeps the in-memory memo cache as the only caching
+	// layer. Cells with no key (an Options.Sources override) bypass both.
 	Store *store.Store
 	// Progress, if set, receives a line per completed run. Calls are
 	// serialized; the callback needs no locking of its own.
@@ -124,11 +123,9 @@ type Runner struct {
 // key simulates it and closes done; later arrivals block on done and share
 // the result.
 type cacheEntry struct {
-	done    chan struct{}
-	stats   *frontend.Stats
-	perCore []*frontend.Stats
-	sampled *SampledReport // non-nil only for sampled cells
-	err     error
+	done chan struct{}
+	e    StoreEntry
+	err  error
 }
 
 // NewRunner builds the five-workload suite at the given scale, fanning
@@ -160,27 +157,6 @@ func NewRunnerFor(sc Scale, ws []*synth.Workload) *Runner {
 	return &Runner{Scale: sc, Workloads: ws, cache: make(map[string]*cacheEntry)}
 }
 
-func optKey(opt core.Options) string {
-	// IntraWorkers is deliberately absent: worker count cannot change
-	// results (the determinism contract), so cells differing only in it
-	// share a memo slot. EpochBlocks changes results for K>1 and is part of
-	// the identity.
-	return fmt.Sprintf("c%d-air%d.%d.%d-sw%d-la%d-he%d-fdp%d.%g-priv%v-k%d",
-		opt.Cores, opt.Air.Bundles, opt.Air.EntriesPerBundle, opt.Air.OverflowEntries,
-		opt.SweepBTBEntries, opt.Shift.Lookahead, opt.Shift.HistoryEntries,
-		opt.FDP.QueueDepth, opt.FDP.CyclesPerBB, opt.HistoryPerCore, max(opt.EpochBlocks, 1))
-}
-
-// samplingMemoKey suffixes the memo key of a sampled cell so it never
-// shares a slot with the exact run of the same configuration.
-func samplingMemoKey(sp core.Sampling) string {
-	if !sp.Enabled() {
-		return ""
-	}
-	return fmt.Sprintf("|sampled:w%d-p%d-n%d-wu%d-j%d",
-		sp.WindowInstr, sp.PeriodInstr, sp.Windows, sp.WindowWarmupInstr, sp.JitterSeed)
-}
-
 // MixName labels a workload mix: the single workload's name, or the slot
 // names joined with "+" (the order is the core assignment, so it is part of
 // the cell identity).
@@ -193,18 +169,6 @@ func MixName(mix []*synth.Workload) string {
 		names[i] = w.Prof.Name
 	}
 	return strings.Join(names, "+")
-}
-
-func cellKey(mix []*synth.Workload, dp core.DesignPoint, opt core.Options) string {
-	key := MixName(mix) + "|" + dp.String() + "|" + optKey(opt)
-	// A trace-replaying workload is a different cell than a live one with
-	// the same profile name.
-	for _, w := range mix {
-		if w.TraceDir != "" {
-			key += "|trace:" + w.TraceDir
-		}
-	}
-	return key
 }
 
 // SplitWorkers resolves a goroutine budget shared between grid-level and
@@ -260,7 +224,23 @@ func (r *Runner) RunMixCtx(ctx context.Context, mix []*synth.Workload, dp core.D
 // entry). Exact runners get nil — there is nothing to report beyond the
 // stats.
 func (r *Runner) RunMixSampledCtx(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
-	key := cellKey(mix, dp, opt) + samplingMemoKey(r.Sampling)
+	e, err := r.entry(ctx, mix, dp, opt)
+	return e.Stats, e.PerCore, e.Sampled, err
+}
+
+// cell resolves one cell at the runner's scale and sampling plan.
+func (r *Runner) cell(mix []*synth.Workload, dp core.DesignPoint, opt core.Options) CellSpec {
+	return CellSpec{Mix: mix, Design: dp, Opt: opt, Warmup: r.Scale.Warmup, Measure: r.Scale.Measure, Sampling: r.Sampling}
+}
+
+// entry is RunMixSampledCtx's memo, keyed by CellSpec.Key; a cell with no
+// key (an Options.Sources override) runs uncached.
+func (r *Runner) entry(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (StoreEntry, error) {
+	cell := r.cell(mix, dp, opt)
+	key, ok := cell.Key()
+	if !ok {
+		return r.simulate(ctx, cell)
+	}
 	for {
 		r.mu.Lock()
 		e, leader := r.cache[key]
@@ -268,14 +248,14 @@ func (r *Runner) RunMixSampledCtx(ctx context.Context, mix []*synth.Workload, dp
 			e = &cacheEntry{done: make(chan struct{})}
 			r.cache[key] = e
 			r.mu.Unlock()
-			e.stats, e.perCore, e.sampled, e.err = r.simulate(ctx, mix, dp, opt)
+			e.e, e.err = r.simulate(ctx, cell)
 			if e.err != nil {
 				r.mu.Lock()
 				delete(r.cache, key)
 				r.mu.Unlock()
 			}
 			close(e.done)
-			return e.stats, e.perCore, e.sampled, e.err
+			return e.e, e.err
 		}
 		r.mu.Unlock()
 		select {
@@ -283,9 +263,9 @@ func (r *Runner) RunMixSampledCtx(ctx context.Context, mix []*synth.Workload, dp
 			if isCancellation(e.err) && ctx.Err() == nil {
 				continue // the leader was cancelled, we weren't: retry
 			}
-			return e.stats, e.perCore, e.sampled, e.err
+			return e.e, e.err
 		case <-ctx.Done():
-			return nil, nil, nil, ctx.Err()
+			return StoreEntry{}, ctx.Err()
 		}
 	}
 }
@@ -312,80 +292,26 @@ func (e ProgressEvent) String() string {
 		e.Mix, e.Design, e.IPC, e.BTBMPKI, e.L1IMPKI)
 }
 
-// simulate runs one cell uncached by the memo, consulting the durable
-// store on either side when one is configured: a store hit returns the
-// persisted result (emitting the same progress event a live run would),
-// and a completed run is written back before its progress line is emitted
-// — so an observer that has seen a cell reported knows the cell is
-// durable. Cancellation reaches a started cell mid-run: the epoch engine
-// polls ctx at every epoch barrier.
-func (r *Runner) simulate(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	var storeKey string
-	haveKey := false
-	if r.Store != nil {
-		storeKey, haveKey = CellStoreKeySampled(r.Scale.Warmup, r.Scale.Measure, mix, "", dp, opt, r.Sampling)
-		if haveKey {
-			if payload, hit := r.Store.Get(storeKey); hit {
-				if e, ok := DecodeStoreEntry(payload); ok {
-					r.progress(func() ProgressEvent {
-						return ProgressEvent{
-							Mix: MixName(mix), Design: dp.String(),
-							IPC: e.Stats.IPC(), BTBMPKI: e.Stats.BTBMPKI(), L1IMPKI: e.Stats.L1IMPKI(),
-						}
-					})
-					return e.Stats, e.PerCore, e.Sampled, nil
-				}
-			}
-		}
-	}
-	if opt.IntraWorkers == 0 {
-		// The grid already spends the goroutine budget on concurrent cells
-		// (SplitWorkers), so an unset in-run count takes the runner's share
-		// — IntraWorkers, floor 1 — instead of every concurrent cell
-		// fast-forwarding on GOMAXPROCS workers of its own.
-		opt.IntraWorkers = max(1, r.IntraWorkers)
-	}
-	sys, err := core.NewMixSystem(mix, dp, opt)
+// simulate runs one cell uncached by the memo through Execute, with the
+// runner's store, and reports it — a store hit emits the same progress
+// event a live run would, and a live run's event follows its store write,
+// so an observer that has seen a cell reported knows the cell is durable.
+// The grid already spends the goroutine budget on concurrent cells
+// (SplitWorkers), so an unset in-run count takes the runner's share —
+// IntraWorkers, floor 1 — instead of every concurrent cell fast-forwarding
+// on GOMAXPROCS workers of its own.
+func (r *Runner) simulate(ctx context.Context, cell CellSpec) (StoreEntry, error) {
+	e, err := Execute(ctx, cell, max(1, r.IntraWorkers), r.Store)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer sys.Close()
-	var st *frontend.Stats
-	var perCore []*frontend.Stats
-	var sampled *SampledReport
-	if r.Sampling.Enabled() {
-		var snapKey string
-		if r.Store != nil {
-			snapKey, _ = SnapshotStoreKey(r.Scale.Warmup, mix, "", dp, opt)
-		}
-		st, perCore, sampled, err = RunSampledSystem(ctx, sys, r.Scale.Warmup, r.Sampling, r.Store, snapKey)
-	} else {
-		st, err = sys.RunCtx(ctx, r.Scale.Warmup, r.Scale.Measure)
-		if err == nil {
-			perCore = sys.PerCoreSnapshot()
-		}
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if haveKey {
-		if payload, err := EncodeStoreEntry(StoreEntry{
-			Stats: st, PerCore: perCore, Sampled: sampled,
-			OverheadMM2: sys.OverheadMM2, RelativeArea: sys.RelativeArea,
-		}); err == nil {
-			r.Store.Put(storeKey, payload) // best-effort: the result is in hand
-		}
+		return StoreEntry{}, err
 	}
 	r.progress(func() ProgressEvent {
 		return ProgressEvent{
-			Mix: MixName(mix), Design: dp.String(),
-			IPC: st.IPC(), BTBMPKI: st.BTBMPKI(), L1IMPKI: st.L1IMPKI(),
+			Mix: MixName(cell.Mix), Design: cell.Design.String(),
+			IPC: e.Stats.IPC(), BTBMPKI: e.Stats.BTBMPKI(), L1IMPKI: e.Stats.L1IMPKI(),
 		}
 	})
-	return st, perCore, sampled, nil
+	return e, nil
 }
 
 // progress emits one serialized progress event to whichever callbacks are

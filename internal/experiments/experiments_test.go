@@ -283,10 +283,16 @@ func TestMemoKeySeparatesEveryResultField(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix := []*synth.Workload{w}
+	// The same profile name with another seed: a different program.
+	p.Seed = 6
+	w6, err := synth.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewRunnerFor(Scale{Name: "memo", Cores: 1, Warmup: 10_000, Measure: 20_000}, mix)
 	base := r.options()
 	baseSampling := core.AutoSampling(r.Scale.Measure)
-	run := func(dp core.DesignPoint, opt core.Options, sp core.Sampling) *frontend.Stats {
+	run := func(mix []*synth.Workload, dp core.DesignPoint, opt core.Options, sp core.Sampling) *frontend.Stats {
 		t.Helper()
 		r.Sampling = sp
 		st, _, _, err := r.RunMixSampledCtx(t.Context(), mix, dp, opt)
@@ -300,20 +306,25 @@ func TestMemoKeySeparatesEveryResultField(t *testing.T) {
 		dp   core.DesignPoint
 		opt  func(*core.Options)
 		sp   func(*core.Sampling)
+		mix  []*synth.Workload
 	}{
 		{name: "Shift.HistoryEntries", dp: core.Confluence, opt: func(o *core.Options) { o.Shift.HistoryEntries /= 2 }},
 		{name: "FDP.QueueDepth", dp: core.FDP1K, opt: func(o *core.Options) { o.FDP.QueueDepth++ }},
 		{name: "FDP.CyclesPerBB", dp: core.FDP1K, opt: func(o *core.Options) { o.FDP.CyclesPerBB *= 2 }},
 		{name: "Sampling.JitterSeed", dp: core.Base1K, sp: func(s *core.Sampling) { s.JitterSeed++ }},
+		{name: "Profile.Seed", dp: core.Base1K, mix: []*synth.Workload{w6}},
 	} {
-		opt, sp := base, baseSampling
+		opt, sp, vmix := base, baseSampling, mix
 		if v.opt != nil {
 			v.opt(&opt)
 		}
 		if v.sp != nil {
 			v.sp(&sp)
 		}
-		if run(v.dp, base, baseSampling) == run(v.dp, opt, sp) {
+		if v.mix != nil {
+			vmix = v.mix
+		}
+		if run(mix, v.dp, base, baseSampling) == run(vmix, v.dp, opt, sp) {
 			t.Errorf("cells differing only in %s share a memo slot", v.name)
 		}
 	}

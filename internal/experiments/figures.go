@@ -131,20 +131,16 @@ func (r *Runner) perfArea(ctx context.Context, designs []core.DesignPoint) ([]Pe
 		p := PerfAreaPoint{Design: dp, PerWorkload: make(map[string]float64)}
 		var speedups []float64
 		for _, w := range r.Workloads {
-			st, err := r.RunCtx(ctx, w, dp, r.options())
+			e, err := r.entry(ctx, []*synth.Workload{w}, dp, r.options())
 			if err != nil {
 				return nil, err
 			}
-			s := st.IPC() / base[w.Prof.Name]
+			s := e.Stats.IPC() / base[w.Prof.Name]
 			p.PerWorkload[w.Prof.Name] = s
 			speedups = append(speedups, s)
+			p.RelArea = e.RelativeArea // the design's area, whatever the workload
 		}
 		p.RelPerf = stats.Geomean(speedups)
-		sys, err := core.NewSystem(r.Workloads[0], dp, r.options())
-		if err != nil {
-			return nil, err
-		}
-		p.RelArea = sys.RelativeArea
 		points = append(points, p)
 	}
 	// Fraction of Ideal's improvement.

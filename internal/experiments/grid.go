@@ -55,13 +55,15 @@ func (p *Plan) Add(w *synth.Workload, dp core.DesignPoint, opt core.Options) {
 }
 
 // AddMix schedules one consolidated cell (core i runs mix[i mod len(mix)]),
-// dropping duplicates of cells already planned.
+// dropping duplicates of cells already planned (by CellSpec.Key; a cell
+// with no key is always scheduled).
 func (p *Plan) AddMix(mix []*synth.Workload, dp core.DesignPoint, opt core.Options) {
-	key := cellKey(mix, dp, opt)
-	if _, dup := p.seen[key]; dup {
-		return
+	if key, ok := p.r.cell(mix, dp, opt).Key(); ok {
+		if _, dup := p.seen[key]; dup {
+			return
+		}
+		p.seen[key] = struct{}{}
 	}
-	p.seen[key] = struct{}{}
 	p.cells = append(p.cells, Cell{Mix: mix, Design: dp, Opt: opt})
 }
 

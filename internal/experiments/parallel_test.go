@@ -59,7 +59,7 @@ func TestParallelDeterminism(t *testing.T) {
 		r.IntraWorkers = intraWorkers
 		r.Progress = func(string) {} // exercise the serialized callback path
 		plan := r.Grid(detDesigns)
-		// A non-default-options cell too, so optKey dispatch is covered.
+		// A non-default-options cell too, so option-keyed memo slots are covered.
 		plan.Add(r.Workloads[0], core.SweepBTB, r.sweepOptions(4096))
 		// Heterogeneous mix cells: consolidation must be just as
 		// worker-count-independent, shared history and private alike.

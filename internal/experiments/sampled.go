@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"confluence/internal/core"
@@ -15,76 +14,9 @@ import (
 // SMARTS-style sampled execution over assembled systems: functional
 // fast-forward warm-up (optionally restored from a durable snapshot),
 // periodic detailed measurement windows, and per-window statistics
-// aggregated into mean ± 95% confidence intervals. This file is the
-// shared orchestration every entry point (the public Run API, the
-// Runner's grid cells, the CLIs) routes through, so sampled results are
-// bit-identical no matter which layer asked for them.
-
-// WarmVersion pins the warm-snapshot semantics (what state is captured
-// and how fast-forward evolves it). It is part of every snapshot's store
-// key; bump it whenever the fast-forward path or the snapshot layout
-// changes.
-const WarmVersion = "confluence-warm-v1"
-
-// warmKeyMaterial is the canonical serialization a warm-up snapshot's
-// store key is hashed from: everything that determines the warm state at
-// the first window boundary, and nothing that cannot change it. Design
-// points collapse to their WarmClass — Base1K and FDP1K, differing only
-// in timing machinery that fast-forward never touches, share snapshots —
-// and pure timing knobs (prefetcher lookahead, epoch depth, worker
-// counts) are absent: fast-forward always runs the exact serial
-// schedule.
-type warmKeyMaterial struct {
-	Version        string          `json:"version"`
-	Warmup         uint64          `json:"warmup"`
-	Cores          int             `json:"cores"`
-	Class          string          `json:"class"`
-	Profiles       []synth.Profile `json:"profiles"`
-	TraceDirs      []traceDirKey   `json:"trace_dirs,omitempty"`
-	HistoryEntries int             `json:"history_entries,omitempty"` // shared SHIFT history size (LLC reservation + contents)
-}
-
-// SnapshotStoreKey derives the durable store key for the warm-up
-// snapshot a sampled run of this cell would capture and reuse. ok is
-// false when snapshots do not apply: no warm-up, an Options.Sources
-// override (opaque streams), per-core private histories (state the
-// system cannot export), or an unreadable capture directory.
-func SnapshotStoreKey(warmup uint64, mix []*synth.Workload, traceDir string, dp core.DesignPoint, opt core.Options) (string, bool) {
-	if warmup == 0 || opt.Sources != nil || opt.HistoryPerCore {
-		return "", false
-	}
-	opt = opt.Normalized()
-	m := warmKeyMaterial{
-		Version:  WarmVersion,
-		Warmup:   warmup,
-		Cores:    opt.Cores,
-		Class:    dp.WarmClass(opt),
-		Profiles: make([]synth.Profile, len(mix)),
-	}
-	if dp.UsesSHIFT() {
-		m.HistoryEntries = opt.Shift.HistoryEntries
-	}
-	for i, w := range mix {
-		m.Profiles[i] = w.Prof
-		dir := w.TraceDir
-		if traceDir != "" {
-			dir = traceDir
-		}
-		if dir == "" {
-			continue
-		}
-		tk, ok := traceDirIdentity(i, dir)
-		if !ok {
-			return "", false
-		}
-		m.TraceDirs = append(m.TraceDirs, tk)
-	}
-	material, err := json.Marshal(m)
-	if err != nil {
-		return "", false
-	}
-	return store.Key(material), true
-}
+// aggregated into mean ± 95% confidence intervals. Execute routes every
+// sampled cell through this file, so sampled results are bit-identical no
+// matter which layer asked for them.
 
 // SampledReport carries everything a sampled run measured beyond the
 // aggregate stats: the plan, per-window aggregates, the mean ± 95% CI
@@ -180,20 +112,15 @@ func buildSampledReport(sp core.Sampling, warmup uint64, reused bool, windows []
 	return rep
 }
 
-// RunSampledSystem executes sampled measurement on a freshly assembled
+// runSampled executes sampled measurement on a freshly assembled
 // system: warm-up by snapshot restore when snapStore holds snapKey,
 // otherwise by functional fast-forward (capturing and storing the
 // snapshot for the next run sharing the key), then windowed measurement
-// per sp. Pass a nil snapStore or empty snapKey to skip snapshotting.
-// The returned aggregate is the in-order sum of window deltas — the
-// sampled estimate of what exact mode's measure region would report.
-func RunSampledSystem(ctx context.Context, sys *core.System, warmup uint64, sp core.Sampling, snapStore *store.Store, snapKey string) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	if !sp.Enabled() {
-		return nil, nil, nil, fmt.Errorf("experiments: RunSampledSystem with zero Sampling")
-	}
+// per sp, which Execute has checked is enabled and valid. Pass a nil
+// snapStore or empty snapKey to skip snapshotting. The returned aggregate
+// is the in-order sum of window deltas — the sampled estimate of what
+// exact mode's measure region would report.
+func runSampled(ctx context.Context, sys *core.System, warmup uint64, sp core.Sampling, snapStore *store.Store, snapKey string) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
 	useSnap := snapStore != nil && snapKey != "" && warmup > 0 && sys.SnapshotSupported()
 	reused := false
 	if useSnap {
@@ -262,36 +189,32 @@ func errPct(sampled, exact float64) float64 {
 // This is the primitive behind the tolerance tests and the sample-smoke
 // CI gate.
 func CompareSampled(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options, warmup, measure uint64, sp core.Sampling) (*SampledComparison, error) {
-	exactSys, err := core.NewMixSystem(mix, dp, opt)
+	if !sp.Enabled() {
+		return nil, fmt.Errorf("experiments: CompareSampled with zero Sampling")
+	}
+	cell := CellSpec{Mix: mix, Design: dp, Opt: opt, Warmup: warmup, Measure: measure}
+	exact, err := Execute(ctx, cell, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	exact, err := exactSys.RunCtx(ctx, warmup, measure)
-	exactSys.Close()
+	cell.Sampling = sp
+	samp, err := Execute(ctx, cell, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	sampSys, err := core.NewMixSystem(mix, dp, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer sampSys.Close()
-	sampled, _, rep, err := RunSampledSystem(ctx, sampSys, warmup, sp, nil, "")
-	if err != nil {
-		return nil, err
-	}
+	sampled, rep := samp.Stats, samp.Sampled
 	// MPKI errors judge the estimate sampled mode would report: the exact
 	// full-coverage ratio for prefetcherless designs, the window aggregate
 	// otherwise.
 	return &SampledComparison{
 		Mix:       MixName(mix),
 		Design:    dp.String(),
-		Exact:     exact,
+		Exact:     exact.Stats,
 		Sampled:   sampled,
 		Report:    rep,
-		IPCErrPct: errPct(sampled.IPC(), exact.IPC()),
-		L1IErrPct: errPct(rep.BestL1IMPKI(sampled), exact.L1IMPKI()),
-		BTBErrPct: errPct(rep.BestBTBMPKI(sampled), exact.BTBMPKI()),
+		IPCErrPct: errPct(sampled.IPC(), exact.Stats.IPC()),
+		L1IErrPct: errPct(rep.BestL1IMPKI(sampled), exact.Stats.L1IMPKI()),
+		BTBErrPct: errPct(rep.BestBTBMPKI(sampled), exact.Stats.BTBMPKI()),
 	}, nil
 }
 

@@ -107,7 +107,7 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		agg, perCore, rep, err := RunSampledSystem(t.Context(), sys, 80_000, sp, nil, "")
+		agg, perCore, rep, err := runSampled(t.Context(), sys, 80_000, sp, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,9 +130,9 @@ func TestSampledSnapshotReuse(t *testing.T) {
 	const warmup = 80_000
 	sp := core.AutoSampling(150_000)
 	st := store.Open(t.TempDir())
-	key, ok := SnapshotStoreKey(warmup, mix, "", core.Confluence, opt)
+	key, ok := CellSpec{Mix: mix, Design: core.Confluence, Opt: opt, Warmup: warmup}.WarmKey()
 	if !ok {
-		t.Fatal("SnapshotStoreKey not applicable to a plain live cell")
+		t.Fatal("WarmKey not applicable to a plain live cell")
 	}
 
 	run := func() ([]any, *SampledReport) {
@@ -141,7 +141,7 @@ func TestSampledSnapshotReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		agg, perCore, rep, err := RunSampledSystem(t.Context(), sys, warmup, sp, st, key)
+		agg, perCore, rep, err := runSampled(t.Context(), sys, warmup, sp, st, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,9 +167,9 @@ func TestSnapshotStoreKeyEquivalence(t *testing.T) {
 	opt.Cores = 2
 	keyOf := func(warmup uint64, dp core.DesignPoint, o core.Options) string {
 		t.Helper()
-		k, ok := SnapshotStoreKey(warmup, mix, "", dp, o)
+		k, ok := CellSpec{Mix: mix, Design: dp, Opt: o, Warmup: warmup}.WarmKey()
 		if !ok {
-			t.Fatalf("SnapshotStoreKey(%v) not applicable", dp)
+			t.Fatalf("WarmKey(%v) not applicable", dp)
 		}
 		return k
 	}
@@ -204,12 +204,12 @@ func TestSnapshotStoreKeyEquivalence(t *testing.T) {
 	}
 
 	// Inapplicable cells: no warm-up, or per-core private histories.
-	if _, ok := SnapshotStoreKey(0, mix, "", core.Confluence, opt); ok {
+	if _, ok := (CellSpec{Mix: mix, Design: core.Confluence, Opt: opt}).WarmKey(); ok {
 		t.Error("warm key offered for a zero-length warm-up")
 	}
 	optP := opt
 	optP.HistoryPerCore = true
-	if _, ok := SnapshotStoreKey(50_000, mix, "", core.Confluence, optP); ok {
+	if _, ok := (CellSpec{Mix: mix, Design: core.Confluence, Opt: optP, Warmup: 50_000}).WarmKey(); ok {
 		t.Error("warm key offered for per-core histories")
 	}
 }

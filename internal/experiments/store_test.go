@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -151,7 +152,7 @@ func TestCellStoreKeyIdentity(t *testing.T) {
 	base := core.DefaultOptions()
 	base.Cores = 2
 	key := func(opt core.Options, dp core.DesignPoint) string {
-		k, ok := CellStoreKey(100_000, 150_000, mix, "", dp, opt)
+		k, ok := CellSpec{Mix: mix, Design: dp, Opt: opt, Warmup: 100_000, Measure: 150_000}.Key()
 		if !ok {
 			t.Fatalf("unexpectedly unkeyable: %+v", opt)
 		}
@@ -199,7 +200,7 @@ func TestCellStoreKeyIdentity(t *testing.T) {
 	if key(base, core.Confluence) == ref {
 		t.Error("design point not part of the store key")
 	}
-	if k, _ := CellStoreKey(100_000, 200_000, mix, "", core.Base1K, base); k == ref {
+	if k, _ := (CellSpec{Mix: mix, Design: core.Base1K, Opt: base, Warmup: 100_000, Measure: 200_000}).Key(); k == ref {
 		t.Error("measure count not part of the store key")
 	}
 }
@@ -211,7 +212,7 @@ func TestCellStoreKeySkipsSources(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.Cores = 2
 	opt.Sources = func(int) (trace.Source, error) { return nil, nil }
-	if _, ok := CellStoreKey(100_000, 150_000, mix, "", core.Base1K, opt); ok {
+	if _, ok := (CellSpec{Mix: mix, Design: core.Base1K, Opt: opt, Warmup: 100_000, Measure: 150_000}).Key(); ok {
 		t.Error("a cell with an Options.Sources override got a store key")
 	}
 }
@@ -224,5 +225,93 @@ func TestDecodeStoreEntryRejectsGarbage(t *testing.T) {
 		if _, ok := DecodeStoreEntry([]byte(payload)); ok {
 			t.Errorf("DecodeStoreEntry(%q) accepted", payload)
 		}
+	}
+}
+
+// TestCellKeysPinned holds literal keys computed before the cell identity
+// moved onto CellSpec. Existing stores, warm snapshots and fleet
+// manifests stay valid only while these hold; moving one means bumping
+// ResultVersion or WarmVersion on purpose.
+func TestCellKeysPinned(t *testing.T) {
+	exact := CellSpec{
+		Mix:    []*synth.Workload{{Prof: synth.OLTPDB2()}},
+		Design: core.Base1K, Opt: core.Options{Cores: 4},
+		Warmup: 800_000, Measure: 800_000,
+	}
+	sampled := exact
+	sampled.Design = core.Confluence
+	sampled.Sampling = core.AutoSampling(800_000)
+	for _, c := range []struct {
+		name string
+		key  func() (string, bool)
+		want string
+	}{
+		{"exact Base1K", exact.Key, "164658e03281c3470205d6a21d2bddd0b1702a519ed8d5d9849db6ef5022d13a"},
+		{"sampled Confluence", sampled.Key, "1ad526895569c1451aad0f99b65082ff9d6380bae1fe75f5138a6a5971fa5fc8"},
+		{"warm snapshot", sampled.WarmKey, "8065af08142b0ea9e4bf73c356642d173ec08694d372496177224b5add8e19e3"},
+	} {
+		if got, ok := c.key(); !ok || got != c.want {
+			t.Errorf("%s key = %s (ok %v), pinned %s", c.name, got, ok, c.want)
+		}
+	}
+}
+
+// TestCellKeyCoversEveryField: every field of core.Options and
+// core.Sampling either moves CellSpec.Key or sits on the exclusion list
+// with its reason, so a field added later cannot silently share a cache
+// slot with the cell it differs from.
+func TestCellKeyCoversEveryField(t *testing.T) {
+	excluded := map[string]string{
+		"Opt.IntraWorkers": "worker counts never change results (the determinism contract)",
+		"Opt.Sources":      "opaque code: a cell with a source override has no key at all",
+	}
+	cell := CellSpec{
+		Mix:    []*synth.Workload{{Prof: synth.OLTPDB2()}},
+		Design: core.Confluence, Opt: core.DefaultOptions(),
+		Warmup: 10_000, Measure: 20_000, Sampling: core.AutoSampling(20_000),
+	}
+	key := func() string {
+		t.Helper()
+		k, ok := cell.Key()
+		if !ok {
+			t.Fatal("base cell has no key")
+		}
+		return k
+	}
+	ref := key()
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		if _, ok := excluded[path]; ok {
+			return
+		}
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 2) // +2: EpochBlocks 0 and 1 are one mode
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 2)
+		case reflect.Float64:
+			v.SetFloat(v.Float()*2 + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("%s: kind %v has no perturbation here; add one, or exclude the field with its reason", path, v.Kind())
+		}
+		if key() == ref {
+			t.Errorf("cells differing only in %s share a key", path)
+		}
+		v.Set(old)
+	}
+	walk("Opt", reflect.ValueOf(&cell.Opt).Elem())
+	walk("Sampling", reflect.ValueOf(&cell.Sampling).Elem())
+	if key() != ref {
+		t.Fatal("perturbations leaked into the base cell")
 	}
 }

@@ -62,11 +62,11 @@ func FleetCells(spec *confluence.JobSpec) ([]fleet.Cell, error) {
 }
 
 // CellRunner returns the standard fleet cell runner: parse the cell's
-// point spec, simulate it through the same RunCtx entry point every other
-// execution path uses, and return the encoded store entry for the fleet
-// to persist. The runner never writes the store itself (Config.StoreDir
-// stays empty) — the fleet owns the Put, which is what lets the chaos
-// harness intercept it.
+// point spec, run its cell through experiments.Execute — the path every
+// other execution takes — and return the encoded store entry for the
+// fleet to persist. The runner never writes the store itself (a nil
+// store) — the fleet owns the Put, which is what lets the chaos harness
+// intercept it.
 func CellRunner() fleet.Runner {
 	return func(ctx context.Context, cell fleet.Cell) ([]byte, error) {
 		spec, err := confluence.ParseJobSpec(cell.Spec)
@@ -77,22 +77,22 @@ func CellRunner() fleet.Runner {
 		if err != nil {
 			return nil, fmt.Errorf("serve: fleet cell %s: %w", cell.ID, err)
 		}
+		c, err := confluence.ConfigCellSpec(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("serve: fleet cell %s: %w", cell.ID, err)
+		}
 		// Version-skew guard: a worker whose code derives a different key
 		// than the manifest's would store its result where nothing looks
 		// for it (or worse, where something else does). Refuse to run — the
 		// cell fails loudly instead of completing uselessly.
-		if key, ok := confluence.ConfigStoreKey(cfg); !ok || key != cell.Key {
+		if key, ok := c.Key(); !ok || key != cell.Key {
 			return nil, fmt.Errorf("serve: fleet cell %s: this worker derives store key %.12s, manifest says %.12s (code version skew between fleet members?)", cell.ID, key, cell.Key)
 		}
-		cfg.Parallelism = 0
-		r, err := confluence.RunCtx(ctx, cfg)
+		e, err := experiments.Execute(ctx, c, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		return experiments.EncodeStoreEntry(experiments.StoreEntry{
-			Stats: r.Stats, PerCore: r.PerCore,
-			OverheadMM2: r.OverheadMM2, RelativeArea: r.RelativeArea,
-		})
+		return experiments.EncodeStoreEntry(e)
 	}
 }
 

@@ -63,29 +63,47 @@ func TestFleetCellsExpansion(t *testing.T) {
 
 // TestExecuteSpecFleetMatchesStorePath: the same sweep through the fleet
 // path and the plain store path yields byte-identical results — the
-// fleet only changes who computes the cells, never what is served.
+// fleet only changes who computes the cells, never what is served. The
+// sampled sweep pins that a cell's sampling report survives the fleet.
 func TestExecuteSpecFleetMatchesStorePath(t *testing.T) {
-	spec := tinySweep()
-	base := t.TempDir()
+	sampled := tinySweep()
+	sp := confluence.AutoSampling(sampled.MeasureInstr)
+	sampled.SampleWindowInstr, sampled.SamplePeriodInstr, sampled.SampleWindows = sp.WindowInstr, sp.PeriodInstr, sp.Windows
+	sampled.SampleWindowWarmupInstr, sampled.SampleJitterSeed = sp.WindowWarmupInstr, sp.JitterSeed
+	for _, tc := range []struct {
+		name string
+		spec *confluence.JobSpec
+	}{
+		{"exact", tinySweep()},
+		{"sampled", sampled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := t.TempDir()
+			serial, err := ExecuteSpecStore(context.Background(), tc.spec, filepath.Join(base, "store-serial"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range serial.Cells {
+				if (c.Sampled != nil) != (tc.name == "sampled") {
+					t.Fatalf("serial cell %d: sampling report present = %v", i, c.Sampled != nil)
+				}
+			}
 
-	serial, err := ExecuteSpecStore(context.Background(), spec, filepath.Join(base, "store-serial"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+			o := fleet.Options{Dir: filepath.Join(base, "fleet"), WorkerID: "test-coord"}
+			fleetRes, rep, err := ExecuteSpecFleet(context.Background(), tc.spec, filepath.Join(base, "store-fleet"), o, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep == nil || rep.Completed != 2 || rep.Failed() {
+				t.Fatalf("fleet report = %+v, want 2 completed", rep)
+			}
 
-	o := fleet.Options{Dir: filepath.Join(base, "fleet"), WorkerID: "test-coord"}
-	fleetRes, rep, err := ExecuteSpecFleet(context.Background(), spec, filepath.Join(base, "store-fleet"), o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.Completed != 2 || rep.Failed() {
-		t.Fatalf("fleet report = %+v, want 2 completed", rep)
-	}
-
-	a, _ := json.Marshal(serial)
-	b, _ := json.Marshal(fleetRes)
-	if string(a) != string(b) {
-		t.Fatalf("fleet result diverges from serial:\nserial: %s\nfleet:  %s", a, b)
+			a, _ := json.Marshal(serial)
+			b, _ := json.Marshal(fleetRes)
+			if string(a) != string(b) {
+				t.Fatalf("fleet result diverges from serial:\nserial: %s\nfleet:  %s", a, b)
+			}
+		})
 	}
 }
 

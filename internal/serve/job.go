@@ -294,7 +294,7 @@ func executeMixStudy(ctx context.Context, spec *confluence.JobSpec, storeDir str
 			designs = append(designs, dp)
 		}
 	}
-	r := experiments.NewRunnerFor(jobScale(spec), nil)
+	r := experiments.NewRunnerFor(spec.Scale(), nil)
 	if storeDir != "" {
 		r.Store = store.Open(storeDir)
 	}
@@ -310,26 +310,6 @@ func executeMixStudy(ctx context.Context, spec *confluence.JobSpec, storeDir str
 		return nil, err
 	}
 	return &Result{Kind: confluence.KindMixStudy, MixRows: rows}, nil
-}
-
-// jobScale maps a spec's simulation-shape fields onto an experiments
-// Scale with the same defaults Config applies (16 cores, 1.5M
-// warmup/measure per core, NoWarmup forcing a zero-length warmup).
-func jobScale(spec *confluence.JobSpec) experiments.Scale {
-	sc := experiments.Scale{Name: "job", Cores: spec.Cores, Warmup: spec.WarmupInstr, Measure: spec.MeasureInstr}
-	if sc.Cores <= 0 {
-		sc.Cores = 16
-	}
-	switch {
-	case spec.NoWarmup:
-		sc.Warmup = 0
-	case sc.Warmup == 0:
-		sc.Warmup = 1_500_000
-	}
-	if sc.Measure == 0 {
-		sc.Measure = 1_500_000
-	}
-	return sc
 }
 
 // mixName labels a config's workload mix the way the experiments package

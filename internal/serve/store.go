@@ -32,20 +32,9 @@ func jobStoreKey(spec *confluence.JobSpec) (string, bool) {
 	norm.Parallelism = 0
 	norm.IntraParallelism = 0
 	// Resolve the zero-means-default sentinels so an explicit default and
-	// an omitted field address the same entry (Config semantics: 16 cores,
-	// 1.5M instructions per phase, NoWarmup forcing a zero-length warmup).
-	if norm.Cores <= 0 {
-		norm.Cores = 16
-	}
-	switch {
-	case norm.NoWarmup:
-		norm.WarmupInstr = 0
-	case norm.WarmupInstr == 0:
-		norm.WarmupInstr = 1_500_000
-	}
-	if norm.MeasureInstr == 0 {
-		norm.MeasureInstr = 1_500_000
-	}
+	// an omitted field address the same entry.
+	sc := spec.Scale()
+	norm.Cores, norm.WarmupInstr, norm.MeasureInstr = sc.Cores, sc.Warmup, sc.Measure
 	material, err := json.Marshal(jobKeyMaterial{Version: experiments.ResultVersion, Spec: norm})
 	if err != nil {
 		return "", false

@@ -2,7 +2,7 @@
 // persistent half of the experiment engine's memoization. A key is the
 // hex SHA-256 of canonical key material (the caller serializes everything
 // that determines a result — workload profiles, design point, options,
-// instruction counts, code version — see experiments.CellStoreKey); the
+// instruction counts, code version — see experiments.CellSpec.Key); the
 // value is an opaque payload the caller encodes (JSON in practice).
 //
 // The store is built for preemptible fleet capacity: ephemeral compute,

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 
+	"confluence/internal/experiments"
 	"confluence/internal/synth"
 )
 
@@ -246,6 +247,11 @@ func (s *JobSpec) baseConfig() Config {
 		Sampling:         s.sampling(),
 	}
 }
+
+// Scale returns the spec's simulation shape — CMP width and per-core
+// warmup/measure counts — with the zero-means-default sentinels resolved
+// by the rules RunCtx applies to a Config.
+func (s *JobSpec) Scale() experiments.Scale { return s.baseConfig().scale() }
 
 // Config maps a point spec onto the Config it describes, generating its
 // workloads. Sweep and mixstudy specs expand to more than one simulation

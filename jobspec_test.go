@@ -30,19 +30,66 @@ func TestParseJobSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedSpecs are bodies the strict decoder must reject.
+var malformedSpecs = []struct{ name, body string }{
+	{"unknown top-level field", `{"design":"Base1K","workload":"DSS-Qrys","typo_field":1}`},
+	{"unknown profile field", `{"design":"Base1K","workload":"DSS-Qrys","profile":{"seeds":7}}`},
+	{"trailing data", `{"design":"Base1K","workload":"DSS-Qrys"} extra`},
+	{"second JSON object", `{"design":"Base1K","workload":"DSS-Qrys"}{}`},
+	{"not an object", `[1,2,3]`},
+}
+
 func TestParseJobSpecStrictness(t *testing.T) {
-	cases := map[string]string{
-		"unknown top-level field": `{"design":"Base1K","workload":"DSS-Qrys","typo_field":1}`,
-		"unknown profile field":   `{"design":"Base1K","workload":"DSS-Qrys","profile":{"seeds":7}}`,
-		"trailing data":           `{"design":"Base1K","workload":"DSS-Qrys"} extra`,
-		"second JSON object":      `{"design":"Base1K","workload":"DSS-Qrys"}{}`,
-		"not an object":           `[1,2,3]`,
-	}
-	for name, body := range cases {
-		if _, err := ParseJobSpec([]byte(body)); err == nil {
-			t.Errorf("%s: accepted %s", name, body)
+	for _, c := range malformedSpecs {
+		if _, err := ParseJobSpec([]byte(c.body)); err == nil {
+			t.Errorf("%s: accepted %s", c.name, c.body)
 		}
 	}
+}
+
+// FuzzParseJobSpec drives the strict decoder with arbitrary bytes. It
+// must never panic, and a spec it accepts must re-marshal and re-parse to
+// the same spec. Equality is compared on the encoded form, the one JSON
+// can express: it does not tell a nil list from an empty one.
+func FuzzParseJobSpec(f *testing.F) {
+	seed := uint64(0x901d)
+	for _, s := range []JobSpec{
+		{Kind: KindPoint, Workload: "OLTP-DB2", Design: "Confluence", Cores: 2, WarmupInstr: 30_000, MeasureInstr: 60_000, Parallelism: 2, Priority: 3,
+			Profile: &ProfileTweak{Functions: 520, RequestTypes: 6, Concurrency: 6, Seed: &seed}},
+		{Mix: []string{"DSS-Qrys", "KeyValue"}, Design: "Base1K", NoWarmup: true, EpochBlocks: 4},
+		{Kind: KindSweep, Workloads: []string{"DSS-Qrys", "KeyValue"}, Designs: []string{"Base1K", "Ideal"}},
+		{Kind: KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue"}, IntraParallelism: 2},
+		{Workload: "DSS-Qrys", Design: "Base1K", SampleWindowInstr: 6000, SamplePeriodInstr: 60_000, SampleWindows: 8, SampleWindowWarmupInstr: 3000, SampleJitterSeed: 1},
+		{TraceDir: "capture", Design: "Base1K"},
+		{Workload: "DSS-Qrys", Design: "Base1K", Profile: &ProfileTweak{Functions: -5}},
+		{Kind: KindSweep, Design: "Base1K", Designs: []string{"Ideal"}},
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, c := range malformedSpecs {
+		f.Add([]byte(c.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseJobSpec(data)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := ParseJobSpec(enc)
+		if err != nil {
+			t.Fatalf("re-parse of an accepted spec failed: %v\n%s", err, enc)
+		}
+		if again, _ := json.Marshal(back); string(again) != string(enc) {
+			t.Fatalf("round trip changed the spec:\nfirst:  %s\nsecond: %s", enc, again)
+		}
+	})
 }
 
 func TestJobSpecValidate(t *testing.T) {
