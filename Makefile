@@ -14,7 +14,7 @@ COVER_FLOOR ?= 75.0
 # FUZZTIME bounds each fuzz target's run in `make fuzz` (CI uses 10s).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-json bench-intra bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke fmt vet lint cover fuzz examples ci
+.PHONY: all build test race bench bench-json bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke fmt vet lint cover fuzz examples ci
 
 all: build test
 
@@ -24,9 +24,9 @@ build:
 test:
 	go test ./...
 
-# The second command pins both K=1 schedules against testdata/golden.json
-# whatever the machine's core count: -cpu 1 runs detailed phases inline,
-# -cpu 4 pipelines them on stage goroutines.
+# The second command pins the detailed pipeline against testdata/golden.json
+# whatever the machine's core count: at -cpu 1 the stage goroutines share
+# the weave's CPU, at -cpu 4 they run beside it.
 race:
 	go test -race ./...
 	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged' . ./internal/cmp ./internal/core
@@ -48,12 +48,6 @@ bench-json:
 	go test -run '^$$' -bench=. -benchtime=1x -count=5 -benchmem ./... > $(BENCH_OUT).txt
 	go run ./cmd/benchjson < $(BENCH_OUT).txt > $(BENCH_OUT)
 	@rm -f $(BENCH_OUT).txt
-
-# bench-intra mirrors the CI intra-smoke step: wall-clock of one 8-core
-# simulation, serial vs bound-weave (K=8, GOMAXPROCS workers), asserting a
-# ≥1.3x speedup. Meaningless on 1-CPU machines (the test skips itself).
-bench-intra:
-	INTRA_SMOKE=1 go test -run TestIntraWallClockSmoke -count=1 -v .
 
 # bench-compare gates the committed perf trajectory: per-benchmark ns/op
 # deltas between the PR's before/after snapshots, failing on >10%
@@ -128,11 +122,15 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
+# Warm-snapshot seeds are real snapshots of a few hundred KB: minimizing
+# one such input for the default 60s would eat the whole fuzz budget, so
+# FuzzRestoreWarmSnapshot bounds minimization by executions instead.
 fuzz:
 	go test ./internal/trace -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime=$(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz FuzzReaderCorrupt -fuzztime=$(FUZZTIME)
 	go test ./internal/store -run '^$$' -fuzz FuzzStoreEntry -fuzztime=$(FUZZTIME)
 	go test . -run '^$$' -fuzz FuzzParseJobSpec -fuzztime=$(FUZZTIME)
+	go test ./internal/core -run '^$$' -fuzz FuzzRestoreWarmSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
 
 # examples runs every runnable example end to end (tiny scales), the smoke
 # test that keeps them honest; mirrors the CI examples step.

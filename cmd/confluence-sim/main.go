@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	confluence-sim [-scale small|default|paper] [-workers N] [-intra-workers N] [-intra-epoch K] [-run fig1,table2,fig6,...] [-store DIR] [-sample] [-v]
+//	confluence-sim [-scale small|default|paper] [-workers N] [-intra-workers N] [-run fig1,table2,fig6,...] [-store DIR] [-sample] [-v]
 //	confluence-sim -trace CAPTURE_DIR [-trace-workload NAME] [-scale ...]
 //	confluence-sim -mix OLTP-DB2,Web-Frontend [-scale ...]
 //	confluence-sim -job job.json [-v]
@@ -13,13 +13,10 @@
 // The default runs everything at the "default" scale (8 cores, 3M
 // instructions per core), fanning independent simulation cells out across
 // all CPUs. REPRO_SCALE overrides the default scale; REPRO_WORKERS (or
-// -workers) bounds the worker pool. -intra-workers additionally parallelizes
-// inside each simulation with bound-weave epochs (the -workers budget is
-// split between the two levels); at the default epoch depth (-intra-epoch 1)
-// results are bit-identical to serial, while K>1 is a documented
-// approximation with one-epoch-stale cross-core timing feedback. Results
-// are bit-identical for any worker count at fixed K. Ctrl-C cancels cleanly
-// between cells.
+// -workers) bounds the worker pool. -intra-workers additionally fast-forwards
+// the cores of each sampled simulation in parallel (the -workers budget is
+// split between the two levels). Results are bit-identical for any worker
+// count. Ctrl-C cancels cleanly between cells.
 //
 // With -trace, the binary replays a capture directory (written by
 // `tracegen -cores`) through the timing model instead of the synthetic
@@ -92,8 +89,7 @@ func main() {
 	scaleFlag := flag.String("scale", "", "simulation scale: small, default, or paper")
 	runFlag := flag.String("run", "all", "comma-separated experiments: fig1,table2,fig2,fig6,fig7,fig8,fig9,fig10,ablations,mixstudy,all")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = REPRO_WORKERS or GOMAXPROCS)")
-	intraWorkers := flag.Int("intra-workers", 0, "bound-weave and fast-forward workers inside each simulation (0/1 = serial for grid cells; the -workers budget is split between levels)")
-	intraEpoch := flag.Int("intra-epoch", 0, "bound-weave epoch depth K in blocks per core (0/1 = exact mode; K>1 is a documented approximation)")
+	intraWorkers := flag.Int("intra-workers", 0, "fast-forward workers inside each simulation (0/1 = serial for grid cells; the -workers budget is split between levels)")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	traceDir := flag.String("trace", "", "replay a capture directory through the timing model instead of the synthetic suite")
 	traceWorkload := flag.String("trace-workload", "", "workload the capture was taken from (restores program image + calibration)")
@@ -141,13 +137,13 @@ func main() {
 		return
 	}
 	if *traceDir != "" {
-		if err := replayTrace(ctx, sc, *traceDir, *traceWorkload, *storeDir, *workers, *intraWorkers, *intraEpoch, *sample); err != nil {
+		if err := replayTrace(ctx, sc, *traceDir, *traceWorkload, *storeDir, *workers, *intraWorkers, *sample); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	if *mixFlag != "" {
-		if err := runMix(ctx, sc, *mixFlag, *storeDir, *workers, *intraWorkers, *intraEpoch, *sample, *verbose); err != nil {
+		if err := runMix(ctx, sc, *mixFlag, *storeDir, *workers, *intraWorkers, *sample, *verbose); err != nil {
 			fatal(err)
 		}
 		return
@@ -170,7 +166,6 @@ func main() {
 		fatal(err)
 	}
 	r.IntraWorkers = *intraWorkers
-	r.EpochBlocks = *intraEpoch
 	if *storeDir != "" {
 		r.Store = store.Open(*storeDir)
 	}
@@ -266,7 +261,7 @@ func main() {
 
 // replayTrace runs the paper's headline design points over a capture
 // directory, one replayed simulation per design.
-func replayTrace(ctx context.Context, sc experiments.Scale, dir, workloadName, storeDir string, workers, intraWorkers, intraEpoch int, sample bool) error {
+func replayTrace(ctx context.Context, sc experiments.Scale, dir, workloadName, storeDir string, workers, intraWorkers int, sample bool) error {
 	// Split the goroutine budget between replay-level and in-run
 	// parallelism, exactly as the experiment runners do.
 	workers = experiments.SplitWorkers(workers, intraWorkers)
@@ -296,7 +291,6 @@ func replayTrace(ctx context.Context, sc experiments.Scale, dir, workloadName, s
 			WarmupInstr: sc.Warmup, MeasureInstr: sc.Measure,
 			Parallelism:      workers,
 			IntraParallelism: intraWorkers,
-			EpochBlocks:      intraEpoch,
 			StoreDir:         storeDir,
 			Sampling:         sp,
 		}
@@ -327,7 +321,7 @@ func replayTrace(ctx context.Context, sc experiments.Scale, dir, workloadName, s
 }
 
 // runMix runs the consolidation study on one explicit workload mix.
-func runMix(ctx context.Context, sc experiments.Scale, spec, storeDir string, workers, intraWorkers, intraEpoch int, sample, verbose bool) error {
+func runMix(ctx context.Context, sc experiments.Scale, spec, storeDir string, workers, intraWorkers int, sample, verbose bool) error {
 	var mix []*confluence.Workload
 	for _, name := range strings.Split(spec, ",") {
 		w, err := confluence.BuildWorkload(strings.TrimSpace(name))
@@ -339,7 +333,6 @@ func runMix(ctx context.Context, sc experiments.Scale, spec, storeDir string, wo
 	r := experiments.NewRunnerFor(sc, nil)
 	r.Workers = workers
 	r.IntraWorkers = intraWorkers
-	r.EpochBlocks = intraEpoch
 	if storeDir != "" {
 		r.Store = store.Open(storeDir)
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	frontend-probe -workload DSS-Qrys [-cores 8] [-instr 1500000] [-workers N] [-intra-workers N] [-intra-epoch K] [-store DIR]
+//	frontend-probe -workload DSS-Qrys [-cores 8] [-instr 1500000] [-workers N] [-intra-workers N] [-store DIR]
 //	frontend-probe -trace CAPTURE_DIR [-workload NAME] [-cores 8] [-instr N]
 //
 // With -trace, cores replay the capture directory (written by `tracegen
@@ -44,8 +44,7 @@ func main() {
 	cores := flag.Int("cores", 8, "CMP width")
 	instr := flag.Uint64("instr", 1_500_000, "per-core instructions (warmup = measure)")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = REPRO_WORKERS or GOMAXPROCS)")
-	intraWorkers := flag.Int("intra-workers", 0, "bound-weave workers inside each simulation (0/1 = serial)")
-	intraEpoch := flag.Int("intra-epoch", 0, "bound-weave epoch depth K in blocks per core (0/1 = exact)")
+	intraWorkers := flag.Int("intra-workers", 0, "fast-forward workers inside each simulation (0/1 = serial)")
 	traceDir := flag.String("trace", "", "replay a capture directory instead of executing the workload live")
 	storeDir := flag.String("store", "", "durable result store directory: repeat probes of the same cell are served from disk")
 	sample := flag.Bool("sample", false, "SMARTS-style sampled simulation: fast-forward warm-up + periodic detailed windows (~10x fewer detailed instructions)")
@@ -142,7 +141,6 @@ func main() {
 	r := experiments.NewRunnerFor(sc, []*synth.Workload{w})
 	r.Workers = *workers
 	r.IntraWorkers = *intraWorkers
-	r.EpochBlocks = *intraEpoch
 	if *storeDir != "" {
 		r.Store = store.Open(*storeDir)
 	}

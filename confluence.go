@@ -286,22 +286,15 @@ type Config struct {
 	// GOMAXPROCS. A single Run is one simulation and ignores it.
 	Parallelism int
 	// IntraParallelism bounds the worker goroutines stepping cores
-	// inside this single simulation in bound-weave epochs and sampled
-	// mode's fast-forward phases (see internal/cmp). Zero fast-forwards
-	// on min(GOMAXPROCS, cores) workers; 1 steps them on one goroutine.
-	// Exact detailed phases do not use it: each core's record decode and
-	// branch prediction always run on a stage goroutine of their own
-	// ahead of the timing model, so a cell uses cores+1 goroutines there
-	// whatever the value. At EpochBlocks=1 (the default) results are
+	// inside this single simulation in sampled mode's fast-forward phases
+	// (see internal/cmp). Zero fast-forwards on min(GOMAXPROCS, cores)
+	// workers; 1 steps them on one goroutine. Detailed phases do not use
+	// it: each core's record decode and branch prediction always run on a
+	// stage goroutine of their own ahead of the timing model, so a cell
+	// uses cores+1 goroutines there whatever the value. Results are
 	// bit-identical to serial for any IntraParallelism, so the knob is
 	// pure wall-clock.
 	IntraParallelism int
-	// EpochBlocks is K, the per-core epoch depth in basic blocks for
-	// bound-weave stepping. 0/1 (the default) is the exact mode; K>1 is a
-	// documented approximation — cross-core shared-timing feedback (LLC
-	// fills, SHIFT history records) arrives one epoch late — that remains
-	// bit-deterministic across worker counts for a given K.
-	EpochBlocks int
 }
 
 // Result is a completed simulation.
@@ -357,9 +350,6 @@ func resolveConfig(cfg Config) (experiments.CellSpec, Config, error) {
 	if cfg.IntraParallelism > 0 {
 		opt.IntraWorkers = cfg.IntraParallelism
 	}
-	if cfg.EpochBlocks > 0 {
-		opt.EpochBlocks = cfg.EpochBlocks
-	}
 	return experiments.CellSpec{
 		Mix: mix, TraceDir: cfg.TraceDir, Design: cfg.Design, Opt: opt,
 		Warmup: sc.Warmup, Measure: sc.Measure, Sampling: cfg.Sampling,
@@ -414,7 +404,7 @@ func ConfigStoreKey(cfg Config) (string, bool) {
 }
 
 // RunCtx assembles and simulates one design point, honoring cancellation
-// mid-run: the epoch engine polls ctx at every epoch barrier, so a
+// mid-run: the engine polls ctx at every batch and chunk barrier, so a
 // cancelled simulation returns ctx.Err() within a few dozen basic blocks
 // per core instead of running to its instruction target. A run that
 // completes is bit-identical to Run — the poll feeds nothing back into
@@ -491,9 +481,8 @@ func DefaultParallelism() int { return parallel.Workers(0) }
 // concurrently split the goroutine budget: a config with no in-run worker
 // count of its own gets its experiments.SplitWorkers share, as a Runner's
 // cells do, rather than every cell sizing itself to the whole machine.
-// The share sizes fast-forward and bound-weave epochs; exact detailed
-// phases run cores+1 goroutines per cell whatever it is (see
-// IntraParallelism).
+// The share sizes fast-forward; detailed phases run cores+1 goroutines
+// per cell whatever it is (see IntraParallelism).
 func RunMany(ctx context.Context, parallelism int, cfgs []Config) ([]*Result, error) {
 	if parallelism <= 0 && len(cfgs) > 0 {
 		parallelism = cfgs[0].Parallelism
@@ -515,22 +504,10 @@ func RunMany(ctx context.Context, parallelism int, cfgs []Config) ([]*Result, er
 	return res, nil
 }
 
-// Compare runs several design points on one workload and returns speedups
-// relative to the first design in the list.
-//
-// Deprecated: use CompareWith, which takes a context (cancellation reaches
-// simulations mid-run) and a full base Config (cores, warmup/measure,
-// trace replay, parallelism). Compare(w, designs, cores) is exactly
-// CompareWith(context.Background(), Config{Workload: w, Cores: cores},
-// designs) and is kept as a thin wrapper for existing callers.
-func Compare(w *Workload, designs []DesignPoint, cores int) (map[DesignPoint]float64, error) {
-	return CompareWith(context.Background(), Config{Workload: w, Cores: cores}, designs)
-}
-
-// CompareWith is Compare with an explicit base configuration: every design
-// is simulated under base (Design ignored), fanning out across
-// base.Parallelism workers, and speedups are normalized to the first
-// design in the list.
+// CompareWith runs several design points under one base configuration
+// and returns speedups relative to the first design in the list: every
+// design is simulated under base (Design ignored), fanning out across
+// base.Parallelism workers.
 func CompareWith(ctx context.Context, base Config, designs []DesignPoint) (map[DesignPoint]float64, error) {
 	if len(designs) == 0 {
 		return nil, fmt.Errorf("confluence: no designs to compare")

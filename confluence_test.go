@@ -1,6 +1,7 @@
 package confluence
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,9 +78,10 @@ func TestCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Note: Compare at default instruction counts would be slow; keep the
-	// design list short and rely on the library defaults being modest.
-	speedups, err := Compare(w, []DesignPoint{Base1K, Ideal}, 2)
+	// Note: default instruction counts would be slow; keep the design
+	// list short and rely on the library defaults being modest.
+	base := Config{Workload: w, Cores: 2}
+	speedups, err := CompareWith(context.Background(), base, []DesignPoint{Base1K, Ideal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestCompare(t *testing.T) {
 	if speedups[Ideal] <= 1.0 {
 		t.Errorf("Ideal speedup = %v", speedups[Ideal])
 	}
-	if _, err := Compare(w, nil, 2); err == nil {
+	if _, err := CompareWith(context.Background(), base, nil); err == nil {
 		t.Error("empty design list accepted")
 	}
 }

@@ -106,8 +106,8 @@ func TestRunErrorClosesSources(t *testing.T) {
 }
 
 // TestRunCtxCancelMidRun cancels a simulation that would otherwise run
-// for hours and expects the epoch engine to notice within epochs, not
-// instruction targets.
+// for hours and expects the engine to notice within a batch of basic
+// blocks, not instruction targets.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	w, err := BuildWorkload("DSS-Qrys")
 	if err != nil {

@@ -54,7 +54,7 @@ func goldenRun(t *testing.T) map[string]goldenMetrics {
 }
 
 // goldenRunWith runs the golden grid, letting tweak adjust each config
-// before it runs (the K>1 bound-weave golden sets EpochBlocks there).
+// before it runs (the store golden attaches a store there).
 func goldenRunWith(t *testing.T, tweak func(*Config)) map[string]goldenMetrics {
 	t.Helper()
 	w := goldenWorkload(t)
@@ -95,8 +95,7 @@ func TestGoldenStats(t *testing.T) {
 }
 
 // verifyGolden compares got against the pinned file at path, or rewrites
-// the file under -update. It is shared by the serial golden and the
-// bound-weave K>1 golden (intra_test.go).
+// the file under -update.
 func verifyGolden(t *testing.T, path string, got map[string]goldenMetrics) {
 	t.Helper()
 	if *updateGolden {

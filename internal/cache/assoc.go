@@ -86,22 +86,6 @@ func (a *Assoc[V]) Lookup(key uint64) (V, bool) {
 	return zero, false
 }
 
-// Peek returns key's value without LRU or counter updates — the read-only
-// probe used when the store is frozen during a bound phase (concurrent
-// Peeks are safe as long as no mutation runs).
-func (a *Assoc[V]) Peek(key uint64) (V, bool) {
-	s := a.set(key)
-	base := s * a.ways
-	n := int(a.occ[s])
-	for i := 0; i < n; i++ {
-		if a.keys[base+i] == key {
-			return a.vals[base+i], true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
 // Contains probes without LRU or counter updates.
 func (a *Assoc[V]) Contains(key uint64) bool {
 	s := a.set(key)

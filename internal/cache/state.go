@@ -55,12 +55,33 @@ func (c *Cache) RestoreState(st CacheState) error {
 	if len(st.Keys) != len(c.keys) || len(st.Stamp) != len(c.stamp) || len(st.Occ) != len(c.occ) {
 		return fmt.Errorf("cache: snapshot arrays malformed")
 	}
+	if err := checkOcc(st.Occ, st.Ways, st.N); err != nil {
+		return err
+	}
 	copy(c.keys, st.Keys)
 	copy(c.stamp, st.Stamp)
 	copy(c.occ, st.Occ)
 	c.clock = st.Clock
 	c.n = st.N
 	c.mruOK = false
+	return nil
+}
+
+// checkOcc rejects per-set occupancy a live structure cannot reach: more
+// valid ways than the set has, or a total other than the entry count n.
+// Lookups scan each set's occupied prefix, so an overfull count would
+// index into the next set or past the arrays.
+func checkOcc(occ []uint16, ways, n int) error {
+	total := 0
+	for s, o := range occ {
+		if int(o) > ways {
+			return fmt.Errorf("cache: snapshot set %d holds %d of %d ways", s, o, ways)
+		}
+		total += int(o)
+	}
+	if total != n {
+		return fmt.Errorf("cache: snapshot holds %d entries, occupancy sums to %d", n, total)
+	}
 	return nil
 }
 
@@ -97,6 +118,9 @@ func (a *Assoc[V]) RestoreState(st AssocState, vals []V) error {
 	}
 	if len(st.Keys) != len(a.keys) || len(vals) != len(a.vals) || len(st.Stamp) != len(a.stamp) || len(st.Occ) != len(a.occ) {
 		return fmt.Errorf("cache: assoc snapshot arrays malformed")
+	}
+	if err := checkOcc(st.Occ, st.Ways, st.N); err != nil {
+		return err
 	}
 	copy(a.keys, st.Keys)
 	copy(a.vals, vals)

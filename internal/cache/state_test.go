@@ -58,8 +58,8 @@ func TestAssocStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(st, st2) || !reflect.DeepEqual(vals, vals2) {
 		t.Error("re-exported state differs from the snapshot")
 	}
-	if v, ok := fresh.Peek(99); !ok || v != 990 {
-		t.Errorf("Peek(99) = %d,%v after restore, want 990", v, ok)
+	if v, ok := fresh.Lookup(99); !ok || v != 990 {
+		t.Errorf("Lookup(99) = %d,%v after restore, want 990", v, ok)
 	}
 
 	if err := NewAssoc[uint64](8, 4).RestoreState(st, vals); err == nil {
@@ -94,5 +94,38 @@ func TestVictimStateRoundTrip(t *testing.T) {
 	}
 	if err := NewVictim[uint64](4).RestoreState(st, vals[:1]); err == nil {
 		t.Error("restore with a short values slice succeeded")
+	}
+}
+
+// TestStateRejectsImpossibleOccupancy: a set claiming more valid ways
+// than it has would send lookups into the next set or past the arrays,
+// and an entry count the occupancy does not sum to is no live state
+// either; restore fails closed on both.
+func TestStateRejectsImpossibleOccupancy(t *testing.T) {
+	c := New(16, 4)
+	a := NewAssoc[uint64](16, 4)
+	for k := uint64(0); k < 20; k++ {
+		c.Insert(k)
+		a.Insert(k, k)
+	}
+	cst := c.ExportState()
+	ast, vals := a.ExportState()
+
+	over := cst
+	over.Occ = append([]uint16(nil), cst.Occ...)
+	over.Occ[3] = 5
+	if err := New(16, 4).RestoreState(over); err == nil {
+		t.Error("cache restore with a 5-way set in a 4-way cache succeeded")
+	}
+	miscount := cst
+	miscount.N++
+	if err := New(16, 4).RestoreState(miscount); err == nil {
+		t.Error("cache restore with a mismatched entry count succeeded")
+	}
+	aover := ast
+	aover.Occ = append([]uint16(nil), ast.Occ...)
+	aover.Occ[0] = 1 << 15
+	if err := NewAssoc[uint64](16, 4).RestoreState(aover, vals); err == nil {
+		t.Error("assoc restore with an overfull set succeeded")
 	}
 }

@@ -7,44 +7,26 @@
 // timing model replays live synthetic executors, captured trace files, or
 // recorded in-memory streams interchangeably.
 //
-// # Bound-weave epochs
+// # Two phase kinds
 //
-// Stepping is organized in epochs with two phases, in the style of ZSim's
-// bound-weave parallelism. In the bound phase, each core independently
-// advances against its private structures — L1-I, BTB, BPU, prefetcher
-// window — with every shared-structure operation (LLC lookups/fills, SHIFT
-// history records, PhantomBTB group-store traffic) answered from the
-// epoch-start snapshot and buffered into a per-core ordered log. At the
-// epoch barrier (the weave), the logs are applied in canonical core order,
-// so results are deterministic for any worker count by construction.
+// A detailed phase (engine.phaseExact) steps the cores serially in the
+// canonical round-robin order — exactly the serial interleaving. What is
+// provably independent of timing and of other cores runs ahead of it on
+// one stage goroutine per active core: record decode (trace.Source
+// streams take no feedback from the timing model) and the stream half of
+// Core.Step (Core.StreamPredict: the branch predictors, and BTB designs
+// that declare btb.Design.StreamOnly). The weave runs the timing half
+// (Core.StepPredicted). The stages stop at exactly the weave's phase-end
+// record, so every phase boundary sees the serial state, and results are
+// bit-identical to the serial simulator for any worker count and any
+// GOMAXPROCS.
 //
-// K (SetIntra's epochBlocks) is the epoch depth in basic blocks per core:
-//
-//   - K=1 is the exact mode and the default: the weave executes the steps
-//     serially in the canonical round-robin order — exactly the serial
-//     interleaving. What is provably independent of timing and of other
-//     cores runs ahead of it on one stage goroutine per active core (see
-//     phaseExact): record decode (trace.Source streams take no feedback
-//     from the timing model) and the stream half of Core.Step
-//     (Core.StreamPredict: the branch predictors, and BTB designs that
-//     declare btb.Design.StreamOnly). The weave runs the timing half
-//     (Core.StepPredicted). The stages stop at exactly the weave's
-//     phase-end record, so every phase boundary sees the serial state,
-//     and results are bit-identical to the serial simulator for any
-//     worker count and any GOMAXPROCS.
-//   - K>1 is a documented approximation: cores advance up to K blocks
-//     against shared state frozen at the epoch boundary, so cross-core
-//     timing feedback (another core's LLC fill, a generator's history
-//     records) arrives one epoch late. Within an epoch the apply order is
-//     canonical, so the mode is still bit-deterministic across worker
-//     counts — just not bit-identical to K=1.
-//
-// Functional fast-forward (System.FastForward) applies the same idea
-// exactly, for any K: FastStep reads no state another core writes
-// (PhantomBTB's shared store aside, which keeps the serial schedule), so
-// cores step whole chunks concurrently, logging their LLC and history
-// writes by round, and the chunk barrier replays the logs in (round,
-// core) order — the serial interleaving itself (see engine.phaseFF).
+// Functional fast-forward (System.FastForward, engine.phaseFF) is exact
+// too: FastStep reads no state another core writes (PhantomBTB's shared
+// group store aside, which keeps the serial schedule), so cores step
+// whole chunks concurrently on a worker pool, logging their LLC and
+// history writes by round, and the chunk barrier replays the logs in
+// (round, core) order — the serial interleaving itself.
 package cmp
 
 import (
@@ -56,7 +38,7 @@ import (
 
 	"confluence/internal/frontend"
 	"confluence/internal/mem"
-	"confluence/internal/shift"
+	"confluence/internal/phantom"
 	"confluence/internal/trace"
 )
 
@@ -68,7 +50,6 @@ type System struct {
 	Hier    *mem.Hierarchy
 
 	intraWorkers int
-	epochBlocks  int
 	eng          *engine // built lazily at first Run; persists across phases
 }
 
@@ -81,21 +62,17 @@ func New(cores []*frontend.Core, srcs []trace.Source, hier *mem.Hierarchy) (*Sys
 }
 
 // SetIntra configures in-run parallelism: workers bounds the goroutines
-// stepping cores in K>1 bound phases and fast-forward chunks inside this
-// one simulation, epochBlocks is K, the per-core epoch depth (see the
-// package comment); zero K means 1. Zero workers means one bound-phase
-// worker and min(GOMAXPROCS, cores) fast-forward workers. K=1 detailed
-// phases do not use the count: they always run one stage goroutine per
-// active core beside the calling goroutine. Every setting at K=1 is
-// bit-identical to the serial simulator. SetIntra must be called before the first Run; once
-// the epoch engine exists the configuration is frozen and later calls
-// are ignored.
-func (s *System) SetIntra(workers, epochBlocks int) {
+// stepping cores in fast-forward chunks inside this one simulation; zero
+// means min(GOMAXPROCS, cores). Detailed phases do not use the count:
+// they always run one stage goroutine per active core beside the calling
+// goroutine. Every setting is bit-identical to the serial simulator.
+// SetIntra must be called before the first Run; once the engine exists
+// the configuration is frozen and later calls are ignored.
+func (s *System) SetIntra(workers int) {
 	if s.eng != nil {
 		return
 	}
 	s.intraWorkers = workers
-	s.epochBlocks = epochBlocks
 }
 
 // Run simulates warmup+measure instructions per core (round-robin, one
@@ -107,10 +84,10 @@ func (s *System) Run(warmup, measure uint64) (*frontend.Stats, error) {
 	return s.RunCtx(context.Background(), warmup, measure)
 }
 
-// RunCtx is Run honoring mid-run cancellation: the epoch engine polls ctx
-// at every epoch barrier (at most a few thousand basic blocks per core),
-// so a cancelled simulation returns ctx.Err() promptly instead of running
-// to its instruction target. The poll reads no simulated state and feeds
+// RunCtx is Run honoring mid-run cancellation: the engine polls ctx at
+// every batch or chunk barrier (at most a few thousand basic blocks per
+// core), so a cancelled simulation returns ctx.Err() promptly instead of
+// running to its instruction target. The poll reads no simulated state and feeds
 // nothing back into the timing model, so a run that completes is
 // bit-identical whether or not a context is attached.
 //
@@ -143,7 +120,7 @@ func (s *System) RunCtx(ctx context.Context, warmup, measure uint64) (*frontend.
 }
 
 // phase advances every core by approximately n instructions through the
-// epoch engine.
+// engine.
 func (s *System) phase(ctx context.Context, n uint64) error {
 	if n == 0 {
 		return nil
@@ -186,16 +163,6 @@ type coreProg struct {
 	target uint64
 }
 
-// weaveDesign is implemented by BTB designs backed by cross-core shared
-// state (PhantomBTB's group store): SetDeferred(true) switches them to
-// frozen reads plus logged writes for bound phases, ApplyLog replays a
-// core's log at the weave barrier. Their FastStep reads that shared
-// state too, so fast-forward steps them on the serial schedule.
-type weaveDesign interface {
-	SetDeferred(bool)
-	ApplyLog()
-}
-
 // ffChunkRounds is the fast-forward chunk depth: the rounds every core
 // steps between barriers. Deep enough that barrier and replay overhead
 // vanish against the stepping (each round is one basic block per core),
@@ -203,17 +170,15 @@ type weaveDesign interface {
 // cancellation — and that the per-core write logs stay cache-sized.
 const ffChunkRounds = 4096
 
-// engine is the bound-weave epoch scheduler for one System (see the
-// package comment for the model).
+// engine is the phase scheduler for one System (see the package comment
+// for the model).
 type engine struct {
-	s       *System
-	workers int // bound-phase (K>1) workers
-	k       int // epoch depth in blocks; 1 = exact mode
+	s *System
 
-	// stages are the per-core pipes carrying K=1 detailed phases' stream
-	// half from its stage goroutines to the weave (see phaseExact), and
-	// cur the weave's read positions in them; both are built at the first
-	// detailed phase. wg joins the stages every phase.
+	// stages are the per-core pipes carrying detailed phases' stream half
+	// from its stage goroutines to the weave (see phaseExact), and cur the
+	// weave's read positions in them; both are built at the first detailed
+	// phase. wg joins the stages every phase.
 	stages []*stage
 	cur    []stageCursor
 	wg     sync.WaitGroup
@@ -223,9 +188,9 @@ type engine struct {
 	// ffWorkers workers in chunks (see phaseFF). The cores' shared-state
 	// writes are logged and replayed in canonical (round, core) order at
 	// each chunk barrier, so fast-forward is bit-identical to the serial
-	// round-robin schedule for any worker count and any K. ffSerial (a
-	// BTB reading cross-core shared state) steps chunks on that serial
-	// schedule instead. See System.FastForward.
+	// round-robin schedule for any worker count. ffSerial (a BTB reading
+	// cross-core shared state) steps chunks on that serial schedule
+	// instead. See System.FastForward.
 	ff        bool
 	ffWorkers int
 	ffSerial  bool
@@ -238,65 +203,29 @@ type engine struct {
 	// bookkeeping in the step loops is a single indexed access on one
 	// cache line, not three.
 	prog []coreProg
-
-	// K>1 deferral plumbing, indexed by core (nil entries where unused).
-	ports  []*mem.BoundPort
-	recs   []*shift.Deferred
-	weaves []weaveDesign
 }
 
-// newEngine builds the engine and, for K>1, rewires every core's shared
-// touch points (memory port, history recorder, shared-store BTB) to their
-// probe-and-log forms.
+// newEngine builds the engine. An unset worker count lets fast-forward
+// use the machine: nothing it computes depends on the worker count.
 func newEngine(s *System) *engine {
-	w, k := s.intraWorkers, s.epochBlocks
-	if k < 1 {
-		k = 1
-	}
-	// An unset worker count keeps K>1 bound phases on one worker but
-	// lets fast-forward use the machine: nothing it computes depends on
-	// the worker count.
-	ffw := w
-	if w < 1 {
-		w = 1
+	ffw := s.intraWorkers
+	if ffw < 1 {
 		ffw = min(runtime.GOMAXPROCS(0), len(s.Cores))
 	}
-	e := &engine{s: s, workers: w, k: k, ffWorkers: ffw}
+	e := &engine{s: s, ffWorkers: ffw}
 	for _, c := range s.Cores {
-		if _, ok := c.BTB().(weaveDesign); ok {
+		// PhantomBTB's FastStep reads the group store other cores write,
+		// so its systems fast-forward on the serial schedule.
+		if _, ok := c.BTB().(*phantom.PhantomBTB); ok {
 			e.ffSerial = true
 		}
 	}
-	qcap := decodeBatch
-	if k > qcap {
-		qcap = k
-	}
 	e.q = make([]coreQ, len(s.Cores))
 	for i := range e.q {
-		e.q[i].buf = make([]trace.Record, qcap)
+		e.q[i].buf = make([]trace.Record, decodeBatch)
 	}
 	e.active = make([]int, 0, len(s.Cores))
 	e.prog = make([]coreProg, len(s.Cores))
-	if k > 1 {
-		e.ports = make([]*mem.BoundPort, len(s.Cores))
-		e.recs = make([]*shift.Deferred, len(s.Cores))
-		e.weaves = make([]weaveDesign, len(s.Cores))
-		for i, c := range s.Cores {
-			if s.Hier != nil {
-				e.ports[i] = mem.NewBoundPort(s.Hier)
-				c.SetMemPort(e.ports[i])
-			}
-			if r := c.Recorder(); r != nil {
-				d := &shift.Deferred{Target: r}
-				c.SetRecorder(d)
-				e.recs[i] = d
-			}
-			if wd, ok := c.BTB().(weaveDesign); ok {
-				wd.SetDeferred(true)
-				e.weaves[i] = wd
-			}
-		}
-	}
 	return e
 }
 
@@ -307,11 +236,8 @@ func (e *engine) phase(ctx context.Context, n uint64) error {
 		e.prog[i].target = e.prog[i].instr + n
 		e.active = append(e.active, i)
 	}
-	switch {
-	case e.ff:
+	if e.ff {
 		return e.phaseFF(ctx)
-	case e.k > 1:
-		return e.phaseBound(ctx)
 	}
 	return e.phaseExact(ctx)
 }
@@ -349,7 +275,7 @@ func (q *coreQ) dryErr(c int) error {
 	return fmt.Errorf("cmp: core %d source: %w", c, err)
 }
 
-// phaseExact is the K=1 engine, with the two halves of Core.Step
+// phaseExact is the detailed engine, with the two halves of Core.Step
 // pipelined: each active core's stream stage (runStage, one goroutine
 // per core) decodes the core's records and runs Core.StreamPredict on
 // every record the phase will step, while the weave runs
@@ -370,7 +296,7 @@ func (e *engine) phaseExact(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// An epoch runs until the first active core's batch is used up:
+		// A pass runs until the first active core's batch is used up:
 		// every round steps each remaining core exactly once, in core
 		// order, exactly as the serial loop interleaves them. Fetching in
 		// core order, the first core found dry is the lowest core dry at
@@ -417,7 +343,7 @@ func (e *engine) phaseExact(ctx context.Context) error {
 // order, which is exactly how the serial round-robin loop would have
 // interleaved them: the result is bit-identical for any worker count.
 //
-// A BTB reading cross-core shared state (weaveDesign) breaks the first
+// A BTB reading cross-core shared state (ffSerial) breaks the first
 // premise, so such systems step each chunk on one worker, one round of
 // every core at a time — the serial schedule itself.
 func (e *engine) phaseFF(ctx context.Context) error {
@@ -427,7 +353,7 @@ func (e *engine) phaseFF(ctx context.Context) error {
 	}
 	var p *pool
 	if !e.ffSerial {
-		p = e.startPool(e.ffWorkers, e.ffChunk)
+		p = e.startPool(e.ffWorkers)
 		defer p.stop()
 	}
 	for len(e.active) > 0 {
@@ -437,7 +363,7 @@ func (e *engine) phaseFF(ctx context.Context) error {
 		if e.ffSerial {
 			e.ffSerialChunk()
 		} else {
-			e.barrier(p, e.ffChunk)
+			e.barrier(p)
 		}
 		// A core below target that stepped fewer rounds than the chunk
 		// ran dry; the serial loop fails at the first such round, on the
@@ -521,85 +447,19 @@ func ffStep(core *frontend.Core, src trace.Source, q *coreQ, pg *coreProg) bool 
 	return true
 }
 
-// phaseBound is the K>1 engine: the bound phase steps each active core up
-// to K blocks against frozen shared state (logging shared ops), the weave
-// applies the logs in canonical core order and compacts the active list.
-func (e *engine) phaseBound(ctx context.Context) error {
-	p := e.startPool(e.workers, e.boundStep)
-	defer p.stop()
-	for len(e.active) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.barrier(p, e.boundStep)
-		var firstDry = -1
-		w := 0
-		for _, c := range e.active {
-			// Apply in canonical order even for cores retiring this epoch:
-			// their final ops are part of the epoch's shared-state evolution.
-			if p := e.ports[c]; p != nil {
-				p.Apply()
-			}
-			if d := e.recs[c]; d != nil {
-				d.Apply()
-			}
-			if wd := e.weaves[c]; wd != nil {
-				wd.ApplyLog()
-			}
-			if e.prog[c].instr >= e.prog[c].target {
-				continue
-			}
-			if e.q[c].n == 0 && e.q[c].err != nil && firstDry < 0 {
-				firstDry = c
-			}
-			e.active[w] = c
-			w++
-		}
-		e.active = e.active[:w]
-		if firstDry >= 0 {
-			return e.dryErr(firstDry)
-		}
-	}
-	return nil
-}
-
-// boundStep is one core's bound phase: top up the decode queue, then step
-// up to K blocks. All shared reads answer from the epoch-start snapshot;
-// all shared writes land in this core's logs. Runs concurrently across
-// cores — it touches only core-private state, this core's queue/logs, and
-// frozen shared structures.
-func (e *engine) boundStep(c int) {
-	e.refill(c)
-	q := &e.q[c]
-	core := e.s.Cores[c]
-	pg := &e.prog[c]
-	for i := 0; i < e.k; i++ {
-		if q.n == 0 || pg.instr >= pg.target {
-			return
-		}
-		rec := &q.buf[q.head]
-		core.Step(rec)
-		pg.instr += uint64(rec.N)
-		pg.recs++
-		q.head++
-		q.n--
-	}
-}
-
-// pool runs per-core jobs (bound-phase steps, fast-forward chunks) on
-// persistent worker goroutines for the duration of one phase
-// (workers idle between barriers instead of respawning — epochs can be as
-// small as K blocks per core). Each core is handed to exactly one worker
-// per epoch, and the barrier orders every job before the weave reads its
+// pool runs fast-forward chunks on persistent worker goroutines for the
+// duration of one phase (workers idle between barriers instead of
+// respawning every chunk). Each core is handed to exactly one worker per
+// chunk, and the barrier orders every job before the replay reads its
 // results, so jobs need no locking.
 type pool struct {
 	jobs chan int
 	done chan struct{}
 }
 
-// startPool launches min(w, cores) workers running job, or returns nil
-// when that is one (callers then run jobs inline).
-func (e *engine) startPool(w int, job func(core int)) *pool {
+// startPool launches min(w, cores) workers running ffChunk, or returns
+// nil when that is one (barrier then runs the chunks inline).
+func (e *engine) startPool(w int) *pool {
 	n := len(e.s.Cores)
 	if w > n {
 		w = n
@@ -609,10 +469,10 @@ func (e *engine) startPool(w int, job func(core int)) *pool {
 	}
 	p := &pool{jobs: make(chan int, n), done: make(chan struct{}, n)}
 	for i := 0; i < w; i++ {
-		//confluence:allow baregoroutine the epoch engine's per-core jobs: per-core op logs are applied at the barrier in canonical order, so results are independent of goroutine scheduling
+		//confluence:allow baregoroutine fast-forward chunk workers: per-core write logs are replayed at the chunk barrier in canonical (round, core) order, so results are independent of goroutine scheduling
 		go func() {
 			for c := range p.jobs {
-				job(c)
+				e.ffChunk(c)
 				p.done <- struct{}{}
 			}
 		}()
@@ -620,12 +480,12 @@ func (e *engine) startPool(w int, job func(core int)) *pool {
 	return p
 }
 
-// barrier runs one epoch's jobs for the given cores and waits for all of
+// barrier runs one chunk's jobs for the active cores and waits for all of
 // them; inline on the calling goroutine when the pool is nil.
-func (e *engine) barrier(p *pool, job func(core int)) {
+func (e *engine) barrier(p *pool) {
 	if p == nil {
 		for _, c := range e.active {
-			job(c)
+			e.ffChunk(c)
 		}
 		return
 	}

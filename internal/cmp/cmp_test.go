@@ -13,6 +13,13 @@ import (
 
 func testSystem(t testing.TB, cores int) *System {
 	t.Helper()
+	return testSystemWith(t, cores, nil)
+}
+
+// testSystemWith is testSystem with wire adjusting each core's config
+// (after the defaults, before the core is built); nil keeps them.
+func testSystemWith(t testing.TB, cores int, wire func(core int, cfg *frontend.Config)) *System {
+	t.Helper()
 	p := synth.OLTPDB2()
 	p.Functions = 320
 	p.RequestTypes = 4
@@ -32,6 +39,9 @@ func testSystem(t testing.TB, cores int) *System {
 		cfg.Prefetcher = prefetch.Null{}
 		cfg.Hier = hier
 		cfg.Prog = w.Prog
+		if wire != nil {
+			wire(i, &cfg)
+		}
 		cs = append(cs, frontend.NewCore(cfg))
 		es = append(es, trace.NewExecutor(w, uint64(i+1)))
 	}

@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"confluence/internal/airbtb"
 	"confluence/internal/cache"
+	"confluence/internal/fdp"
 	"confluence/internal/frontend"
+	"confluence/internal/phantom"
 	"confluence/internal/shift"
 	"confluence/internal/trace"
 )
@@ -51,7 +54,7 @@ func TestFastForwardDrySourceMatchesSerial(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			sys := testSystem(t, 4)
-			sys.SetIntra(workers, 1)
+			sys.SetIntra(workers)
 			finiteSources(t, sys, tc.lens)
 			err := sys.FastForward(context.Background(), 1_000_000)
 			if err == nil || err.Error() != tc.want {
@@ -64,7 +67,7 @@ func TestFastForwardDrySourceMatchesSerial(t *testing.T) {
 	// reaches stays invisible.
 	for _, workers := range []int{1, 4} {
 		sys := testSystem(t, 4)
-		sys.SetIntra(workers, 1)
+		sys.SetIntra(workers)
 		finiteSources(t, sys, []int{0, 900, 0, 300})
 		if err := sys.FastForward(context.Background(), 300); err != nil {
 			t.Errorf("workers=%d: in-bounds fast-forward failed: %v", workers, err)
@@ -95,7 +98,7 @@ func TestFastForwardCancelWithinChunk(t *testing.T) {
 	const at = ffChunkRounds + 100 // inside the second chunk
 	for _, workers := range []int{1, 4} {
 		sys := testSystem(t, 4)
-		sys.SetIntra(workers, 1)
+		sys.SetIntra(workers)
 		ctx, cancel := context.WithCancel(context.Background())
 		sys.Sources[0] = &cancelAfter{Source: sys.Sources[0], n: at, cancel: cancel}
 		err := sys.FastForward(ctx, 1<<40)
@@ -116,10 +119,12 @@ func TestFastForwardCancelWithinChunk(t *testing.T) {
 // much as that of LLC touches.
 func historySystem(t *testing.T, cores int) (*System, *shift.History) {
 	t.Helper()
-	sys := testSystem(t, cores)
 	h := shift.NewHistory(4096)
-	sys.Cores[0].SetRecorder(h)
-	sys.Cores[1].SetRecorder(h)
+	sys := testSystemWith(t, cores, func(c int, cfg *frontend.Config) {
+		if c < 2 {
+			cfg.Recorder = h
+		}
+	})
 	return sys, h
 }
 
@@ -190,7 +195,7 @@ func TestChunkedFastForwardMatchesSerialSchedule(t *testing.T) {
 	want := capture(ref, refHist)
 	for _, workers := range []int{1, 2, 4} {
 		sys, hist := historySystem(t, 4)
-		sys.SetIntra(workers, 1)
+		sys.SetIntra(workers)
 		if err := sys.FastForward(context.Background(), n); err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +216,49 @@ func TestChunkedFastForwardMatchesSerialSchedule(t *testing.T) {
 		}
 		if got.after != want.after {
 			t.Errorf("workers=%d: detailed run after fast-forward differs from the serial schedule", workers)
+		}
+	}
+}
+
+// TestFastForwardScheduleChoice: a PhantomBTB system fast-forwards on the
+// serial schedule, because its FastStep reads the group store other cores
+// write; every other design steps its chunks on the pool. Output
+// comparisons cannot catch a wrong choice at one worker, where the pool
+// runs each core's chunk inline, core after core. AirBTB is not StreamOnly
+// and still takes the pool: the choice is PhantomBTB's alone.
+func TestFastForwardScheduleChoice(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		wire   func(c int, cfg *frontend.Config)
+		serial bool
+	}{
+		{"Base1K", nil, false},
+		{"Confluence", func() func(int, *frontend.Config) {
+			h := shift.NewHistory(shift.DefaultConfig().HistoryEntries)
+			return func(c int, cfg *frontend.Config) {
+				cfg.BTB = airbtb.New(airbtb.DefaultConfig())
+				cfg.PredecodePenalty = 2
+				cfg.Prefetcher = shift.NewEngine(shift.DefaultConfig(), h, cfg.Hier.AvgLLCLatency(c))
+				if c == 0 {
+					cfg.Recorder = h
+				}
+			}
+		}(), false},
+		{"PhantomBTB+FDP", func() func(int, *frontend.Config) {
+			store := phantom.NewStore(4 << 10)
+			return func(c int, cfg *frontend.Config) {
+				cfg.BTB = phantom.New("PhantomBTB", 256, 4, 64, store, cfg.Hier.AvgLLCLatency(c))
+				cfg.Prefetcher = fdp.New(fdp.DefaultConfig())
+			}
+		}(), true},
+	} {
+		sys := testSystemWith(t, 4, tc.wire)
+		sys.SetIntra(4)
+		if err := sys.FastForward(context.Background(), 20_000); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.eng.ffSerial; got != tc.serial {
+			t.Errorf("%s: serial fast-forward schedule = %v, want %v", tc.name, got, tc.serial)
 		}
 	}
 }

@@ -144,8 +144,8 @@ func (sp Sampling) TotalInstr() uint64 {
 // through the functional fast-forward path. Cores step concurrently in
 // chunks (see engine.phaseFF); their shared-state writes are replayed in
 // canonical (round, core) order at each chunk barrier, so fast-forward is
-// bit-identical to the serial round-robin schedule for any worker count
-// and any K. An unset intra worker count (SetIntra's workers = 0) uses
+// bit-identical to the serial round-robin schedule for any worker count.
+// An unset intra worker count (SetIntra's workers = 0) uses
 // min(GOMAXPROCS, cores) workers here.
 func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if s.eng == nil {
@@ -154,39 +154,10 @@ func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if n == 0 {
 		return nil
 	}
-	s.eng.setFF(true)
+	s.eng.ff = true
 	err := s.eng.phase(ctx, n)
-	s.eng.setFF(false)
+	s.eng.ff = false
 	return err
-}
-
-// setFF flips the engine between detailed and fast-forward stepping.
-// Fast-forward brings its own deferral (per-core FastStep logs replayed
-// at chunk barriers) and steps shared-store BTBs on the serial schedule,
-// so a K>1 engine's bound-phase plumbing is rewired for the duration:
-// history records replay straight into their target and shared-store
-// BTBs apply immediately. Logs are empty at every phase boundary (the
-// barriers drain them), so flipping loses nothing. The bound memory port
-// stays installed — FastStep never consults it.
-func (e *engine) setFF(on bool) {
-	if e.ff == on {
-		return
-	}
-	e.ff = on
-	if e.k > 1 {
-		for i, c := range e.s.Cores {
-			if d := e.recs[i]; d != nil {
-				if on {
-					c.SetRecorder(d.Target.(frontend.HistoryRecorder))
-				} else {
-					c.SetRecorder(d)
-				}
-			}
-			if wd := e.weaves[i]; wd != nil {
-				wd.SetDeferred(!on)
-			}
-		}
-	}
 }
 
 // Coverage is full-region probe accounting for a sampled run: L1-I and

@@ -70,7 +70,7 @@ type stageCursor struct {
 	i int
 }
 
-// startStages starts a stream stage per active core for a K=1 detailed
+// startStages starts a stream stage per active core for a detailed
 // phase; closing the returned channel stops them.
 func (e *engine) startStages() chan struct{} {
 	if e.stages == nil {

@@ -159,18 +159,13 @@ type Options struct {
 	// the shared one (ablation; the paper shares).
 	HistoryPerCore bool
 	// IntraWorkers bounds the worker goroutines stepping cores inside
-	// this one simulation in bound-weave epochs and fast-forward chunks
-	// (see internal/cmp.System.SetIntra). Zero fast-forwards on
-	// min(GOMAXPROCS, cores) workers. Exact detailed phases do not use
-	// it: they always run each core's stream half on a stage goroutine of
-	// its own, cores+1 goroutines whatever the value. At EpochBlocks=1 any
-	// worker count is bit-identical to serial.
+	// this one simulation in fast-forward chunks (see
+	// internal/cmp.System.SetIntra). Zero fast-forwards on
+	// min(GOMAXPROCS, cores) workers. Detailed phases do not use it: they
+	// always run each core's stream half on a stage goroutine of its own,
+	// cores+1 goroutines whatever the value. Any worker count is
+	// bit-identical to serial.
 	IntraWorkers int
-	// EpochBlocks is K, the basic blocks each core advances per bound
-	// epoch. Zero or one (the default) is the exact mode; K>1 trades
-	// one-epoch-stale cross-core timing feedback for parallel stepping and
-	// is deterministic per K, but not bit-identical to K=1.
-	EpochBlocks int
 	// Sources overrides where cores' instruction streams come from. Nil
 	// selects the workload's own supply: live synthetic executors, or — for
 	// a workload carrying a TraceDir — file replay of its capture.
@@ -441,7 +436,7 @@ func NewMixSystem(mix []*synth.Workload, dp DesignPoint, opt Options) (*System, 
 		closeAll(srcs)
 		return nil, err
 	}
-	inner.SetIntra(opt.IntraWorkers, opt.EpochBlocks)
+	inner.SetIntra(opt.IntraWorkers)
 	sys.System = inner
 	sys.OverheadMM2 = overheadMM2(dp, opt)
 	sys.RelativeArea = area.Relative(sys.OverheadMM2)

@@ -18,7 +18,7 @@ var (
 
 // testWorkload returns a shared workload big enough to pressure a 32KB
 // L1-I and a 1K-entry BTB — the regime where the design points separate.
-func testWorkload(t *testing.T) *synth.Workload {
+func testWorkload(t testing.TB) *synth.Workload {
 	t.Helper()
 	sharedTestWorkloadOnce.Do(func() {
 		p := synth.OLTPDB2()

@@ -35,8 +35,7 @@ func AutoSampling(measure uint64) Sampling { return cmp.AutoSampling(measure) }
 // to the consumed count the snapshot recorded.
 //
 // Snapshots are taken at phase boundaries only, where in-flight fill
-// tables and K>1 deferred logs are empty by construction, so neither is
-// part of the state.
+// tables are empty by construction, so they are not part of the state.
 
 // warmSnapshotVersion invalidates stored snapshots when the encoded
 // layout or the set of captured state changes.

@@ -51,8 +51,8 @@ type CellSpec struct {
 // from: everything that determines the cell's result, and nothing that
 // cannot change it. In particular worker counts (Runner.Workers,
 // Options.IntraWorkers) are absent — the determinism contract guarantees
-// they never change results — while EpochBlocks is present because K>1
-// changes timing feedback.
+// they never change results. optionsKey.EpochBlocks is always 1: it
+// keeps the keys of the exact mode every cell runs in stable.
 //
 // Workloads appear as their full synth.Profile: generation is deterministic
 // in the profile (synth.Build), so the profile is the workload's complete
@@ -112,9 +112,8 @@ type optionsKey struct {
 // the first window boundary, and nothing that cannot change it. Design
 // points collapse to their WarmClass — Base1K and FDP1K, differing only
 // in timing machinery that fast-forward never touches, share snapshots —
-// and pure timing knobs (prefetcher lookahead, epoch depth, worker
-// counts) are absent: fast-forward always runs the exact serial
-// schedule.
+// and pure timing knobs (prefetcher lookahead, worker counts) are
+// absent: fast-forward always runs the exact serial schedule.
 type warmKeyMaterial struct {
 	Version        string          `json:"version"`
 	Warmup         uint64          `json:"warmup"`
@@ -147,7 +146,7 @@ func (c CellSpec) Key() (string, bool) {
 			FDP:             opt.FDP,
 			SweepBTBEntries: opt.SweepBTBEntries,
 			HistoryPerCore:  opt.HistoryPerCore,
-			EpochBlocks:     max(opt.EpochBlocks, 1),
+			EpochBlocks:     1,
 		},
 	}
 	if sp := c.Sampling; sp.Enabled() {
@@ -275,7 +274,7 @@ func DecodeStoreEntry(payload []byte) (StoreEntry, bool) {
 // WarmKey in st), and writes the entry back to st. A nil st runs with no
 // store. workers stands in for an unset Options.IntraWorkers — a caller's
 // share of the goroutine budget; like every worker count it changes only
-// wall-clock. A running cell polls ctx at every epoch barrier and
+// wall-clock. A running cell polls ctx at every detailed batch and
 // fast-forward chunk.
 func Execute(ctx context.Context, c CellSpec, workers int, st *store.Store) (StoreEntry, error) {
 	if err := c.Sampling.Validate(); err != nil {

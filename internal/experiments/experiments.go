@@ -79,16 +79,12 @@ type Runner struct {
 	// (core.Options.IntraWorkers). The runner's goroutine budget is shared:
 	// with IntraWorkers > 1 the grid fan-out shrinks to
 	// max(1, Workers/IntraWorkers), so grid-level times in-run parallelism
-	// stays bounded by the configured worker count in bound-weave epochs
-	// and fast-forward. Exact detailed phases are the exception: they
-	// always run one stage goroutine per core beside the weave, so there
-	// a cell runs cores+1 goroutines whatever the count. Zero gives the
-	// whole budget to the grid and steps each cell's fast-forward and
-	// bound phases on one worker.
+	// stays bounded by the configured worker count in fast-forward.
+	// Detailed phases are the exception: they always run one stage
+	// goroutine per core beside the weave, so there a cell runs cores+1
+	// goroutines whatever the count. Zero gives the whole budget to the
+	// grid and steps each cell's fast-forward on one worker.
 	IntraWorkers int
-	// EpochBlocks is the bound-weave epoch depth K forwarded to every cell
-	// (core.Options.EpochBlocks); 0/1 is the exact mode.
-	EpochBlocks int
 	// Sampling, when enabled, runs every cell in SMARTS-style sampled
 	// mode: warm-up by functional fast-forward (reusing durable warm
 	// snapshots when Store is set), then windowed detailed measurement
@@ -336,7 +332,6 @@ func (r *Runner) options() core.Options {
 	opt := core.DefaultOptions()
 	opt.Cores = r.Scale.Cores
 	opt.IntraWorkers = r.IntraWorkers
-	opt.EpochBlocks = r.EpochBlocks
 	return opt
 }
 

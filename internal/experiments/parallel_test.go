@@ -80,7 +80,7 @@ func TestParallelDeterminism(t *testing.T) {
 		name                  string
 		workers, intraWorkers int
 	}{
-		// Grid-level fan-out alone, in-run bound-weave workers alone, and
+		// Grid-level fan-out alone, in-run fast-forward workers alone, and
 		// both at once: every combination must reproduce the serial grid
 		// bit-exactly (the runner splits its goroutine budget between the
 		// two levels, so 8×2 runs ~4 concurrent cells of 2 stepping workers).

@@ -167,17 +167,6 @@ func TestCellStoreKeyIdentity(t *testing.T) {
 	if key(intra, core.Base1K) != ref {
 		t.Error("IntraWorkers changed the store key")
 	}
-	// EpochBlocks 0 and 1 are the same exact mode; K=2 is a different model.
-	k1 := base
-	k1.EpochBlocks = 1
-	if key(k1, core.Base1K) != ref {
-		t.Error("EpochBlocks=1 diverged from the 0 default")
-	}
-	k2 := base
-	k2.EpochBlocks = 2
-	if key(k2, core.Base1K) == ref {
-		t.Error("EpochBlocks=2 shares the exact mode's key")
-	}
 	// Zero-valued sentinels and their explicit defaults are one cell.
 	sparse := core.Options{Cores: 2}
 	if key(sparse, core.Base1K) != ref {
@@ -294,9 +283,9 @@ func TestCellKeyCoversEveryField(t *testing.T) {
 		old.Set(v)
 		switch v.Kind() {
 		case reflect.Int, reflect.Int64:
-			v.SetInt(v.Int() + 2) // +2: EpochBlocks 0 and 1 are one mode
+			v.SetInt(v.Int() + 1)
 		case reflect.Uint64:
-			v.SetUint(v.Uint() + 2)
+			v.SetUint(v.Uint() + 1)
 		case reflect.Float64:
 			v.SetFloat(v.Float()*2 + 1)
 		case reflect.Bool:

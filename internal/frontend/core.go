@@ -24,16 +24,6 @@ type HistoryRecorder interface {
 	Record(blockNumber uint64)
 }
 
-// MemPort is the core's window onto the shared memory hierarchy: demand
-// misses and prefetch schedules obtain their fill latency through it. The
-// default is the wired *mem.Hierarchy directly; the CMP's epoch engine
-// swaps in a probe-and-log port (mem.BoundPort) for bound phases, so cores
-// can step concurrently against frozen shared state while the real LLC
-// mutations are replayed in canonical order at the weave barrier.
-type MemPort interface {
-	AccessLatency(core int, block isa.Addr) (cycles int, llcHit bool)
-}
-
 // Config assembles one core's frontend.
 type Config struct {
 	CoreID int
@@ -144,11 +134,6 @@ type Core struct {
 	// (basic blocks are short; larger n falls back to dividing).
 	issueTab [64]float64
 
-	// port, when non-nil, overrides cfg.Hier for shared-memory latencies
-	// (bound phases). Nil keeps the direct, devirtualized hierarchy call on
-	// the hot path.
-	port MemPort
-
 	// ffLog, when on, receives FastStep's shared-state writes instead of
 	// the LLC and the history (DeferFF). It lives inside the core, so
 	// cores fast-forwarding concurrently never write a shared cache line;
@@ -204,27 +189,9 @@ func (c *Core) Prefetcher() prefetch.Prefetcher { return c.cfg.Prefetcher }
 // BTB exposes the wired BTB design (diagnostics).
 func (c *Core) BTB() btb.Design { return c.cfg.BTB }
 
-// Recorder returns the currently wired history recorder (nil on non-
-// generator cores).
-func (c *Core) Recorder() HistoryRecorder { return c.cfg.Recorder }
-
-// SetRecorder replaces the history recorder — the epoch engine wraps a
-// generator core's recorder in a deferring log for bound-weave runs.
-func (c *Core) SetRecorder(r HistoryRecorder) { c.cfg.Recorder = r }
-
-// SetMemPort routes shared-memory latencies through p instead of the wired
-// hierarchy; nil restores the direct path. Swapping the port changes where
-// LLC state lives in time (probe-and-log vs immediate), not the latency
-// function, so a port answering from live state is bit-identical to nil.
-func (c *Core) SetMemPort(p MemPort) { c.port = p }
-
 // fillLatency returns the shared-hierarchy latency for a block access
-// (demand or prefetch), through the bound port when one is installed.
+// (demand or prefetch).
 func (c *Core) fillLatency(b isa.Addr) int {
-	if c.port != nil {
-		lat, _ := c.port.AccessLatency(c.cfg.CoreID, b)
-		return lat
-	}
 	lat, _ := c.cfg.Hier.AccessLatency(c.cfg.CoreID, b)
 	return lat
 }

@@ -248,8 +248,8 @@ func asExpr(n ast.Node) ast.Expr {
 
 // BareGoroutine bans `go` statements in simulation packages:
 // simulation-side concurrency must go through internal/parallel's
-// deterministic fan-out or the cmp epoch engine (whose worker pool
-// carries an explicit //confluence:allow with the weave-barrier
+// deterministic fan-out or the cmp engine (whose fast-forward pool
+// carries an explicit //confluence:allow with the chunk-barrier replay
 // argument). Infra packages schedule goroutines freely.
 var BareGoroutine = &Analyzer{
 	Name: "baregoroutine",

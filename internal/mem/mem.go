@@ -113,62 +113,6 @@ func (h *Hierarchy) AccessLatency(core int, block isa.Addr) (cycles int, llcHit 
 	return lat + h.cfg.MemCycles, false
 }
 
-// Probe returns exactly what AccessLatency would return right now — the
-// latency for tile `core` to obtain `block`, and whether the LLC holds it —
-// without mutating the LLC contents, the replacement state, or the
-// counters. It is the read-only view the bound phase of the epoch engine
-// steps against: concurrent Probes are safe as long as no mutation runs.
-func (h *Hierarchy) Probe(core int, block isa.Addr) (cycles int, llcHit bool) {
-	b := h.bank(block)
-	lat := h.cfg.Mesh.RoundTrip(core, b) + h.cfg.LLCHitCycles
-	if h.llc.Contains(key(block)) {
-		return lat, true
-	}
-	return lat + h.cfg.MemCycles, false
-}
-
-// BoundOp is one logged LLC access: the shared-structure half of a demand
-// miss or prefetch issue deferred from a bound phase to the weave barrier.
-type BoundOp struct {
-	Block isa.Addr
-	Core  int32
-}
-
-// BoundPort is a core's deferred window onto the Hierarchy during a bound
-// phase: AccessLatency answers from the frozen LLC contents via Probe and
-// logs the access; Apply replays the log against the live hierarchy — LRU
-// updates, insertions, evictions, and hit/miss counters — in call order at
-// the weave barrier. One port serves one core, so ports log concurrently
-// without coordination while Apply runs serially in canonical core order.
-type BoundPort struct {
-	h   *Hierarchy
-	ops []BoundOp
-}
-
-// NewBoundPort creates an empty port over h.
-func NewBoundPort(h *Hierarchy) *BoundPort { return &BoundPort{h: h} }
-
-// AccessLatency implements the frontend's memory port with probe-and-log
-// semantics (see BoundPort).
-func (p *BoundPort) AccessLatency(core int, block isa.Addr) (cycles int, llcHit bool) {
-	p.ops = append(p.ops, BoundOp{Block: block, Core: int32(core)})
-	return p.h.Probe(core, block)
-}
-
-// Apply replays the logged accesses against the hierarchy and clears the
-// log. The latencies the replay produces are discarded — timing was charged
-// from the bound-phase probes; what Apply establishes is the canonical
-// post-epoch LLC state every core's next epoch reads.
-func (p *BoundPort) Apply() {
-	for _, op := range p.ops {
-		p.h.AccessLatency(int(op.Core), op.Block)
-	}
-	p.ops = p.ops[:0]
-}
-
-// Pending returns the number of unapplied logged accesses (tests).
-func (p *BoundPort) Pending() int { return len(p.ops) }
-
 // Warm touches the LLC with a demand for block without charging latency
 // or counters — the functional fast-forward path's view of the
 // hierarchy. Contents and replacement state evolve exactly as under

@@ -78,24 +78,7 @@ type PhantomBTB struct {
 	// every homogeneous run — is the identity.
 	asBase isa.Addr
 
-	// deferred switches the shared store to bound-phase semantics: reads
-	// answer from the frozen contents (Peek, no LRU/counter update) and
-	// every store operation is logged instead of applied; ApplyLog replays
-	// the log at the weave barrier. Private state (L1, prefetch buffer,
-	// group formation, pending fills) always updates immediately.
-	deferred bool
-	log      []storeOp
-
 	GroupFills, GroupHits uint64
-}
-
-// storeOp is one logged shared-store operation: a group-table probe (the
-// LRU touch and hit/miss accounting of a Lookup) or a completed-group
-// insertion.
-type storeOp struct {
-	region uint64
-	g      group
-	insert bool
 }
 
 type pendingFill struct {
@@ -162,45 +145,12 @@ func (p *PhantomBTB) Lookup(now float64, bb, brPC isa.Addr) btb.Result {
 	// First-level miss: trigger a group prefetch for this region and let
 	// Resolve append the missing entry to the forming group.
 	p.missPend = true
-	r := region(bb | p.asBase)
-	if p.deferred {
-		p.log = append(p.log, storeOp{region: r})
-		if g, ok := p.store.groups.Peek(r); ok {
-			p.pending = append(p.pending, pendingFill{ready: now + p.metaLatency, g: g})
-			p.GroupFills++
-		}
-	} else if g, ok := p.store.groups.Lookup(r); ok {
+	if g, ok := p.store.groups.Lookup(region(bb | p.asBase)); ok {
 		p.pending = append(p.pending, pendingFill{ready: now + p.metaLatency, g: g})
 		p.GroupFills++
 	}
 	return btb.Result{}
 }
-
-// SetDeferred switches the shared group store between immediate and
-// bound-phase (probe-and-log) semantics; see the deferred field. Turning
-// deferral off does not discard a pending log — ApplyLog drains it.
-func (p *PhantomBTB) SetDeferred(on bool) { p.deferred = on }
-
-// ApplyLog replays the logged store operations — probe touches and group
-// insertions, in call order — against the shared store and clears the log.
-// The weave barrier calls this per core in canonical order, so the store's
-// contents, replacement state, and counters evolve identically for any
-// bound-phase worker count.
-func (p *PhantomBTB) ApplyLog() {
-	for i := range p.log {
-		op := &p.log[i]
-		if op.insert {
-			p.store.groups.Insert(op.region, op.g)
-		} else {
-			p.store.groups.Lookup(op.region)
-		}
-	}
-	p.log = p.log[:0]
-}
-
-// PendingLog returns the number of unapplied logged store operations
-// (tests).
-func (p *PhantomBTB) PendingLog() int { return len(p.log) }
 
 func (p *PhantomBTB) insertL1(k uint64, e btb.Entry) {
 	p.l1.Insert(k, e)
@@ -229,11 +179,7 @@ func (p *PhantomBTB) Resolve(now float64, bb isa.Addr, nInstr int, br trace.Bran
 	p.cur.entries[p.cur.n] = taggedEntry{key: k, e: e}
 	p.cur.n++
 	if p.cur.n == GroupEntries {
-		if p.deferred {
-			p.log = append(p.log, storeOp{region: p.curRegion, g: p.cur, insert: true})
-		} else {
-			p.store.groups.Insert(p.curRegion, p.cur)
-		}
+		p.store.groups.Insert(p.curRegion, p.cur)
 		p.curValid = false
 	}
 }

@@ -11,10 +11,6 @@ import (
 // unexported (values never leave the package in live operation), so the
 // snapshot forms below mirror them field-for-field in exported shape —
 // gob cannot serialize unexported fields. Conversions are lossless.
-//
-// Snapshots are captured at phase boundaries, where the bound-phase
-// deferred log is empty by construction (ApplyLog runs at every weave
-// barrier), so the log is not part of the state.
 
 // GroupState is the exported form of one temporal group.
 type GroupState struct {
@@ -31,12 +27,17 @@ func exportGroup(g group) GroupState {
 	return out
 }
 
-func importGroup(st GroupState) group {
+// importGroup rejects an entry count outside the group's capacity: the
+// group would index past its entries once the restored state runs.
+func importGroup(st GroupState) (group, error) {
+	if st.N < 0 || st.N > GroupEntries {
+		return group{}, fmt.Errorf("phantom: snapshot group holds %d entries, capacity %d", st.N, GroupEntries)
+	}
 	g := group{n: st.N}
 	for i := range g.entries {
 		g.entries[i] = taggedEntry{key: st.Keys[i], e: st.Entries[i]}
 	}
-	return g
+	return g, nil
 }
 
 // StoreState is the serializable state of the shared group Store.
@@ -60,7 +61,10 @@ func (s *Store) ExportState() StoreState {
 func (s *Store) RestoreState(st StoreState) error {
 	vals := make([]group, len(st.Vals))
 	for i, g := range st.Vals {
-		vals[i] = importGroup(g)
+		var err error
+		if vals[i], err = importGroup(g); err != nil {
+			return err
+		}
 	}
 	return s.groups.RestoreState(st.Groups, vals)
 }
@@ -108,25 +112,34 @@ func (p *PhantomBTB) ExportState() State {
 }
 
 // RestoreState overwrites the per-core state from a snapshot; geometry
-// must match. A restore with a non-empty deferred log would lose logged
-// operations, so it is rejected.
+// must match.
 func (p *PhantomBTB) RestoreState(st State) error {
-	if len(p.log) != 0 {
-		return fmt.Errorf("phantom: restore with %d unapplied logged store ops", len(p.log))
-	}
 	if err := p.l1.RestoreState(st.L1, st.L1Vals); err != nil {
 		return err
 	}
 	if err := p.pfbuf.RestoreState(st.PF, st.PFVals); err != nil {
 		return err
 	}
-	p.cur = importGroup(st.Cur)
+	cur, err := importGroup(st.Cur)
+	if err != nil {
+		return err
+	}
+	// A forming group is inserted the moment it fills, so a valid one
+	// always has room for the next entry.
+	if st.CurValid && cur.n == GroupEntries {
+		return fmt.Errorf("phantom: snapshot forming group is already full")
+	}
+	p.cur = cur
 	p.curRegion = st.CurRegion
 	p.curValid = st.CurValid
 	p.missPend = st.MissPend
 	p.pending = p.pending[:0]
 	for _, f := range st.Pending {
-		p.pending = append(p.pending, pendingFill{ready: f.Ready, g: importGroup(f.G)})
+		g, err := importGroup(f.G)
+		if err != nil {
+			return err
+		}
+		p.pending = append(p.pending, pendingFill{ready: f.Ready, g: g})
 	}
 	return nil
 }

@@ -64,3 +64,33 @@ func TestStateRestoreRejectsGeometryMismatch(t *testing.T) {
 		t.Error("store restore into mismatched capacity succeeded")
 	}
 }
+
+// TestStateRestoreRejectsOverfullGroups: a snapshot group claiming more
+// entries than a line holds, or a forming group with no room left, would
+// index past the entries once the restored state runs; restore fails
+// closed instead.
+func TestStateRestoreRejectsOverfullGroups(t *testing.T) {
+	store := NewStore(1024)
+	p := New("pb", 64, 4, 16, store, 20)
+	for i := 0; i < GroupEntries+2; i++ {
+		missAndResolve(p, float64(i), 0x8000+isa.Addr(i*8))
+	}
+	st, sst := p.ExportState(), store.ExportState()
+
+	for name, mutate := range map[string]func(*State){
+		"pending":  func(s *State) { s.Pending[0].G.N = GroupEntries + 1 },
+		"negative": func(s *State) { s.Cur.N = -1 },
+		"full-cur": func(s *State) { s.Cur.N, s.CurValid = GroupEntries, true },
+	} {
+		bad := st
+		mutate(&bad)
+		if err := New("pb", 64, 4, 16, NewStore(1024), 20).RestoreState(bad); err == nil {
+			t.Errorf("%s: restore of an overfull group succeeded", name)
+		}
+	}
+	sst.Vals = append([]GroupState(nil), sst.Vals...)
+	sst.Vals[0].N = GroupEntries + 1
+	if err := NewStore(1024).RestoreState(sst); err == nil {
+		t.Error("store restore of an overfull group succeeded")
+	}
+}

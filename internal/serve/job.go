@@ -303,7 +303,6 @@ func executeMixStudy(ctx context.Context, spec *confluence.JobSpec, storeDir str
 		r.Workers = 1
 	}
 	r.IntraWorkers = spec.IntraParallelism
-	r.EpochBlocks = spec.EpochBlocks
 	r.OnProgress = emit
 	rows, err := r.MixStudyFor(ctx, [][]*confluence.Workload{mix}, designs)
 	if err != nil {

@@ -261,8 +261,8 @@ func (s *Server) Submit(spec *confluence.JobSpec) (*Job, error) {
 }
 
 // Cancel cancels a job: a queued job leaves the queue immediately
-// (freeing its slot), a running job's context is cancelled and the epoch
-// engine stops within a few epochs. Cancelling a terminal job is a no-op.
+// (freeing its slot), a running job's context is cancelled and the
+// engine stops at its next barrier. Cancelling a terminal job is a no-op.
 // It reports whether the job exists.
 func (s *Server) Cancel(id string) (*Job, bool) {
 	s.mu.Lock()

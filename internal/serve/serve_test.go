@@ -411,7 +411,7 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 // TestCancelMidSimulation cancels a real running simulation (huge
-// instruction target) and expects the epoch engine to stop early.
+// instruction target) and expects the engine to stop early.
 func TestCancelMidSimulation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	spec := tinySpec()

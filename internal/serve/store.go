@@ -12,7 +12,8 @@ import (
 // hashed from: the result-determining JobSpec fields, normalized, plus the
 // code version. Scheduling knobs are absent — Priority orders the queue
 // and Parallelism/IntraParallelism split goroutines, none of which can
-// change results (EpochBlocks can, and stays).
+// change results. The spec's no-op compatibility field stays as sent, so
+// the job key of every accepted spec stays what it was.
 type jobKeyMaterial struct {
 	Version string             `json:"version"`
 	Spec    confluence.JobSpec `json:"spec"`

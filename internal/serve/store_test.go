@@ -175,10 +175,15 @@ func TestJobStoreKeyNormalization(t *testing.T) {
 	if key(design) == ref {
 		t.Error("design not part of the job store key")
 	}
-	k2 := tinySpec()
-	k2.EpochBlocks = 2
-	if key(k2) == ref {
-		t.Error("EpochBlocks not part of the job store key")
+	// Pinned literals: job keys of stored entries must not move. The
+	// compatibility field epoch_blocks stays in the key exactly as sent.
+	if ref != "ecb06bd815aa146e2d317920105d01cdbcd5a817a14709bfd9b737f9dc3843d8" {
+		t.Errorf("tinySpec job key = %s, moved from its pinned value", ref)
+	}
+	k1 := tinySpec()
+	k1.EpochBlocks = 1
+	if got := key(k1); got != "c4552d4bde0fce42770aac4ee1aeabb368070f7ce8a7caaca610eb44890561eb" {
+		t.Errorf("tinySpec+epoch_blocks=1 job key = %s, moved from its pinned value", got)
 	}
 
 	// Trace replays are not job-level cacheable.

@@ -222,34 +222,6 @@ func (h *History) Len() int {
 // IndexLen returns the number of live index entries (tests).
 func (h *History) IndexLen() int { return h.idxN }
 
-// Deferred buffers Record calls during a bound phase and replays them into
-// the real recorder at the weave barrier. The generator core logs into its
-// own Deferred concurrently with every other core reading the frozen
-// History (Find/Next are read-only), so the bound phase never mutates the
-// shared buffer; Apply runs serially in canonical core order, making the
-// history's evolution identical for any worker count.
-type Deferred struct {
-	// Target is the recorder the log replays into — the shared (or
-	// per-core) History, or any other Record sink.
-	Target interface{ Record(uint64) }
-	keys   []uint64
-}
-
-// Record implements the frontend's HistoryRecorder by logging the key.
-func (d *Deferred) Record(blockNumber uint64) { d.keys = append(d.keys, blockNumber) }
-
-// Apply replays the logged keys into Target in call order and clears the
-// log.
-func (d *Deferred) Apply() {
-	for _, k := range d.keys {
-		d.Target.Record(k)
-	}
-	d.keys = d.keys[:0]
-}
-
-// Pending returns the number of unapplied logged keys (tests).
-func (d *Deferred) Pending() int { return len(d.keys) }
-
 // blockTag converts an address-space base into block-number space: history
 // entries are block numbers, so the tag rides ASIDShift-BlockShift bits up.
 func blockTag(base isa.Addr) uint64 { return uint64(base) >> isa.BlockShift }

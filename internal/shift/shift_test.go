@@ -251,36 +251,3 @@ func TestEngineASIDIsolation(t *testing.T) {
 		t.Errorf("IndexMisses = %d, want 1", eA.IndexMisses)
 	}
 }
-
-// TestDeferredRecorder: Deferred buffers Record calls without touching the
-// target and replays them in order on Apply, leaving the history exactly as
-// direct recording would.
-func TestDeferredRecorder(t *testing.T) {
-	direct := NewHistory(64)
-	target := NewHistory(64)
-	d := &Deferred{Target: target}
-	keys := []uint64{1, 2, 3, 2, 9, 1, 1, 4}
-	for _, k := range keys {
-		direct.Record(k)
-		d.Record(k)
-	}
-	if target.Len() != 0 || target.Records != 0 {
-		t.Fatal("Deferred mutated its target before Apply")
-	}
-	if d.Pending() != len(keys) {
-		t.Fatalf("Pending = %d, want %d", d.Pending(), len(keys))
-	}
-	d.Apply()
-	if d.Pending() != 0 {
-		t.Fatal("Apply did not clear the log")
-	}
-	if target.Len() != direct.Len() || target.Records != direct.Records || target.Filtered != direct.Filtered {
-		t.Errorf("applied history diverged: len %d/%d records %d/%d filtered %d/%d",
-			target.Len(), direct.Len(), target.Records, direct.Records, target.Filtered, direct.Filtered)
-	}
-	for pos := 0; pos < direct.Len(); pos++ {
-		if direct.buf[pos] != target.buf[pos] {
-			t.Fatalf("buffer slot %d diverged: %d vs %d", pos, target.buf[pos], direct.buf[pos])
-		}
-	}
-}

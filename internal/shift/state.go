@@ -41,6 +41,24 @@ func (h *History) RestoreState(st HistoryState) error {
 		return fmt.Errorf("shift: history snapshot sized %d/%d does not match buffer %d/%d",
 			len(st.Buf), len(st.Idx), len(h.buf), len(h.idx))
 	}
+	if st.Head < 0 || st.Head >= len(st.Buf) || st.RHead < 0 || st.RHead >= recentDepth {
+		return fmt.Errorf("shift: history snapshot write positions %d/%d out of range", st.Head, st.RHead)
+	}
+	// Live index entries point into the buffer, one at most per buffer
+	// slot, which leaves the open-addressed table the empty slots its
+	// probes stop at.
+	live := 0
+	for _, p := range st.Idx {
+		if p >= int32(len(st.Buf)) || p < -1 {
+			return fmt.Errorf("shift: history snapshot index points at %d of %d", p, len(st.Buf))
+		}
+		if p >= 0 {
+			live++
+		}
+	}
+	if live != st.IdxN || live > len(st.Buf) {
+		return fmt.Errorf("shift: history snapshot index holds %d entries, claims %d", live, st.IdxN)
+	}
 	copy(h.buf, st.Buf)
 	h.head = st.Head
 	h.filled = st.Filled

@@ -34,3 +34,34 @@ func TestHistoryStateRejectsSizeMismatch(t *testing.T) {
 		t.Error("restore into mismatched buffer size succeeded")
 	}
 }
+
+// TestHistoryStateRejectsBadPositions: write positions outside the
+// buffer, index entries pointing past it, and an index without the empty
+// slot its probes stop at are no live state; restore fails closed.
+func TestHistoryStateRejectsBadPositions(t *testing.T) {
+	h := NewHistory(64)
+	for i := 0; i < 100; i++ {
+		h.Record(uint64(0x4000 + i*64))
+	}
+	st := h.ExportState()
+	for name, mutate := range map[string]func(*HistoryState){
+		"head":      func(s *HistoryState) { s.Head = -1 },
+		"head-end":  func(s *HistoryState) { s.Head = len(s.Buf) },
+		"rhead":     func(s *HistoryState) { s.RHead = recentDepth },
+		"idx-range": func(s *HistoryState) { s.Idx[0] = int32(len(s.Buf)) },
+		"idx-count": func(s *HistoryState) { s.IdxN++ },
+		"idx-full": func(s *HistoryState) {
+			for i := range s.Idx {
+				s.Idx[i] = 0
+			}
+			s.IdxN = len(s.Idx)
+		},
+	} {
+		bad := st
+		bad.Idx = append([]int32(nil), st.Idx...)
+		mutate(&bad)
+		if err := NewHistory(64).RestoreState(bad); err == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
+	}
+}

@@ -63,10 +63,13 @@ type JobSpec struct {
 	MeasureInstr uint64 `json:"measure_instr,omitempty"`
 	NoWarmup     bool   `json:"no_warmup,omitempty"`
 
-	// Parallelism knobs (Config semantics; K = EpochBlocks).
+	// Parallelism knobs (Config semantics).
 	Parallelism      int `json:"parallelism,omitempty"`
 	IntraParallelism int `json:"intra_parallelism,omitempty"`
-	EpochBlocks      int `json:"epoch_blocks,omitempty"`
+	// EpochBlocks is accepted for compatibility and has no effect: 0 and
+	// 1 name the exact mode every job runs in, and larger values (the
+	// removed bound-weave approximation) are rejected.
+	EpochBlocks int `json:"epoch_blocks,omitempty"`
 
 	// Sampled execution (Config.Sampling semantics): the fields map
 	// onto the Sampling plan field for field; all zero runs exact.
@@ -150,6 +153,9 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Cores < 0 || s.Parallelism < 0 || s.IntraParallelism < 0 || s.EpochBlocks < 0 {
 		return bad("cores/parallelism/intra_parallelism/epoch_blocks must be non-negative")
+	}
+	if s.EpochBlocks > 1 {
+		return bad("epoch_blocks > 1 (bound-weave K>1) was removed; omit the field")
 	}
 	if s.SampleWindows < 0 {
 		return bad("sample_windows must be non-negative")
@@ -243,7 +249,6 @@ func (s *JobSpec) baseConfig() Config {
 		TraceDir:         s.TraceDir,
 		Parallelism:      s.Parallelism,
 		IntraParallelism: s.IntraParallelism,
-		EpochBlocks:      s.EpochBlocks,
 		Sampling:         s.sampling(),
 	}
 }
@@ -388,7 +393,6 @@ func SpecFromConfig(cfg Config) (*JobSpec, error) {
 		NoWarmup:                cfg.NoWarmup,
 		Parallelism:             cfg.Parallelism,
 		IntraParallelism:        cfg.IntraParallelism,
-		EpochBlocks:             cfg.EpochBlocks,
 		SampleWindowInstr:       cfg.Sampling.WindowInstr,
 		SamplePeriodInstr:       cfg.Sampling.PeriodInstr,
 		SampleWindows:           cfg.Sampling.Windows,

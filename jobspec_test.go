@@ -37,6 +37,7 @@ var malformedSpecs = []struct{ name, body string }{
 	{"trailing data", `{"design":"Base1K","workload":"DSS-Qrys"} extra`},
 	{"second JSON object", `{"design":"Base1K","workload":"DSS-Qrys"}{}`},
 	{"not an object", `[1,2,3]`},
+	{"removed bound-weave depth", `{"design":"Base1K","workload":"DSS-Qrys","epoch_blocks":8}`},
 }
 
 func TestParseJobSpecStrictness(t *testing.T) {
@@ -56,7 +57,7 @@ func FuzzParseJobSpec(f *testing.F) {
 	for _, s := range []JobSpec{
 		{Kind: KindPoint, Workload: "OLTP-DB2", Design: "Confluence", Cores: 2, WarmupInstr: 30_000, MeasureInstr: 60_000, Parallelism: 2, Priority: 3,
 			Profile: &ProfileTweak{Functions: 520, RequestTypes: 6, Concurrency: 6, Seed: &seed}},
-		{Mix: []string{"DSS-Qrys", "KeyValue"}, Design: "Base1K", NoWarmup: true, EpochBlocks: 4},
+		{Mix: []string{"DSS-Qrys", "KeyValue"}, Design: "Base1K", NoWarmup: true, EpochBlocks: 1},
 		{Kind: KindSweep, Workloads: []string{"DSS-Qrys", "KeyValue"}, Designs: []string{"Base1K", "Ideal"}},
 		{Kind: KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue"}, IntraParallelism: 2},
 		{Workload: "DSS-Qrys", Design: "Base1K", SampleWindowInstr: 6000, SamplePeriodInstr: 60_000, SampleWindows: 8, SampleWindowWarmupInstr: 3000, SampleJitterSeed: 1},

@@ -10,7 +10,7 @@ import (
 // contract against the same golden file the live simulator answers to: a
 // grid run with Config.StoreDir populates the store and matches
 // testdata/golden.json, and a second pass — served entirely from disk —
-// reproduces every metric bit-for-bit. This is the K=1 anchor across
+// reproduces every metric bit-for-bit. This is the determinism anchor across
 // process boundaries: stored bytes are the simulation's bytes.
 func TestGoldenStatsThroughStore(t *testing.T) {
 	dir := t.TempDir()
