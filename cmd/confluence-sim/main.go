@@ -3,70 +3,78 @@
 //
 // Usage:
 //
-//	confluence-sim [-scale small|default|paper] [-workers N] [-intra-workers N] [-run fig1,table2,fig6,...] [-store DIR] [-sample] [-v]
-//	confluence-sim -trace CAPTURE_DIR [-trace-workload NAME] [-scale ...]
+//	confluence-sim [-scale small|default|paper] [-workers N] [-intra-workers N] [-run fig1,table2,fig6,probe,...] [-workload NAME] [-store DIR] [-sample] [-v]
+//	confluence-sim -trace CAPTURE_DIR [-workload NAME] [-scale ...]
 //	confluence-sim -mix OLTP-DB2,Web-Frontend [-scale ...]
-//	confluence-sim -job job.json [-v]
+//	confluence-sim -job job.json [-store DIR] [-v]
 //	confluence-sim -fleet-coordinator DIR -job job.json -store DIR [-fleet-lease-ttl D] [-v]
-//	confluence-sim -fleet-worker DIR [-v]
+//	confluence-sim -fleet-worker DIR [-fleet-lease-ttl D] [-v]
+//
+// The modes are -trace, -mix, -job, -fleet-coordinator and -fleet-worker;
+// without one, the binary runs the -run experiments. A flag the selected
+// mode would ignore (-run with any mode, -workload with -mix, -sample
+// with -job, two modes at once, ...) exits 2 naming it.
+//
+// The standalone tools this binary absorbed map onto it as:
+//
+//	btbsweep [-workload W]                     confluence-sim -run fig1 [-workload W]
+//	frontend-probe -workload W                 confluence-sim -run probe -workload W
+//	frontend-probe -trace DIR [-workload W]    confluence-sim -trace DIR [-workload W]
+//	confluence-sim -trace DIR -trace-workload W    confluence-sim -trace DIR -workload W
+//
+// frontend-probe's -cores and -instr are the scale's cores and per-core
+// warmup/measure counts (its defaults, 8 cores and 1.5M, are -scale
+// default).
 //
 // The default runs everything at the "default" scale (8 cores, 3M
 // instructions per core), fanning independent simulation cells out across
 // all CPUs. REPRO_SCALE overrides the default scale; REPRO_WORKERS (or
 // -workers) bounds the worker pool. -intra-workers additionally fast-forwards
 // the cores of each sampled simulation in parallel (the -workers budget is
-// split between the two levels). Results are bit-identical for any worker
+// split between the two levels). -workload limits the suite to one
+// workload for every experiment. Results are bit-identical for any worker
 // count. Ctrl-C cancels cleanly between cells.
 //
-// With -trace, the binary replays a capture directory (written by
-// `tracegen -cores`) through the timing model instead of the synthetic
-// suite, running the paper's headline design points on it. Naming the
-// capture's source workload with -trace-workload restores its program
-// image and timing calibration, making the replay bit-identical to the
-// live run that produced the capture.
+// The probe experiment shows where a workload's cycles go: a
+// characterization of its instruction stream, then Figure 6's cells with
+// IPC, miss rates and the per-kilo-instruction cycle decomposition.
+//
+// With -trace, the binary runs the probe over a capture directory
+// (written by `tracegen -cores`) replayed through the timing model.
+// Naming the capture's source workload with -workload restores its
+// program image and timing calibration, making the replay bit-identical
+// to the live run that produced the capture.
 //
 // With -mix, the binary consolidates the named workloads onto one CMP
 // (core i runs workload i mod N) and runs the consolidation study on that
-// single mix: the history-sharing design points, each with the
-// shared-vs-private SHIFT history ablation, reported as harmonic-mean IPC
-// and weighted speedup against each workload running alone. The full 2-,
-// 4-, and 5-workload sweep runs as the `mixstudy` experiment.
+// mix; the `mixstudy` experiment sweeps 2-, 4- and 5-workload mixes.
 //
 // With -job, the binary executes a serialized JobSpec (the same JSON
 // schema the confluence-serve daemon accepts) through the daemon's
 // executor, so a spec can be debugged locally before being submitted to a
 // server — the results are identical by construction.
 //
-// With -sample, simulations run in SMARTS-style sampled mode: warm-up
-// advances through functional fast-forward (only history-relevant state —
-// predictors, BTBs, caches, SHIFT history — evolves) and the measure
-// region is covered by periodic detailed windows whose per-window
-// statistics carry 95% confidence intervals, cutting detailed-simulated
-// instructions ~10-20x at sub-percent IPC/MPKI error. Combined with
-// -store, the warm-up state is checkpointed and reused across design
-// points sharing a workload. Exact mode (no flag) remains the golden
-// anchor.
+// With -sample, simulations run in SMARTS-style sampled mode: functional
+// fast-forward warm-up, then periodic detailed windows whose statistics
+// carry 95% confidence intervals, at ~10-20x fewer detailed instructions.
+// With -store, warm-up state is checkpointed and reused across design
+// points. Exact mode (no flag) remains the golden anchor.
 //
-// With -store, completed simulation cells persist to a content-addressed
-// on-disk result store, and cells whose inputs are already stored are
-// served from it without simulating: a run killed mid-grid resumes from
-// its completed cells on the next invocation, with byte-identical output.
-// The flag composes with every mode; a summary of store traffic prints to
-// stderr on exit.
+// With -store, completed cells persist to a content-addressed on-disk
+// result store and stored cells are served from it, so a run killed
+// mid-grid resumes with byte-identical output; a summary of store traffic
+// prints to stderr on exit. Fleet workers use the store their fleet's
+// manifest names instead.
 //
 // With -fleet-coordinator, the binary publishes the -job spec's grid as a
-// lease-based fleet rooted at DIR and participates in it: any number of
-// `confluence-sim -fleet-worker DIR` processes (started before or after,
-// on the same filesystem) pull unclaimed cells work-stealing style, and
-// SIGKILLed workers' cells are reclaimed when their leases expire. With
-// zero workers attached the coordinator executes the whole grid inline.
-// Either way stdout is byte-identical to the plain `-job` run: the final
-// result is always served from the -store in canonical order. Cells that
-// keep failing are quarantined after their retry budget; the coordinator
-// then exits non-zero listing them (the healthy cells' results remain in
-// the store). Fleet progress goes to stderr only. The
-// CONFLUENCE_FLEET_CHAOS environment variable injects faults for the
-// robustness harness (see internal/fleet).
+// lease-based fleet rooted at DIR and works it alongside any number of
+// `confluence-sim -fleet-worker DIR` processes on the same filesystem;
+// SIGKILLed workers' cells are reclaimed when their leases expire, and
+// with no workers the coordinator runs the whole grid itself. Stdout is
+// byte-identical to the plain `-job` run; fleet progress goes to stderr.
+// Cells that keep failing are quarantined and the coordinator exits
+// non-zero listing them. The CONFLUENCE_FLEET_CHAOS environment variable
+// injects faults for the robustness harness (see internal/fleet).
 package main
 
 import (
@@ -74,6 +82,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -82,17 +91,25 @@ import (
 	"confluence/internal/experiments"
 	"confluence/internal/fleet"
 	"confluence/internal/serve"
+	"confluence/internal/stats"
 	"confluence/internal/store"
 )
 
+// simFlags are the flags shared by every mode that builds a Runner.
+type simFlags struct {
+	workers, intraWorkers int
+	storeDir              string
+	sample, verbose       bool
+}
+
 func main() {
 	scaleFlag := flag.String("scale", "", "simulation scale: small, default, or paper")
-	runFlag := flag.String("run", "all", "comma-separated experiments: fig1,table2,fig2,fig6,fig7,fig8,fig9,fig10,ablations,mixstudy,all")
+	runFlag := flag.String("run", "all", "comma-separated experiments: "+experimentNames())
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = REPRO_WORKERS or GOMAXPROCS)")
 	intraWorkers := flag.Int("intra-workers", 0, "fast-forward workers inside each simulation (0/1 = serial for grid cells; the -workers budget is split between levels)")
 	verbose := flag.Bool("v", false, "print per-run progress")
-	traceDir := flag.String("trace", "", "replay a capture directory through the timing model instead of the synthetic suite")
-	traceWorkload := flag.String("trace-workload", "", "workload the capture was taken from (restores program image + calibration)")
+	traceDir := flag.String("trace", "", "run the probe over a capture directory replayed through the timing model instead of the synthetic suite")
+	workload := flag.String("workload", "", "limit the suite to this workload; with -trace, the capture's source workload (restores program image + calibration)")
 	mixFlag := flag.String("mix", "", "comma-separated workload names: run the consolidation study on this mix (core i runs workload i mod N)")
 	jobFlag := flag.String("job", "", "execute a JobSpec JSON file (the confluence-serve schema) and print its result rows")
 	storeDir := flag.String("store", "", "durable result store directory: completed cells persist and repeat runs resume from them")
@@ -101,227 +118,242 @@ func main() {
 	fleetTTL := flag.Duration("fleet-lease-ttl", 0, "fleet cell lease TTL (coordinator default 10s; workers inherit the manifest's)")
 	sample := flag.Bool("sample", false, "SMARTS-style sampled simulation: fast-forward warm-up + periodic detailed measurement windows with 95% CIs (~10x fewer detailed instructions; exact mode stays the golden anchor)")
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(set); err != nil {
+		usage(err)
+	}
+	want, err := parseRun(*runFlag)
+	if err != nil {
+		usage(err)
+	}
 	defer reportStore(*storeDir)
 
 	sc := experiments.ScaleFromEnv()
 	if *scaleFlag != "" {
 		var ok bool
 		if sc, ok = experiments.ScaleByName(*scaleFlag); !ok {
-			fmt.Fprintf(os.Stderr, "confluence-sim: unknown scale %q\n", *scaleFlag)
-			os.Exit(2)
+			usage(fmt.Errorf("unknown scale %q", *scaleFlag))
 		}
 	}
+	sf := simFlags{workers: *workers, intraWorkers: *intraWorkers, storeDir: *storeDir, sample: *sample, verbose: *verbose}
 
 	ctx, stop := cliutil.InterruptContext()
 	defer stop()
 
-	if *fleetWorker != "" {
-		if err := runFleetWorker(ctx, *fleetWorker, *fleetTTL, *verbose); err != nil {
-			fatal(err)
+	switch {
+	case *fleetWorker != "":
+		err = runFleetWorker(ctx, *fleetWorker, *fleetTTL, *verbose)
+	case *fleetCoord != "":
+		err = runFleetCoordinator(ctx, *fleetCoord, *jobFlag, *storeDir, *fleetTTL, *verbose)
+	case *jobFlag != "":
+		err = runJobFile(ctx, *jobFlag, *storeDir, *verbose)
+	case *mixFlag != "":
+		err = runMix(ctx, sc, *mixFlag, sf)
+	default: // the -run experiments, or the probe over a -trace capture
+		if *traceDir != "" {
+			want = map[string]bool{"probe": true}
 		}
-		return
+		var ws []*confluence.Workload
+		if ws, err = suite(*traceDir, *workload); err == nil {
+			err = runExperiments(ctx, sc, ws, want, sf)
+		}
 	}
-	if *fleetCoord != "" {
-		if *jobFlag == "" || *storeDir == "" {
-			fatal(fmt.Errorf("-fleet-coordinator requires -job (the grid) and -store (where results land)"))
-		}
-		if err := runFleetCoordinator(ctx, *fleetCoord, *jobFlag, *storeDir, *fleetTTL, *verbose); err != nil {
-			fatal(err)
-		}
-		return
+	if err != nil {
+		fatal(err)
 	}
-	if *jobFlag != "" {
-		if err := runJobFile(ctx, *jobFlag, *storeDir, *verbose); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *traceDir != "" {
-		if err := replayTrace(ctx, sc, *traceDir, *traceWorkload, *storeDir, *workers, *intraWorkers, *sample); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *mixFlag != "" {
-		if err := runMix(ctx, sc, *mixFlag, *storeDir, *workers, *intraWorkers, *sample, *verbose); err != nil {
-			fatal(err)
-		}
-		return
-	}
+}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*runFlag, ",") {
-		want[strings.TrimSpace(strings.ToLower(name))] = true
+// modeFlags lists the flags each mode reads, keyed by the flag that
+// selects the mode ("" runs the -run experiments).
+var modeFlags = map[string][]string{
+	"":                  {"scale", "run", "workers", "intra-workers", "v", "workload", "store", "sample"},
+	"trace":             {"scale", "workers", "intra-workers", "v", "workload", "store", "sample"},
+	"mix":               {"scale", "workers", "intra-workers", "v", "store", "sample"},
+	"job":               {"store", "v"},
+	"fleet-coordinator": {"job", "store", "fleet-lease-ttl", "v"},
+	"fleet-worker":      {"fleet-lease-ttl", "v"},
+}
+
+// checkFlags rejects a command line, given the names of the flags it
+// set, that selects two modes or sets a flag its mode would silently
+// ignore.
+func checkFlags(set []string) error {
+	has := func(name string) bool { return slices.Contains(set, name) }
+	var modes []string
+	for _, m := range []string{"fleet-worker", "fleet-coordinator", "job", "trace", "mix"} {
+		if has(m) && !(m == "job" && has("fleet-coordinator")) {
+			modes = append(modes, m)
+		}
 	}
-	all := want["all"]
-	pick := func(name string) bool { return all || want[name] }
+	if len(modes) > 1 {
+		return fmt.Errorf("-%s and -%s are separate modes; use one", modes[0], modes[1])
+	}
+	mode, in := "", "without a mode flag"
+	if len(modes) == 1 {
+		mode, in = modes[0], "with -"+modes[0]
+	}
+	for _, name := range set {
+		if name != mode && !slices.Contains(modeFlags[mode], name) {
+			return fmt.Errorf("-%s has no effect %s", name, in)
+		}
+	}
+	if mode == "fleet-coordinator" && (!has("job") || !has("store")) {
+		return fmt.Errorf("-fleet-coordinator requires -job (the grid) and -store (where results land)")
+	}
+	return nil
+}
+
+// runner builds a Runner over ws (nil: the full suite) configured by the
+// shared flags.
+func (f simFlags) runner(sc experiments.Scale, ws []*confluence.Workload) (*experiments.Runner, error) {
+	var r *experiments.Runner
+	if ws == nil {
+		var err error
+		if r, err = experiments.NewRunner(sc, f.workers); err != nil {
+			return nil, err
+		}
+	} else {
+		r = experiments.NewRunnerFor(sc, ws)
+		r.Workers = f.workers
+	}
+	r.IntraWorkers = f.intraWorkers
+	if f.storeDir != "" {
+		r.Store = store.Open(f.storeDir)
+	}
+	if f.sample {
+		r.Sampling = confluence.AutoSampling(sc.Measure)
+	}
+	r.OnProgress = progressPrinter(f.verbose)
+	return r, nil
+}
+
+// suite resolves the workloads -run and -trace simulate: nil (the full
+// suite), the one -workload names, or the -trace capture replayed under
+// -workload's program image and calibration — without a name, as an
+// external capture with default calibration and no program image.
+func suite(traceDir, name string) ([]*confluence.Workload, error) {
+	if traceDir != "" && name == "" {
+		w, err := confluence.WorkloadFromTrace(traceDir)
+		return []*confluence.Workload{w}, err
+	}
+	if name == "" {
+		return nil, nil
+	}
+	w, err := confluence.BuildWorkload(name)
+	if err != nil {
+		return nil, err
+	}
+	w.TraceDir = traceDir
+	return []*confluence.Workload{w}, nil
+}
+
+// experiment runs one -run experiment and returns its formatted output.
+type experiment func(context.Context, *experiments.Runner) (any, error)
+
+// tabulate pairs a Runner experiment with the formatter of its rows.
+func tabulate[T, S any](format func(T) S, run func(*experiments.Runner, context.Context) (T, error)) experiment {
+	return func(ctx context.Context, r *experiments.Runner) (any, error) {
+		rows, err := run(r, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return format(rows), nil
+	}
+}
+
+// perfArea formats Figure 2/6 points under a title.
+func perfArea(title string) func([]experiments.PerfAreaPoint) *stats.Table {
+	return func(p []experiments.PerfAreaPoint) *stats.Table { return experiments.PerfAreaTable(title, p) }
+}
+
+// experimentList is every -run experiment in output order.
+var experimentList = []struct {
+	name string
+	run  experiment
+}{
+	{"table2", tabulate(experiments.Table2Table, (*experiments.Runner).Table2)},
+	{"fig1", tabulate(experiments.Figure1Table, (*experiments.Runner).Figure1)},
+	{"fig2", tabulate(perfArea("Figure 2: conventional instruction-supply mechanisms"), (*experiments.Runner).Figure2)},
+	{"fig6", tabulate(perfArea("Figure 6: Confluence vs conventional mechanisms"), (*experiments.Runner).Figure6)},
+	{"probe", tabulate(experiments.ProbeTable, (*experiments.Runner).Probe)},
+	{"fig7", tabulate(experiments.Figure7Table, (*experiments.Runner).Figure7)},
+	{"fig8", tabulate(experiments.Figure8Table, (*experiments.Runner).Figure8)},
+	{"fig9", tabulate(experiments.Figure9Table, (*experiments.Runner).Figure9)},
+	{"fig10", tabulate(experiments.Figure10Table, (*experiments.Runner).Figure10)},
+	{"mixstudy", tabulate(experiments.MixStudyTable, (*experiments.Runner).MixStudy)},
+	{"ablations", func(ctx context.Context, r *experiments.Runner) (any, error) {
+		depth, err := r.LookaheadSweep(ctx, []int{4, 8, 20, 32})
+		if err != nil {
+			return nil, err
+		}
+		history, err := r.SharedVsPrivateHistory(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return experiments.AblationTable("Ablation: SHIFT lookahead depth (Confluence)", depth).String() + "\n" +
+			experiments.AblationTable("Ablation: shared vs private SHIFT history (Confluence)", history).String(), nil
+	}},
+}
+
+// experimentNames lists the -run names in output order, then "all".
+func experimentNames() string {
+	var names []string
+	for _, e := range experimentList {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), ",")
+}
+
+// parseRun resolves a comma-separated -run list to the experiments it
+// selects, rejecting names that select none.
+func parseRun(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if !slices.Contains(strings.Split(experimentNames(), ","), name) {
+			return nil, fmt.Errorf("unknown experiment %q in -run (have: %s)", name, experimentNames())
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
+// runExperiments runs the selected experiments over ws (nil: the full
+// suite) and prints their tables in canonical order.
+func runExperiments(ctx context.Context, sc experiments.Scale, ws []*confluence.Workload, want map[string]bool, f simFlags) error {
 
 	//confluence:allow wallclock human-facing elapsed-time banner; never reaches simulated stats
 	start := time.Now()
 	fmt.Printf("confluence-sim: scale=%s cores=%d warmup=%d measure=%d (per core)\n\n",
 		sc.Name, sc.Cores, sc.Warmup, sc.Measure)
 
-	r, err := experiments.NewRunner(sc, *workers)
+	r, err := f.runner(sc, ws)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	r.IntraWorkers = *intraWorkers
-	if *storeDir != "" {
-		r.Store = store.Open(*storeDir)
-	}
-	if *sample {
-		sp := confluence.AutoSampling(sc.Measure)
-		r.Sampling = sp
+	if sp := r.Sampling; sp.Enabled() {
 		fmt.Printf("sampled mode: %d windows of %d instr per %d instr (+%d detailed warm-up each), warm-up fast-forwarded\n\n",
 			sp.Windows, sp.WindowInstr, sp.PeriodInstr, sp.WindowWarmupInstr)
 	}
-	if *verbose {
-		r.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
-	}
-
-	if pick("table2") {
-		rows, err := r.Table2(ctx)
-		if err != nil {
-			fatal(err)
+	for _, e := range experimentList {
+		if !want["all"] && !want[e.name] {
+			continue
 		}
-		fmt.Println(experiments.Table2Table(rows))
-	}
-	if pick("fig1") {
-		rows, err := r.Figure1(ctx)
+		out, err := e.run(ctx, r)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(experiments.Figure1Table(rows))
-	}
-	if pick("fig2") {
-		points, err := r.Figure2(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.PerfAreaTable("Figure 2: conventional instruction-supply mechanisms", points))
-	}
-	if pick("fig6") {
-		points, err := r.Figure6(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.PerfAreaTable("Figure 6: Confluence vs conventional mechanisms", points))
-	}
-	if pick("fig7") {
-		rows, err := r.Figure7(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.Figure7Table(rows))
-	}
-	if pick("fig8") {
-		rows, err := r.Figure8(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.Figure8Table(rows))
-	}
-	if pick("fig9") {
-		rows, err := r.Figure9(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.Figure9Table(rows))
-	}
-	if pick("fig10") {
-		rows, err := r.Figure10(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.Figure10Table(rows))
-	}
-	if pick("mixstudy") {
-		rows, err := r.MixStudy(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.MixStudyTable(rows))
-	}
-	if pick("ablations") {
-		rows, err := r.LookaheadSweep(ctx, []int{4, 8, 20, 32})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.AblationTable("Ablation: SHIFT lookahead depth (Confluence)", rows))
-		rows, err = r.SharedVsPrivateHistory(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.AblationTable("Ablation: shared vs private SHIFT history (Confluence)", rows))
+		fmt.Println(out)
 	}
 
 	//confluence:allow wallclock human-facing elapsed-time banner; never reaches simulated stats
 	fmt.Printf("done in %.1fs\n", time.Since(start).Seconds())
-}
-
-// replayTrace runs the paper's headline design points over a capture
-// directory, one replayed simulation per design.
-func replayTrace(ctx context.Context, sc experiments.Scale, dir, workloadName, storeDir string, workers, intraWorkers int, sample bool) error {
-	// Split the goroutine budget between replay-level and in-run
-	// parallelism, exactly as the experiment runners do.
-	workers = experiments.SplitWorkers(workers, intraWorkers)
-	var w *confluence.Workload
-	var err error
-	if workloadName != "" {
-		w, err = confluence.BuildWorkload(workloadName)
-	} else {
-		w, err = confluence.WorkloadFromTrace(dir)
-	}
-	if err != nil {
-		return err
-	}
-
-	designs := []confluence.DesignPoint{
-		confluence.Base1K, confluence.FDP1K, confluence.TwoLevelFDP,
-		confluence.TwoLevelSHIFT, confluence.Confluence, confluence.Ideal,
-	}
-	var sp confluence.Sampling
-	if sample {
-		sp = confluence.AutoSampling(sc.Measure)
-	}
-	cfgs := make([]confluence.Config, len(designs))
-	for i, dp := range designs {
-		cfgs[i] = confluence.Config{
-			Workload: w, Design: dp, TraceDir: dir, Cores: sc.Cores,
-			WarmupInstr: sc.Warmup, MeasureInstr: sc.Measure,
-			Parallelism:      workers,
-			IntraParallelism: intraWorkers,
-			StoreDir:         storeDir,
-			Sampling:         sp,
-		}
-	}
-	res, err := confluence.RunMany(ctx, workers, cfgs)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("replaying %s (%s calibration), %d cores, warmup=%d measure=%d per core\n\n",
-		dir, w.Prof.Name, sc.Cores, sc.Warmup, sc.Measure)
-	header := fmt.Sprintf("%-18s %7s %8s %8s %9s", "design", "IPC", "btbMPKI", "l1iMPKI", "speedup")
-	if sample {
-		header += "   IPC ±95%CI"
-	}
-	fmt.Println(header)
-	base := res[0].Stats.IPC()
-	for i, dp := range designs {
-		st := res[i].Stats
-		line := fmt.Sprintf("%-18s %7.3f %8.1f %8.1f %8.2fx",
-			dp, st.IPC(), st.BTBMPKI(), st.L1IMPKI(), st.IPC()/base)
-		if rep := res[i].Sampled; rep != nil {
-			line += "   " + rep.IPC.String()
-		}
-		fmt.Println(line)
-	}
 	return nil
 }
 
 // runMix runs the consolidation study on one explicit workload mix.
-func runMix(ctx context.Context, sc experiments.Scale, spec, storeDir string, workers, intraWorkers int, sample, verbose bool) error {
+func runMix(ctx context.Context, sc experiments.Scale, spec string, f simFlags) error {
 	var mix []*confluence.Workload
 	for _, name := range strings.Split(spec, ",") {
 		w, err := confluence.BuildWorkload(strings.TrimSpace(name))
@@ -330,17 +362,9 @@ func runMix(ctx context.Context, sc experiments.Scale, spec, storeDir string, wo
 		}
 		mix = append(mix, w)
 	}
-	r := experiments.NewRunnerFor(sc, nil)
-	r.Workers = workers
-	r.IntraWorkers = intraWorkers
-	if storeDir != "" {
-		r.Store = store.Open(storeDir)
-	}
-	if sample {
-		r.Sampling = confluence.AutoSampling(sc.Measure)
-	}
-	if verbose {
-		r.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
+	r, err := f.runner(sc, mix)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("consolidating %s onto %d cores (core i runs workload i mod %d), warmup=%d measure=%d per core\n\n",
 		experiments.MixName(mix), sc.Cores, len(mix), sc.Warmup, sc.Measure)
@@ -359,7 +383,7 @@ func runJobFile(ctx context.Context, path, storeDir string, verbose bool) error 
 	if err != nil {
 		return err
 	}
-	res, err := serve.ExecuteSpecStore(ctx, spec, storeDir, jobEmitter(verbose))
+	res, err := serve.ExecuteSpecStore(ctx, spec, storeDir, progressPrinter(verbose))
 	if err != nil {
 		return err
 	}
@@ -376,10 +400,10 @@ func loadJobSpec(path string) (*confluence.JobSpec, error) {
 	return confluence.ParseJobSpec(data)
 }
 
-// jobEmitter returns the verbose per-cell progress printer (nil when
+// progressPrinter returns the verbose per-cell progress printer (nil when
 // quiet). Progress goes to stderr; stdout carries only the result, which
 // is what keeps fleet and serial runs byte-comparable.
-func jobEmitter(verbose bool) func(experiments.ProgressEvent) {
+func progressPrinter(verbose bool) func(experiments.ProgressEvent) {
 	if !verbose {
 		return nil
 	}
@@ -430,7 +454,7 @@ func runFleetCoordinator(ctx context.Context, dir, jobPath, storeDir string, ttl
 		return err
 	}
 	o := fleet.Options{Dir: dir, LeaseTTL: ttl, Chaos: chaos, OnEvent: fleetEventLogger(verbose)}
-	res, rep, err := serve.ExecuteSpecFleet(ctx, spec, storeDir, o, jobEmitter(verbose))
+	res, rep, err := serve.ExecuteSpecFleet(ctx, spec, storeDir, o, progressPrinter(verbose))
 	if rep != nil {
 		fmt.Fprintf(os.Stderr, "fleet %s: %d completed, %d hits, %d steals, %d quarantined\n",
 			dir, rep.Completed, rep.Hits, rep.Steals, len(rep.Poisoned))
@@ -483,4 +507,10 @@ func reportStore(dir string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "confluence-sim:", err)
 	os.Exit(1)
+}
+
+// usage reports a command-line error: exit 2, as the flag package does.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "confluence-sim:", err)
+	os.Exit(2)
 }

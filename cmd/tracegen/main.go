@@ -1,8 +1,9 @@
 // Command tracegen generates synthetic workloads and traces for offline
 // inspection and replay: it can dump workload statistics, write binary
 // basic-block traces (single-file or per-core capture directories that
-// `confluence-sim -trace` and `frontend-probe -trace` replay), summarize
-// existing trace files, and self-check the codec end to end.
+// `confluence-sim -trace` replays), summarize existing trace files, and
+// self-check the codec end to end. -summarize reads a trace to its end and
+// exits non-zero on a truncated or corrupt record.
 //
 // Usage:
 //
@@ -15,8 +16,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"confluence"
@@ -37,7 +40,7 @@ func main() {
 	flag.Parse()
 
 	if *summarize != "" {
-		if err := summarizeFile(*summarize); err != nil {
+		if err := summarizeFile(os.Stdout, *summarize); err != nil {
 			fatal(err)
 		}
 		return
@@ -141,7 +144,9 @@ func selfCheck(w *synth.Workload, seed, n uint64) error {
 	return nil
 }
 
-func summarizeFile(path string) error {
+// summarizeFile writes path's summary to out, branch kinds in isa.BranchKind
+// order. A truncated or corrupt record is an error, not a shorter trace.
+func summarizeFile(out io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -156,8 +161,10 @@ func summarizeFile(path string) error {
 	kinds := make(map[isa.BranchKind]uint64)
 	blocks := make(map[isa.Addr]bool)
 	for {
-		if err := tr.Read(&rec); err != nil {
+		if err := tr.Read(&rec); errors.Is(err, io.EOF) {
 			break
+		} else if err != nil {
+			return fmt.Errorf("%s: record %d: %w", path, records, err)
 		}
 		records++
 		instr += uint64(rec.N)
@@ -173,13 +180,15 @@ func summarizeFile(path string) error {
 		}
 		blocks[isa.BlockOf(rec.Start)] = true
 	}
-	fmt.Printf("records:      %d\n", records)
-	fmt.Printf("instructions: %d\n", instr)
-	fmt.Printf("requests:     %d\n", requests)
-	fmt.Printf("branches:     %d (taken %.1f%%)\n", branches, 100*float64(taken)/float64(max(branches, 1)))
-	fmt.Printf("code touched: %d KB\n", len(blocks)*isa.BlockBytes>>10)
-	for k, n := range kinds {
-		fmt.Printf("  %-9s %d\n", k, n)
+	fmt.Fprintf(out, "records:      %d\n", records)
+	fmt.Fprintf(out, "instructions: %d\n", instr)
+	fmt.Fprintf(out, "requests:     %d\n", requests)
+	fmt.Fprintf(out, "branches:     %d (taken %.1f%%)\n", branches, 100*float64(taken)/float64(max(branches, 1)))
+	fmt.Fprintf(out, "code touched: %d KB\n", len(blocks)*isa.BlockBytes>>10)
+	for k := isa.BrNone + 1; k.IsBranch(); k++ {
+		if n := kinds[k]; n > 0 {
+			fmt.Fprintf(out, "  %-9s %d\n", k, n)
+		}
 	}
 	return nil
 }

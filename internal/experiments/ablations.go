@@ -9,12 +9,11 @@ import (
 )
 
 // The ablations go beyond the paper's figures, probing the design choices
-// DESIGN.md calls out: SHIFT's lookahead depth (timeliness vs waste),
-// shared vs private history (the paper's inter-core redundancy argument),
-// and AirBTB bundle count versus the L1-I block count (the strict-sync
-// choice). Like the figures, each sweep plans its whole grid first,
-// executes it across the worker pool, then assembles rows in canonical
-// (workload, config) order.
+// DESIGN.md calls out: SHIFT's lookahead depth (timeliness vs waste) and
+// shared vs private history (the paper's inter-core redundancy argument).
+// Like the figures, each sweep plans its whole grid first, executes it
+// across the worker pool, then assembles rows in canonical (workload,
+// config) order.
 
 // AblationRow is one configuration's outcome on one workload.
 type AblationRow struct {
@@ -29,27 +28,22 @@ type AblationRow struct {
 // assembles one AblationRow per cell. configs yields the variant's label
 // and options by index.
 func (r *Runner) sweep(ctx context.Context, n int, configs func(int) (string, core.Options)) ([]AblationRow, error) {
-	plan := r.NewPlan()
-	for _, w := range r.Workloads {
-		for i := 0; i < n; i++ {
-			_, opt := configs(i)
-			plan.Add(w, core.Confluence, opt)
-		}
+	names := make([]string, n)
+	cols := make([]column, n)
+	for i := range cols {
+		names[i], cols[i].opt = configs(i)
+		cols[i].dp = core.Confluence
 	}
-	if err := plan.Execute(ctx); err != nil {
+	g, err := r.table(ctx, cols)
+	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
-	for _, w := range r.Workloads {
-		for i := 0; i < n; i++ {
-			name, opt := configs(i)
-			st, err := r.RunCtx(ctx, w, core.Confluence, opt)
-			if err != nil {
-				return nil, err
-			}
+	for i, w := range r.Workloads {
+		for j, e := range g[i] {
 			rows = append(rows, AblationRow{
-				Workload: w.Prof.Name, Config: name,
-				IPC: st.IPC(), BTBMPKI: st.BTBMPKI(), L1IMPKI: st.L1IMPKI(),
+				Workload: w.Prof.Name, Config: names[j],
+				IPC: e.Stats.IPC(), BTBMPKI: e.Stats.BTBMPKI(), L1IMPKI: e.Stats.L1IMPKI(),
 			})
 		}
 	}
@@ -61,7 +55,7 @@ func (r *Runner) LookaheadSweep(ctx context.Context, depths []int) ([]AblationRo
 	return r.sweep(ctx, len(depths), func(i int) (string, core.Options) {
 		opt := r.options()
 		opt.Shift.Lookahead = depths[i]
-		return formatInt("lookahead=", depths[i]), opt
+		return "lookahead=" + strconv.Itoa(depths[i]), opt
 	})
 }
 
@@ -80,17 +74,6 @@ func (r *Runner) SharedVsPrivateHistory(ctx context.Context) ([]AblationRow, err
 	})
 }
 
-// BundleCountSweep varies AirBTB's bundle count relative to the 512 L1-I
-// blocks. Fewer bundles than blocks breaks strict content synchronization
-// (bundles for resident blocks get dropped early); more wastes storage.
-func (r *Runner) BundleCountSweep(ctx context.Context, bundles []int) ([]AblationRow, error) {
-	return r.sweep(ctx, len(bundles), func(i int) (string, core.Options) {
-		opt := r.options()
-		opt.Air.Bundles = bundles[i]
-		return formatInt("bundles=", bundles[i]), opt
-	})
-}
-
 // AblationTable formats ablation rows.
 func AblationTable(title string, rows []AblationRow) *stats.Table {
 	t := stats.NewTable(title, "Workload", "Config", "IPC", "BTB MPKI", "L1-I MPKI")
@@ -98,8 +81,4 @@ func AblationTable(title string, rows []AblationRow) *stats.Table {
 		t.Row(r.Workload, r.Config, r.IPC, r.BTBMPKI, r.L1IMPKI)
 	}
 	return t
-}
-
-func formatInt(prefix string, v int) string {
-	return prefix + strconv.Itoa(v)
 }

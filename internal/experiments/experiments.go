@@ -68,7 +68,7 @@ func ScaleFromEnv() Scale {
 // Runner executes design points over the workload suite, caching results so
 // figures that share runs (e.g. the Base1K baseline) pay for them once. A
 // Runner is safe for concurrent use: the memo cache is singleflight per
-// cell key and Progress callbacks are serialized, even when Workers is 1.
+// cell key and OnProgress callbacks are serialized, even when Workers is 1.
 type Runner struct {
 	Scale     Scale
 	Workloads []*synth.Workload
@@ -100,14 +100,10 @@ type Runner struct {
 	// processes. Nil keeps the in-memory memo cache as the only caching
 	// layer. Cells with no key (an Options.Sources override) bypass both.
 	Store *store.Store
-	// Progress, if set, receives a line per completed run. Calls are
-	// serialized; the callback needs no locking of its own.
-	Progress func(string)
-	// OnProgress, if set, receives the structured form of the same
-	// per-completed-run event (the wire format the serving layer streams
-	// over SSE). Calls are serialized with Progress under one lock, and
-	// when both callbacks are set each completed run reaches OnProgress
-	// first, then Progress with the formatted line of the same event.
+	// OnProgress, if set, receives one event per completed run (the wire
+	// format the serving layer streams over SSE; ProgressEvent.String is
+	// the CLI's -v line). Calls are serialized; the callback needs no
+	// locking of its own.
 	OnProgress func(ProgressEvent)
 
 	mu         sync.Mutex // guards cache
@@ -129,22 +125,19 @@ type cacheEntry struct {
 // simulate with (workers resolves like Runner.Workers; pass 0 for the
 // REPRO_WORKERS/GOMAXPROCS default).
 func NewRunner(sc Scale, workers int) (*Runner, error) {
-	r := &Runner{Scale: sc, Workers: workers, cache: make(map[string]*cacheEntry)}
 	profiles := synth.Profiles()
-	ws := make([]*synth.Workload, len(profiles))
+	r := NewRunnerFor(sc, make([]*synth.Workload, len(profiles)))
+	r.Workers = workers
 	err := parallel.ForEach(context.Background(), r.workers(), len(profiles),
-		func(_ context.Context, i int) error {
-			w, err := synth.Build(profiles[i])
-			if err != nil {
+		func(_ context.Context, i int) (err error) {
+			if r.Workloads[i], err = synth.Build(profiles[i]); err != nil {
 				return fmt.Errorf("experiments: building %s: %w", profiles[i].Name, err)
 			}
-			ws[i] = w
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	r.Workloads = ws
 	return r, nil
 }
 
@@ -171,7 +164,7 @@ func MixName(mix []*synth.Workload) string {
 // in-run parallelism: workers (0 = REPRO_WORKERS, then GOMAXPROCS) divided
 // by the per-simulation stepping workers, floor 1 — so grid fan-out times
 // intra workers stays ≈ the budget. It is the single definition behind
-// Runner.workers() and the CLIs' replay paths.
+// Runner.workers() and confluence.RunMany.
 func SplitWorkers(workers, intraWorkers int) int {
 	g := parallel.Workers(workers)
 	if intraWorkers > 1 {
@@ -187,12 +180,6 @@ func SplitWorkers(workers, intraWorkers int) int {
 // SplitWorkers).
 func (r *Runner) workers() int { return SplitWorkers(r.Workers, r.IntraWorkers) }
 
-// Run simulates one (workload, design point, options) cell, with caching.
-// It is shorthand for RunCtx with a background context.
-func (r *Runner) Run(w *synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, error) {
-	return r.RunCtx(context.Background(), w, dp, opt)
-}
-
 // RunCtx simulates one cell, memoizing by cell key. Concurrent calls for
 // the same key simulate once and share the result (singleflight); a failed
 // or cancelled computation is evicted so later calls can retry. A waiter
@@ -200,28 +187,8 @@ func (r *Runner) Run(w *synth.Workload, dp core.DesignPoint, opt core.Options) (
 // — it retries the (evicted) key, so cancelling one plan never fails a
 // concurrent plan sharing cells on the same runner.
 func (r *Runner) RunCtx(ctx context.Context, w *synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, error) {
-	st, _, err := r.RunMixCtx(ctx, []*synth.Workload{w}, dp, opt)
-	return st, err
-}
-
-// RunMixCtx simulates one consolidated cell — core i of the CMP runs
-// mix[i mod len(mix)] — returning the aggregate stats and each core's
-// stats in core order. Memoization and singleflight behave exactly as in
-// RunCtx; a single-workload mix shares its cache cell with the
-// homogeneous RunCtx of the same workload.
-func (r *Runner) RunMixCtx(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, error) {
-	st, perCore, _, err := r.RunMixSampledCtx(ctx, mix, dp, opt)
-	return st, perCore, err
-}
-
-// RunMixSampledCtx is RunMixCtx additionally returning the cell's
-// sampling report: non-nil exactly when the runner's Sampling is enabled
-// (a stored sampled cell round-trips its report through the store
-// entry). Exact runners get nil — there is nothing to report beyond the
-// stats.
-func (r *Runner) RunMixSampledCtx(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
-	e, err := r.entry(ctx, mix, dp, opt)
-	return e.Stats, e.PerCore, e.Sampled, err
+	e, err := r.entry(ctx, []*synth.Workload{w}, dp, opt)
+	return e.Stats, err
 }
 
 // cell resolves one cell at the runner's scale and sampling plan.
@@ -229,7 +196,10 @@ func (r *Runner) cell(mix []*synth.Workload, dp core.DesignPoint, opt core.Optio
 	return CellSpec{Mix: mix, Design: dp, Opt: opt, Warmup: r.Scale.Warmup, Measure: r.Scale.Measure, Sampling: r.Sampling}
 }
 
-// entry is RunMixSampledCtx's memo, keyed by CellSpec.Key; a cell with no
+// entry is the runner's memo, keyed by CellSpec.Key: a cell's stats,
+// per-core stats in core order (core i runs mix[i mod len(mix)]; a
+// one-workload mix shares RunCtx's slot), and its sampling report
+// (non-nil exactly when the runner's Sampling is enabled). A cell with no
 // key (an Options.Sources override) runs uncached.
 func (r *Runner) entry(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (StoreEntry, error) {
 	cell := r.cell(mix, dp, opt)
@@ -270,10 +240,9 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// ProgressEvent is the structured form of one completed simulation cell —
-// the runner's Progress line with its fields still separate, so the
-// serving layer can serialize it (SSE, JSON logs) without re-parsing
-// formatted text.
+// ProgressEvent describes one completed simulation cell, with its fields
+// separate so the serving layer can serialize it (SSE, JSON logs) and the
+// CLIs can print it (String).
 type ProgressEvent struct {
 	Mix     string  `json:"mix"`
 	Design  string  `json:"design"`
@@ -282,7 +251,7 @@ type ProgressEvent struct {
 	L1IMPKI float64 `json:"l1i_mpki"`
 }
 
-// String formats the event exactly as Runner.Progress lines always read.
+// String formats the event as one human-readable progress line.
 func (e ProgressEvent) String() string {
 	return fmt.Sprintf("%-16s %-18s IPC=%.3f btbMPKI=%5.1f l1iMPKI=%5.1f",
 		e.Mix, e.Design, e.IPC, e.BTBMPKI, e.L1IMPKI)
@@ -301,30 +270,15 @@ func (r *Runner) simulate(ctx context.Context, cell CellSpec) (StoreEntry, error
 	if err != nil {
 		return StoreEntry{}, err
 	}
-	r.progress(func() ProgressEvent {
-		return ProgressEvent{
+	if r.OnProgress != nil {
+		r.progressMu.Lock()
+		r.OnProgress(ProgressEvent{
 			Mix: MixName(cell.Mix), Design: cell.Design.String(),
 			IPC: e.Stats.IPC(), BTBMPKI: e.Stats.BTBMPKI(), L1IMPKI: e.Stats.L1IMPKI(),
-		}
-	})
+		})
+		r.progressMu.Unlock()
+	}
 	return e, nil
-}
-
-// progress emits one serialized progress event to whichever callbacks are
-// installed; the event is only built when at least one is.
-func (r *Runner) progress(build func() ProgressEvent) {
-	if r.Progress == nil && r.OnProgress == nil {
-		return
-	}
-	r.progressMu.Lock()
-	defer r.progressMu.Unlock()
-	e := build()
-	if r.OnProgress != nil {
-		r.OnProgress(e)
-	}
-	if r.Progress != nil {
-		r.Progress(e.String())
-	}
 }
 
 // options returns the default options at the runner's scale.
@@ -333,9 +287,4 @@ func (r *Runner) options() core.Options {
 	opt.Cores = r.Scale.Cores
 	opt.IntraWorkers = r.IntraWorkers
 	return opt
-}
-
-// RunDefault runs a design point with default options.
-func (r *Runner) RunDefault(w *synth.Workload, dp core.DesignPoint) (*frontend.Stats, error) {
-	return r.Run(w, dp, r.options())
 }

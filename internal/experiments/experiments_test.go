@@ -52,11 +52,11 @@ func TestScaleFromEnv(t *testing.T) {
 func TestRunCaching(t *testing.T) {
 	r := tinyRunner(t)
 	w := r.Workloads[0]
-	a, err := r.RunDefault(w, core.Base1K)
+	a, err := r.RunCtx(t.Context(), w, core.Base1K, r.options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.RunDefault(w, core.Base1K)
+	b, err := r.RunCtx(t.Context(), w, core.Base1K, r.options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestRunCaching(t *testing.T) {
 	// Different options must not collide in the cache.
 	opt := r.options()
 	opt.SweepBTBEntries = 2048
-	c1, err := r.Run(w, core.SweepBTB, opt)
+	c1, err := r.RunCtx(t.Context(), w, core.SweepBTB, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.SweepBTBEntries = 4096
-	c2, err := r.Run(w, core.SweepBTB, opt)
+	c2, err := r.RunCtx(t.Context(), w, core.SweepBTB, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +295,11 @@ func TestMemoKeySeparatesEveryResultField(t *testing.T) {
 	run := func(mix []*synth.Workload, dp core.DesignPoint, opt core.Options, sp core.Sampling) *frontend.Stats {
 		t.Helper()
 		r.Sampling = sp
-		st, _, _, err := r.RunMixSampledCtx(t.Context(), mix, dp, opt)
+		e, err := r.entry(t.Context(), mix, dp, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return e.Stats
 	}
 	for _, v := range []struct {
 		name string

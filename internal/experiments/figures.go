@@ -7,12 +7,11 @@ import (
 	"confluence/internal/airbtb"
 	"confluence/internal/core"
 	"confluence/internal/stats"
-	"confluence/internal/synth"
 )
 
-// Every figure follows the same two-phase shape: collect all needed cells
-// into a Plan (baselines included), execute the plan across the worker
-// pool, then assemble rows in canonical order from the memo cache — so row
+// Every figure follows the same two-phase shape: Runner.table executes the
+// figure's (workload × column) grid, baselines included, across the worker
+// pool and reads it back from the memo cache in canonical order, so row
 // and column order never depend on which worker finished first.
 
 // Figure1Sizes are the BTB capacities swept by the paper's Figure 1.
@@ -37,28 +36,23 @@ func (r *Runner) sweepOptions(entries int) core.Options {
 // paper's shape: most workloads flatten by 16K entries; OLTP-Oracle still
 // gains at 32K.
 func (r *Runner) Figure1(ctx context.Context) ([]Fig1Row, error) {
-	plan := r.NewPlan()
-	for _, w := range r.Workloads {
-		for _, e := range Figure1Sizes {
-			plan.Add(w, core.SweepBTB, r.sweepOptions(e))
-		}
+	var cols []column
+	for _, e := range Figure1Sizes {
+		cols = append(cols, column{core.SweepBTB, r.sweepOptions(e)})
 	}
-	if err := plan.Execute(ctx); err != nil {
+	g, err := r.table(ctx, cols)
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig1Row
-	for _, w := range r.Workloads {
+	for i, w := range r.Workloads {
 		row := Fig1Row{Workload: w.Prof.Name}
-		for _, e := range Figure1Sizes {
-			st, _, rep, err := r.RunMixSampledCtx(ctx, []*synth.Workload{w}, core.SweepBTB, r.sweepOptions(e))
-			if err != nil {
-				return nil, err
-			}
-			mpki := st.BTBMPKI()
-			if rep != nil {
+		for _, c := range g[i] {
+			mpki := c.Stats.BTBMPKI()
+			if c.Sampled != nil {
 				// Sweep BTBs have no prefetcher, so a sampled cell's
 				// full-coverage ratio is exact — the figure loses nothing.
-				mpki = rep.BestBTBMPKI(st)
+				mpki = c.Sampled.BestBTBMPKI(c.Stats)
 			}
 			row.MPKI = append(row.MPKI, mpki)
 		}
@@ -114,28 +108,17 @@ type PerfAreaPoint struct {
 
 // perfArea runs a design list and computes normalized points.
 func (r *Runner) perfArea(ctx context.Context, designs []core.DesignPoint) ([]PerfAreaPoint, error) {
-	plan := r.Grid(append([]core.DesignPoint{core.Base1K}, designs...))
-	if err := plan.Execute(ctx); err != nil {
+	g, err := r.table(ctx, r.defaults(append([]core.DesignPoint{core.Base1K}, designs...)...))
+	if err != nil {
 		return nil, err
 	}
-	base := make(map[string]float64)
-	for _, w := range r.Workloads {
-		st, err := r.RunCtx(ctx, w, core.Base1K, r.options())
-		if err != nil {
-			return nil, err
-		}
-		base[w.Prof.Name] = st.IPC()
-	}
 	var points []PerfAreaPoint
-	for _, dp := range designs {
+	for j, dp := range designs {
 		p := PerfAreaPoint{Design: dp, PerWorkload: make(map[string]float64)}
 		var speedups []float64
-		for _, w := range r.Workloads {
-			e, err := r.entry(ctx, []*synth.Workload{w}, dp, r.options())
-			if err != nil {
-				return nil, err
-			}
-			s := e.Stats.IPC() / base[w.Prof.Name]
+		for i, w := range r.Workloads {
+			e := g[i][j+1]
+			s := e.Stats.IPC() / g[i][0].Stats.IPC()
 			p.PerWorkload[w.Prof.Name] = s
 			speedups = append(speedups, s)
 			p.RelArea = e.RelativeArea // the design's area, whatever the workload
@@ -197,23 +180,15 @@ type Fig7Row struct {
 // PhantomBTB lowest, 2LevelBTB at ~51% of IdealBTB's speedup (stalled by L2
 // bubbles despite matching hit rate), and Confluence at ~90% of IdealBTB.
 func (r *Runner) Figure7(ctx context.Context) ([]Fig7Row, error) {
-	plan := r.Grid(append([]core.DesignPoint{core.Base1KSHIFT}, Figure7Designs...))
-	if err := plan.Execute(ctx); err != nil {
+	g, err := r.table(ctx, r.defaults(append([]core.DesignPoint{core.Base1KSHIFT}, Figure7Designs...)...))
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig7Row
-	for _, w := range r.Workloads {
-		base, err := r.RunCtx(ctx, w, core.Base1KSHIFT, r.options())
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Workloads {
 		row := Fig7Row{Workload: w.Prof.Name, Speedup: make(map[core.DesignPoint]float64)}
-		for _, dp := range Figure7Designs {
-			st, err := r.RunCtx(ctx, w, dp, r.options())
-			if err != nil {
-				return nil, err
-			}
-			row.Speedup[dp] = st.IPC() / base.IPC()
+		for j, dp := range Figure7Designs {
+			row.Speedup[dp] = g[i][j+1].Stats.IPC() / g[i][0].Stats.IPC()
 		}
 		rows = append(rows, row)
 	}
@@ -255,24 +230,15 @@ type Fig8Row struct {
 
 // Figure8 reproduces the AirBTB benefit breakdown.
 func (r *Runner) Figure8(ctx context.Context) ([]Fig8Row, error) {
-	steps := []core.DesignPoint{core.AirCapacity, core.AirSpatial, core.AirPrefetch, core.Confluence}
-	plan := r.Grid(append([]core.DesignPoint{core.Base1K}, steps...))
-	if err := plan.Execute(ctx); err != nil {
+	g, err := r.table(ctx, r.defaults(core.Base1K, core.AirCapacity, core.AirSpatial, core.AirPrefetch, core.Confluence))
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig8Row
-	for _, w := range r.Workloads {
-		base, err := r.RunCtx(ctx, w, core.Base1K, r.options())
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Workloads {
 		var cov [4]float64
-		for i, dp := range steps {
-			st, err := r.RunCtx(ctx, w, dp, r.options())
-			if err != nil {
-				return nil, err
-			}
-			cov[i] = stats.Coverage(base.BTBMPKI(), st.BTBMPKI())
+		for j := range cov {
+			cov[j] = stats.Coverage(g[i][0].Stats.BTBMPKI(), g[i][j+1].Stats.BTBMPKI())
 		}
 		rows = append(rows, Fig8Row{
 			Workload: w.Prof.Name,
@@ -311,36 +277,19 @@ type Fig9Row struct {
 
 // Figure9 reproduces the coverage comparison.
 func (r *Runner) Figure9(ctx context.Context) ([]Fig9Row, error) {
-	plan := r.Grid([]core.DesignPoint{core.Base1K, core.PhantomFDP, core.Confluence})
-	for _, w := range r.Workloads {
-		plan.Add(w, core.SweepBTB, r.sweepOptions(16<<10))
-	}
-	if err := plan.Execute(ctx); err != nil {
+	cols := append(r.defaults(core.Base1K, core.PhantomFDP, core.Confluence), column{core.SweepBTB, r.sweepOptions(16 << 10)})
+	g, err := r.table(ctx, cols)
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig9Row
-	for _, w := range r.Workloads {
-		base, err := r.RunCtx(ctx, w, core.Base1K, r.options())
-		if err != nil {
-			return nil, err
-		}
-		phantom, err := r.RunCtx(ctx, w, core.PhantomFDP, r.options())
-		if err != nil {
-			return nil, err
-		}
-		air, err := r.RunCtx(ctx, w, core.Confluence, r.options())
-		if err != nil {
-			return nil, err
-		}
-		conv, err := r.RunCtx(ctx, w, core.SweepBTB, r.sweepOptions(16<<10))
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Workloads {
+		base := g[i][0].Stats.BTBMPKI()
 		rows = append(rows, Fig9Row{
 			Workload: w.Prof.Name,
-			Phantom:  stats.Coverage(base.BTBMPKI(), phantom.BTBMPKI()),
-			AirBTB:   stats.Coverage(base.BTBMPKI(), air.BTBMPKI()),
-			Conv16K:  stats.Coverage(base.BTBMPKI(), conv.BTBMPKI()),
+			Phantom:  stats.Coverage(base, g[i][1].Stats.BTBMPKI()),
+			AirBTB:   stats.Coverage(base, g[i][2].Stats.BTBMPKI()),
+			Conv16K:  stats.Coverage(base, g[i][3].Stats.BTBMPKI()),
 		})
 	}
 	return rows, nil
@@ -380,28 +329,19 @@ func (r *Runner) airOptions(ac airbtb.Config) core.Options {
 // 1K baseline on some workloads (negative coverage), and B:3/OB:32 is the
 // chosen design.
 func (r *Runner) Figure10(ctx context.Context) ([]Fig10Row, error) {
-	plan := r.Grid([]core.DesignPoint{core.Base1K})
-	for _, w := range r.Workloads {
-		for _, ac := range Figure10Configs {
-			plan.Add(w, core.Confluence, r.airOptions(ac))
-		}
+	cols := r.defaults(core.Base1K)
+	for _, ac := range Figure10Configs {
+		cols = append(cols, column{core.Confluence, r.airOptions(ac)})
 	}
-	if err := plan.Execute(ctx); err != nil {
+	g, err := r.table(ctx, cols)
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig10Row
-	for _, w := range r.Workloads {
-		base, err := r.RunCtx(ctx, w, core.Base1K, r.options())
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range r.Workloads {
 		row := Fig10Row{Workload: w.Prof.Name}
-		for _, ac := range Figure10Configs {
-			st, err := r.RunCtx(ctx, w, core.Confluence, r.airOptions(ac))
-			if err != nil {
-				return nil, err
-			}
-			row.Coverage = append(row.Coverage, stats.Coverage(base.BTBMPKI(), st.BTBMPKI()))
+		for _, e := range g[i][1:] {
+			row.Coverage = append(row.Coverage, stats.Coverage(g[i][0].Stats.BTBMPKI(), e.Stats.BTBMPKI()))
 		}
 		rows = append(rows, row)
 	}

@@ -9,24 +9,14 @@ import (
 	"confluence/internal/synth"
 )
 
-// Cell is one point of the evaluation grid: a workload mix simulated on a
-// design point under specific options (a homogeneous cell is a one-slot
-// mix). Cells are self-contained and individually seeded, so any subset can
-// run concurrently.
-type Cell struct {
-	Mix    []*synth.Workload
-	Design core.DesignPoint
-	Opt    core.Options
-}
-
 // Plan collects the cells a figure or table needs, deduplicating them
 // through the runner's cache key, and executes them on a bounded worker
-// pool. Execution only warms the runner's memo cache; callers then read
-// results back (Runner.Run / Plan.Stats) in whatever canonical order their
-// output demands, so tables never depend on completion order.
+// pool into the runner's memo cache. Results come back in insertion order
+// (or from the memo, as Runner.table reads them), so tables never depend
+// on completion order.
 type Plan struct {
 	r     *Runner
-	cells []Cell
+	cells []CellSpec // self-contained and individually seeded: any subset can run concurrently
 	seen  map[string]struct{}
 }
 
@@ -38,11 +28,14 @@ func (r *Runner) NewPlan() *Plan {
 // Grid returns a plan covering the full cross product of the runner's
 // workloads and the given design points at default options — the common
 // shape of the paper's figures.
-func (r *Runner) Grid(designs []core.DesignPoint) *Plan {
+func (r *Runner) Grid(designs []core.DesignPoint) *Plan { return r.plan(r.defaults(designs...)) }
+
+// plan schedules every (workload, column) cell.
+func (r *Runner) plan(cols []column) *Plan {
 	p := r.NewPlan()
 	for _, w := range r.Workloads {
-		for _, dp := range designs {
-			p.AddDefault(w, dp)
+		for _, c := range cols {
+			p.Add(w, c.dp, c.opt)
 		}
 	}
 	return p
@@ -58,48 +51,71 @@ func (p *Plan) Add(w *synth.Workload, dp core.DesignPoint, opt core.Options) {
 // dropping duplicates of cells already planned (by CellSpec.Key; a cell
 // with no key is always scheduled).
 func (p *Plan) AddMix(mix []*synth.Workload, dp core.DesignPoint, opt core.Options) {
-	if key, ok := p.r.cell(mix, dp, opt).Key(); ok {
+	c := p.r.cell(mix, dp, opt)
+	if key, ok := c.Key(); ok {
 		if _, dup := p.seen[key]; dup {
 			return
 		}
 		p.seen[key] = struct{}{}
 	}
-	p.cells = append(p.cells, Cell{Mix: mix, Design: dp, Opt: opt})
-}
-
-// AddDefault schedules a cell with the runner's default options.
-func (p *Plan) AddDefault(w *synth.Workload, dp core.DesignPoint) {
-	p.Add(w, dp, p.r.options())
+	p.cells = append(p.cells, c)
 }
 
 // Len returns the number of distinct cells planned.
 func (p *Plan) Len() int { return len(p.cells) }
 
 // Execute simulates every planned cell on at most Runner.Workers
-// goroutines, populating the runner's memo cache. The first simulation
-// error cancels the remaining cells and is returned.
-func (p *Plan) Execute(ctx context.Context) error {
-	return parallel.ForEach(ctx, p.r.workers(), len(p.cells),
+// goroutines, populating the runner's memo cache, and returns the results
+// in cell insertion order — the deterministic, completion-order-independent
+// view of the grid. The first simulation error cancels the remaining cells
+// and is returned.
+func (p *Plan) Execute(ctx context.Context) ([]*frontend.Stats, error) {
+	out := make([]*frontend.Stats, len(p.cells))
+	err := parallel.ForEach(ctx, p.r.workers(), len(p.cells),
 		func(ctx context.Context, i int) error {
 			c := p.cells[i]
-			_, _, err := p.r.RunMixCtx(ctx, c.Mix, c.Design, c.Opt)
+			e, err := p.r.entry(ctx, c.Mix, c.Design, c.Opt)
+			out[i] = e.Stats
 			return err
 		})
-}
-
-// Stats executes the plan and returns results in cell insertion order —
-// the deterministic, completion-order-independent view of the grid.
-func (p *Plan) Stats(ctx context.Context) ([]*frontend.Stats, error) {
-	if err := p.Execute(ctx); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	out := make([]*frontend.Stats, len(p.cells))
-	for i, c := range p.cells {
-		st, _, err := p.r.RunMixCtx(ctx, c.Mix, c.Design, c.Opt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
 	return out, nil
+}
+
+// column is one design point under specific options: one column of a
+// figure's (workload × column) grid.
+type column struct {
+	dp  core.DesignPoint
+	opt core.Options
+}
+
+// defaults returns one column per design at the runner's default options.
+func (r *Runner) defaults(designs ...core.DesignPoint) []column {
+	cols := make([]column, len(designs))
+	for i, dp := range designs {
+		cols[i] = column{dp, r.options()}
+	}
+	return cols
+}
+
+// table executes every (workload, column) cell on the worker pool and
+// returns the entries indexed [workload][column], parallel to r.Workloads
+// and cols — the one place the figures read their results from.
+func (r *Runner) table(ctx context.Context, cols []column) ([][]StoreEntry, error) {
+	if _, err := r.plan(cols).Execute(ctx); err != nil {
+		return nil, err
+	}
+	g := make([][]StoreEntry, len(r.Workloads))
+	for i, w := range r.Workloads {
+		for _, c := range cols {
+			e, err := r.entry(ctx, []*synth.Workload{w}, c.dp, c.opt)
+			if err != nil {
+				return nil, err
+			}
+			g[i] = append(g[i], e)
+		}
+	}
+	return g, nil
 }

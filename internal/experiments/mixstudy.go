@@ -105,7 +105,7 @@ func (r *Runner) MixStudyFor(ctx context.Context, mixes [][]*synth.Workload, des
 			}
 		}
 	}
-	if err := plan.Execute(ctx); err != nil {
+	if _, err := plan.Execute(ctx); err != nil {
 		return nil, err
 	}
 
@@ -116,19 +116,20 @@ func (r *Runner) MixStudyFor(ctx context.Context, mixes [][]*synth.Workload, des
 			// workload on the same design — same tile, same NOC distances.
 			alone := make([][]*frontend.Stats, len(mix))
 			for j, w := range mix {
-				_, per, err := r.RunMixCtx(ctx, []*synth.Workload{w}, dp, r.options())
+				e, err := r.entry(ctx, []*synth.Workload{w}, dp, r.options())
 				if err != nil {
 					return nil, err
 				}
-				alone[j] = per
+				alone[j] = e.PerCore
 			}
 			for _, priv := range mixVariants(dp) {
 				opt := r.options()
 				opt.HistoryPerCore = priv
-				agg, per, err := r.RunMixCtx(ctx, mix, dp, opt)
+				e, err := r.entry(ctx, mix, dp, opt)
 				if err != nil {
 					return nil, err
 				}
+				agg, per := e.Stats, e.PerCore
 				mixIPC := make([]float64, len(per))
 				aloneIPC := make([]float64, len(per))
 				for i, st := range per {

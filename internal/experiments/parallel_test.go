@@ -57,7 +57,7 @@ func TestParallelDeterminism(t *testing.T) {
 		r := NewRunnerFor(sc, []*synth.Workload{detWorkload(t)})
 		r.Workers = workers
 		r.IntraWorkers = intraWorkers
-		r.Progress = func(string) {} // exercise the serialized callback path
+		r.OnProgress = func(ProgressEvent) {} // exercise the serialized callback path
 		plan := r.Grid(detDesigns)
 		// A non-default-options cell too, so option-keyed memo slots are covered.
 		plan.Add(r.Workloads[0], core.SweepBTB, r.sweepOptions(4096))
@@ -68,7 +68,7 @@ func TestParallelDeterminism(t *testing.T) {
 		priv := r.options()
 		priv.HistoryPerCore = true
 		plan.AddMix(mix, core.Confluence, priv)
-		stats, err := plan.Stats(t.Context())
+		stats, err := plan.Execute(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestSingleflightSharesOneSimulation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := r.RunDefault(w, core.Base1K)
+			st, err := r.RunCtx(t.Context(), w, core.Base1K, r.options())
 			if err != nil {
 				t.Error(err)
 				return
@@ -181,9 +181,9 @@ func TestPlanDedupesCells(t *testing.T) {
 	r := tinyRunner(t)
 	w := r.Workloads[0]
 	plan := r.NewPlan()
-	plan.AddDefault(w, core.Base1K)
-	plan.AddDefault(w, core.Base1K)
-	plan.AddDefault(w, core.Confluence)
+	plan.Add(w, core.Base1K, r.options())
+	plan.Add(w, core.Base1K, r.options())
+	plan.Add(w, core.Confluence, r.options())
 	plan.Add(w, core.SweepBTB, r.sweepOptions(2048))
 	plan.Add(w, core.SweepBTB, r.sweepOptions(2048))
 	plan.Add(w, core.SweepBTB, r.sweepOptions(4096))
@@ -196,12 +196,12 @@ func TestPlanExecuteCancelled(t *testing.T) {
 	r := tinyRunner(t)
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	if err := r.Grid(detDesigns).Execute(ctx); err == nil {
+	if _, err := r.Grid(detDesigns).Execute(ctx); err == nil {
 		t.Error("cancelled plan executed without error")
 	}
 	// The runner stays usable: a fresh context must succeed (failed cells
 	// were evicted, not poisoned).
-	if _, err := r.RunDefault(r.Workloads[0], core.Base1K); err != nil {
+	if _, err := r.RunCtx(t.Context(), r.Workloads[0], core.Base1K, r.options()); err != nil {
 		t.Errorf("runner poisoned after cancellation: %v", err)
 	}
 }
@@ -211,14 +211,14 @@ func TestProgressSerializedUnderConcurrency(t *testing.T) {
 	r.Workers = 8
 	var mu sync.Mutex
 	var lines int
-	r.Progress = func(string) {
+	r.OnProgress = func(ProgressEvent) {
 		// The callback contract says calls are serialized; the mutex makes
 		// any violation visible to the race detector as well.
 		mu.Lock()
 		lines++
 		mu.Unlock()
 	}
-	if err := r.Grid(detDesigns[:3]).Execute(t.Context()); err != nil {
+	if _, err := r.Grid(detDesigns[:3]).Execute(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	if lines != 3 {
@@ -248,13 +248,13 @@ func TestCancellationDoesNotPoisonOtherCallers(t *testing.T) {
 		// Live caller on the same key: must always succeed, whether it
 		// became leader itself, waited out the cancelled leader and
 		// retried, or found a clean cache entry.
-		if _, err := r.RunDefault(w, core.Base1K); err != nil {
+		if _, err := r.RunCtx(t.Context(), w, core.Base1K, r.options()); err != nil {
 			t.Errorf("live caller inherited cancellation: %v", err)
 		}
 	}()
 	wg.Wait()
 
-	if _, err := r.RunDefault(w, core.Base1K); err != nil {
+	if _, err := r.RunCtx(t.Context(), w, core.Base1K, r.options()); err != nil {
 		t.Errorf("runner poisoned after cancellation: %v", err)
 	}
 }

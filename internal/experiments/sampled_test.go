@@ -220,28 +220,28 @@ func TestSnapshotStoreKeyEquivalence(t *testing.T) {
 func TestRunnerSampledCells(t *testing.T) {
 	r := tinyRunner(t)
 	w := r.Workloads[0]
-	exact, err := r.RunDefault(w, core.Confluence)
+	exact, err := r.RunCtx(t.Context(), w, core.Confluence, r.options())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rs := tinyRunner(t)
 	rs.Sampling = core.AutoSampling(rs.Scale.Measure)
-	stA, _, repA, err := rs.RunMixSampledCtx(t.Context(), []*synth.Workload{rs.Workloads[0]}, core.Confluence, rs.options())
+	a, err := rs.entry(t.Context(), []*synth.Workload{rs.Workloads[0]}, core.Confluence, rs.options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repA == nil {
+	if a.Sampled == nil {
 		t.Fatal("sampled cell returned no report")
 	}
-	if stA.Instructions >= exact.Instructions {
-		t.Errorf("sampled cell measured %d instructions, exact %d", stA.Instructions, exact.Instructions)
+	if a.Stats.Instructions >= exact.Instructions {
+		t.Errorf("sampled cell measured %d instructions, exact %d", a.Stats.Instructions, exact.Instructions)
 	}
-	stB, _, repB, err := rs.RunMixSampledCtx(t.Context(), []*synth.Workload{rs.Workloads[0]}, core.Confluence, rs.options())
+	b, err := rs.entry(t.Context(), []*synth.Workload{rs.Workloads[0]}, core.Confluence, rs.options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stA, stB) || !reflect.DeepEqual(repA, repB) {
+	if !reflect.DeepEqual(a.Stats, b.Stats) || !reflect.DeepEqual(a.Sampled, b.Sampled) {
 		t.Error("memoized sampled cell differs from first run")
 	}
 }

@@ -37,8 +37,8 @@ func TestStoreResumeDeterminism(t *testing.T) {
 	// between cells hits.
 	interrupted := storeTestRunner(t, s)
 	ctx, cancel := context.WithCancel(t.Context())
-	interrupted.Progress = func(string) { cancel() }
-	if err := interrupted.Grid(designs).Execute(ctx); err == nil {
+	interrupted.OnProgress = func(ProgressEvent) { cancel() }
+	if _, err := interrupted.Grid(designs).Execute(ctx); err == nil {
 		t.Fatal("interrupted grid ran to completion; cancellation never landed")
 	}
 	if _, _, writes := s.Counters(); writes == 0 {
@@ -47,7 +47,7 @@ func TestStoreResumeDeterminism(t *testing.T) {
 
 	// "Process" 2: re-run the whole grid against the same store.
 	resumed := storeTestRunner(t, s)
-	got, err := resumed.Grid(designs).Stats(t.Context())
+	got, err := resumed.Grid(designs).Execute(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestStoreResumeDeterminism(t *testing.T) {
 
 	// Reference: the same grid with no store at all.
 	fresh := NewRunnerFor(storeTestScale, []*synth.Workload{detWorkload(t)})
-	want, err := fresh.Grid(designs).Stats(t.Context())
+	want, err := fresh.Grid(designs).Execute(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +79,19 @@ func TestStoreResumeDeterminism(t *testing.T) {
 func TestStoreHitEmitsProgress(t *testing.T) {
 	s := store.Open(t.TempDir())
 	warm := storeTestRunner(t, s)
-	if _, err := warm.RunDefault(warm.Workloads[0], core.Base1K); err != nil {
+	if _, err := warm.RunCtx(t.Context(), warm.Workloads[0], core.Base1K, warm.options()); err != nil {
 		t.Fatal(err)
 	}
 
 	var liveLines, storedLines []string
 	warm2 := storeTestRunner(t, s)
-	warm2.Progress = func(line string) { storedLines = append(storedLines, line) }
-	if _, err := warm2.RunDefault(warm2.Workloads[0], core.Base1K); err != nil {
+	warm2.OnProgress = func(e ProgressEvent) { storedLines = append(storedLines, e.String()) }
+	if _, err := warm2.RunCtx(t.Context(), warm2.Workloads[0], core.Base1K, warm2.options()); err != nil {
 		t.Fatal(err)
 	}
 	live := NewRunnerFor(storeTestScale, []*synth.Workload{detWorkload(t)})
-	live.Progress = func(line string) { liveLines = append(liveLines, line) }
-	if _, err := live.RunDefault(live.Workloads[0], core.Base1K); err != nil {
+	live.OnProgress = func(e ProgressEvent) { liveLines = append(liveLines, e.String()) }
+	if _, err := live.RunCtx(t.Context(), live.Workloads[0], core.Base1K, live.options()); err != nil {
 		t.Fatal(err)
 	}
 	if len(storedLines) != 1 || len(liveLines) != 1 || storedLines[0] != liveLines[0] {
@@ -112,7 +112,7 @@ func TestConcurrentRunnersConverge(t *testing.T) {
 		wg.Add(1)
 		go func(i int, r *Runner) {
 			defer wg.Done()
-			stats, err := r.Grid(designs).Stats(context.Background())
+			stats, err := r.Grid(designs).Execute(context.Background())
 			if err != nil {
 				t.Errorf("runner %d: %v", i, err)
 				return
@@ -135,7 +135,7 @@ func TestConcurrentRunnersConverge(t *testing.T) {
 	// A third runner must serve the whole grid from the store.
 	replay := storeTestRunner(t, s)
 	h0, _, _ := s.Counters()
-	if _, err := replay.Grid(designs).Stats(t.Context()); err != nil {
+	if _, err := replay.Grid(designs).Execute(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	h1, _, _ := s.Counters()
