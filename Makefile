@@ -130,6 +130,7 @@ fuzz:
 	go test ./internal/trace -run '^$$' -fuzz FuzzReaderCorrupt -fuzztime=$(FUZZTIME)
 	go test ./internal/store -run '^$$' -fuzz FuzzStoreEntry -fuzztime=$(FUZZTIME)
 	go test . -run '^$$' -fuzz FuzzParseJobSpec -fuzztime=$(FUZZTIME)
+	go test ./internal/serve -run '^$$' -fuzz FuzzServeHandlers -fuzztime=$(FUZZTIME)
 	go test ./internal/core -run '^$$' -fuzz FuzzRestoreWarmSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
 
 # examples runs every runnable example end to end (tiny scales), the smoke

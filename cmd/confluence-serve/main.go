@@ -18,11 +18,12 @@
 // already accepted run to completion (up to -drain-timeout), then the
 // process exits 0. A second signal aborts immediately.
 //
-// With -store, finished job results persist to a content-addressed
-// on-disk store: re-submitting an identical spec is an instant cache hit,
-// and a restarted daemon still serves results computed before the
-// restart. -store-max-bytes caps the store's size with least-recently-
-// used eviction (0 = unlimited).
+// With -store, every simulated cell persists to the content-addressed
+// on-disk per-cell store: a point or sweep spec whose cells are all stored
+// (by this daemon, a restarted one, a `-store` CLI run or a library run)
+// is done at accept, and a partly stored one simulates only the missing
+// cells. -store-max-bytes caps the store's size with least-recently-used
+// eviction (0 = unlimited).
 //
 // With -fleet (requires -store), point and sweep jobs run through a
 // lease-based work-stealing fleet: each job publishes its cell grid under
@@ -55,7 +56,7 @@ func main() {
 	quotaRPS := flag.Float64("quota-rps", 0, "per-client sustained submissions per second (0 = no quota)")
 	quotaBurst := flag.Int("quota-burst", 4, "per-client submission burst depth")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max wait for accepted jobs on shutdown")
-	storeDir := flag.String("store", "", "durable result store directory: finished jobs persist and identical re-submissions are cache hits")
+	storeDir := flag.String("store", "", "durable per-cell result store directory: cells persist, and a submission whose cells are all stored is done at accept")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "store size cap in bytes with LRU eviction (0 = unlimited; needs -store)")
 	fleetDir := flag.String("fleet", "", "fleet coordination directory: point/sweep jobs publish cell grids here for -fleet-worker processes (needs -store)")
 	flag.Parse()

@@ -50,16 +50,33 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// TestParseRun: -run names are case- and space-insensitive, and a name
-// that selects no experiment is an error rather than an empty run.
+// TestParseRun: -run names are case- and space-insensitive, a name
+// that selects no experiment is an error rather than an empty run, and a
+// one-workload suite has no consolidation study: "all" leaves mixstudy
+// out and naming it is an error pointing to -mix.
 func TestParseRun(t *testing.T) {
-	want, err := parseRun("fig1, Probe")
+	want, err := parseRun("fig1, Probe", false)
 	if err != nil || len(want) != 2 || !want["fig1"] || !want["probe"] {
 		t.Errorf("parseRun(fig1, Probe) = %v, %v", want, err)
 	}
 	for _, list := range []string{"fig11", "fig1,", "table2,figure6"} {
-		if _, err := parseRun(list); err == nil {
+		if _, err := parseRun(list, false); err == nil {
 			t.Errorf("parseRun(%q) accepted an unknown experiment", list)
 		}
+	}
+
+	for _, one := range []bool{false, true} {
+		all, err := parseRun("all", one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range experimentList {
+			if wantIt := e.name != "mixstudy" || !one; all[e.name] != wantIt {
+				t.Errorf("parseRun(all, oneWorkload=%v) selects %s = %v, want %v", one, e.name, all[e.name], wantIt)
+			}
+		}
+	}
+	if _, err := parseRun("fig1,mixstudy", true); err == nil || !strings.Contains(err.Error(), "-mix") {
+		t.Errorf("parseRun(mixstudy) with one workload: error %v, want one pointing to -mix", err)
 	}
 }

@@ -32,8 +32,10 @@
 // -workers) bounds the worker pool. -intra-workers additionally fast-forwards
 // the cores of each sampled simulation in parallel (the -workers budget is
 // split between the two levels). -workload limits the suite to one
-// workload for every experiment. Results are bit-identical for any worker
-// count. Ctrl-C cancels cleanly between cells.
+// workload for every experiment but mixstudy, which needs several: -run
+// all then leaves it out, and -run mixstudy exits 2 (use -mix). Results
+// are bit-identical for any worker count. Ctrl-C cancels cleanly between
+// cells.
 //
 // The probe experiment shows where a workload's cycles go: a
 // characterization of its instruction stream, then Figure 6's cells with
@@ -123,7 +125,7 @@ func main() {
 	if err := checkFlags(set); err != nil {
 		usage(err)
 	}
-	want, err := parseRun(*runFlag)
+	want, err := parseRun(*runFlag, *workload != "")
 	if err != nil {
 		usage(err)
 	}
@@ -306,15 +308,27 @@ func experimentNames() string {
 }
 
 // parseRun resolves a comma-separated -run list to the experiments it
-// selects, rejecting names that select none.
-func parseRun(list string) (map[string]bool, error) {
+// selects, rejecting names that select none. "all" selects every
+// experiment, except that a one-workload suite (-workload) leaves out
+// mixstudy, which consolidates several workloads; naming mixstudy there
+// is an error pointing to -mix.
+func parseRun(list string, oneWorkload bool) (map[string]bool, error) {
 	want := map[string]bool{}
 	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(strings.ToLower(name))
 		if !slices.Contains(strings.Split(experimentNames(), ","), name) {
 			return nil, fmt.Errorf("unknown experiment %q in -run (have: %s)", name, experimentNames())
 		}
+		if name == "mixstudy" && oneWorkload {
+			return nil, fmt.Errorf("-run mixstudy consolidates several workloads and -workload leaves one; use -mix W1,W2,... for a study of one mix")
+		}
 		want[name] = true
+	}
+	if want["all"] {
+		delete(want, "all")
+		for _, e := range experimentList {
+			want[e.name] = !(e.name == "mixstudy" && oneWorkload)
+		}
 	}
 	return want, nil
 }
@@ -337,7 +351,7 @@ func runExperiments(ctx context.Context, sc experiments.Scale, ws []*confluence.
 			sp.Windows, sp.WindowInstr, sp.PeriodInstr, sp.WindowWarmupInstr)
 	}
 	for _, e := range experimentList {
-		if !want["all"] && !want[e.name] {
+		if !want[e.name] {
 			continue
 		}
 		out, err := e.run(ctx, r)
@@ -383,7 +397,7 @@ func runJobFile(ctx context.Context, path, storeDir string, verbose bool) error 
 	if err != nil {
 		return err
 	}
-	res, err := serve.ExecuteSpecStore(ctx, spec, storeDir, progressPrinter(verbose))
+	res, err := serve.ExecuteSpec(ctx, spec, storeDir, progressPrinter(verbose))
 	if err != nil {
 		return err
 	}

@@ -17,16 +17,19 @@ import (
 )
 
 // ResultVersion pins the simulation semantics a stored result was computed
-// under. It is part of every cell's store key, so bumping it invalidates the
-// whole store at once. Bump it exactly when testdata/golden.json is
-// regenerated: the golden file and the store make the same promise (these
+// under. It is part of every cell's store key, exact and sampled alike, so
+// bumping it invalidates the whole store at once. Bump it whenever a
+// cell's result changes: when testdata/golden.json is regenerated (exact
+// results) and when benchmark/golden_sampled.json is regenerated (sampled
+// results). The golden files and the store make the same promise (these
 // bytes are what this code computes), so they version together.
 const ResultVersion = "confluence-results-v1"
 
 // WarmVersion pins the warm-snapshot semantics (what state is captured
 // and how fast-forward evolves it). It is part of every snapshot's store
 // key; bump it whenever the fast-forward path or the snapshot layout
-// changes.
+// changes. It keys no cell result: a change that moves sampled results
+// bumps ResultVersion too.
 const WarmVersion = "confluence-warm-v1"
 
 // CellSpec is the resolved, canonical description of one simulation cell:

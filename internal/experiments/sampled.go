@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"confluence/internal/core"
 	"confluence/internal/frontend"
 	"confluence/internal/stats"
 	"confluence/internal/store"
-	"confluence/internal/synth"
 )
 
 // SMARTS-style sampled execution over assembled systems: functional
@@ -149,90 +147,4 @@ func runSampled(ctx context.Context, sys *core.System, warmup uint64, sp core.Sa
 		return nil, nil, nil, err
 	}
 	return agg, perCore, buildSampledReport(sp, warmup, reused, windows, cov), nil
-}
-
-// SampledComparison is one cell run both ways: the exact measurement
-// (the golden anchor) against the sampled estimate of the same region,
-// with relative errors and the detailed-instruction reduction factor.
-type SampledComparison struct {
-	Mix    string
-	Design string
-
-	Exact   *frontend.Stats
-	Sampled *frontend.Stats
-	Report  *SampledReport
-
-	IPCErrPct float64
-	L1IErrPct float64
-	BTBErrPct float64
-}
-
-// errPct is the relative error in percent, degrading gracefully at an
-// exact value of zero (both zero agree perfectly; otherwise the error is
-// unbounded and pinned at 100).
-func errPct(sampled, exact float64) float64 {
-	if exact == 0 {
-		if sampled == 0 {
-			return 0
-		}
-		return 100
-	}
-	d := (sampled - exact) / exact * 100
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
-// CompareSampled runs one (mix, design, options) cell exact and sampled
-// on two independently assembled systems and reports the sampling error.
-// This is the primitive behind the tolerance tests and the sample-smoke
-// CI gate.
-func CompareSampled(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options, warmup, measure uint64, sp core.Sampling) (*SampledComparison, error) {
-	if !sp.Enabled() {
-		return nil, fmt.Errorf("experiments: CompareSampled with zero Sampling")
-	}
-	cell := CellSpec{Mix: mix, Design: dp, Opt: opt, Warmup: warmup, Measure: measure}
-	exact, err := Execute(ctx, cell, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	cell.Sampling = sp
-	samp, err := Execute(ctx, cell, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	sampled, rep := samp.Stats, samp.Sampled
-	// MPKI errors judge the estimate sampled mode would report: the exact
-	// full-coverage ratio for prefetcherless designs, the window aggregate
-	// otherwise.
-	return &SampledComparison{
-		Mix:       MixName(mix),
-		Design:    dp.String(),
-		Exact:     exact.Stats,
-		Sampled:   sampled,
-		Report:    rep,
-		IPCErrPct: errPct(sampled.IPC(), exact.Stats.IPC()),
-		L1IErrPct: errPct(rep.BestL1IMPKI(sampled), exact.Stats.L1IMPKI()),
-		BTBErrPct: errPct(rep.BestBTBMPKI(sampled), exact.Stats.BTBMPKI()),
-	}, nil
-}
-
-// SampledTable formats sampled estimates with their confidence
-// intervals next to the exact anchors — the "reported alongside exact
-// numbers" artifact of sampled mode.
-func SampledTable(comps []*SampledComparison) *stats.Table {
-	t := stats.NewTable("Sampled vs exact (mean ±95% CI)",
-		"Mix", "Design", "exactIPC", "sampledIPC", "errIPC%", "exactL1I", "sampledL1I", "errL1I%", "detailx")
-	for _, c := range comps {
-		t.Row(c.Mix, c.Design,
-			fmt.Sprintf("%.3f", c.Exact.IPC()),
-			c.Report.IPC.String(),
-			fmt.Sprintf("%.2f", c.IPCErrPct),
-			fmt.Sprintf("%.2f", c.Exact.L1IMPKI()),
-			c.Report.L1IMPKI.String(),
-			fmt.Sprintf("%.2f", c.L1IErrPct),
-			fmt.Sprintf("%.1f", c.Report.DetailReduction()))
-	}
-	return t
 }

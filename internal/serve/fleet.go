@@ -9,16 +9,17 @@ import (
 	"confluence"
 	"confluence/internal/experiments"
 	"confluence/internal/fleet"
+	"confluence/internal/store"
 )
 
 // This file is the bridge between job specs and the fleet protocol: a
 // point or sweep spec decomposes into independent cells — each a
 // self-contained point spec plus the durable store key RunCtx would use
-// for it — which a fleet of preemptible workers completes in any order.
-// The final result never comes from the fleet: once every cell is stored,
-// the ordinary ExecuteSpecStore path replays the grid from the store in
-// canonical order, so fleet output is byte-identical to a serial run by
-// construction.
+// for it (JobSpec.Cells) — which a fleet of preemptible workers completes
+// in any order. The final result never comes from the fleet: once every
+// cell is stored, it is assembled from the store in canonical order, the
+// same lookup that answers a stored submission at accept, so fleet output
+// is byte-identical to a serial run by construction.
 
 // FleetCells expands a point or sweep spec into the fleet's cell list.
 // Cell IDs follow spec expansion order (c000, c001, ...); each cell's
@@ -27,38 +28,29 @@ import (
 // Mixstudy specs do not decompose (their cells share ablation state) and
 // are rejected here.
 func FleetCells(spec *confluence.JobSpec) ([]fleet.Cell, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.NormKind() == confluence.KindMixStudy {
-		return nil, fmt.Errorf("serve: mixstudy jobs do not decompose into fleet cells")
-	}
-	cfgs, err := spec.Configs()
+	cells, err := spec.Cells()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: fleet cells: %w", err)
 	}
-	cells := make([]fleet.Cell, len(cfgs))
-	for i, cfg := range cfgs {
-		key, ok := confluence.ConfigStoreKey(cfg)
-		if !ok {
-			return nil, fmt.Errorf("serve: grid cell %d has no store key", i)
-		}
-		cellSpec, err := confluence.SpecFromConfig(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: grid cell %d is not expressible as a point spec: %w", i, err)
-		}
+	return fleetGrid(cells)
+}
+
+// fleetGrid maps a spec's cells onto fleet cells.
+func fleetGrid(cells []confluence.JobCell) ([]fleet.Cell, error) {
+	out := make([]fleet.Cell, len(cells))
+	for i, c := range cells {
 		// Scheduling knobs are each worker's own business; a cell spec
 		// carrying the parent job's fan-out would nest parallelism inside
 		// the fleet's.
-		cellSpec.Parallelism = 0
-		cellSpec.Priority = 0
-		data, err := json.Marshal(cellSpec)
+		c.Spec.Parallelism = 0
+		c.Spec.Priority = 0
+		data, err := json.Marshal(&c.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("serve: grid cell %d: %w", i, err)
 		}
-		cells[i] = fleet.Cell{ID: fmt.Sprintf("c%03d", i), Key: key, Spec: data}
+		out[i] = fleet.Cell{ID: fmt.Sprintf("c%03d", i), Key: c.Key, Spec: data}
 	}
-	return cells, nil
+	return out, nil
 }
 
 // CellRunner returns the standard fleet cell runner: parse the cell's
@@ -98,8 +90,8 @@ func CellRunner() fleet.Runner {
 
 // ExecuteSpecFleet runs a spec through a fleet coordinator rooted at
 // o.Dir: publish the grid, participate until every cell is stored or
-// quarantined, then serve the assembled result from the store via
-// ExecuteSpecStore — which is why fleet output is byte-identical to a
+// quarantined, then assemble the result from the stored cells in
+// canonical order — which is why fleet output is byte-identical to a
 // serial run of the same spec. o.Run defaults to CellRunner.
 //
 // A grid that finished with quarantined cells returns the fleet Report
@@ -115,17 +107,21 @@ func ExecuteSpecFleet(ctx context.Context, spec *confluence.JobSpec, storeDir st
 		return nil, nil, err
 	}
 	if spec.NormKind() == confluence.KindMixStudy {
-		res, err := ExecuteSpecStore(ctx, spec, storeDir, emit)
+		res, err := ExecuteSpec(ctx, spec, storeDir, emit)
 		return res, nil, err
 	}
-	cells, err := FleetCells(spec)
+	cells, err := spec.Cells()
+	if err != nil {
+		return nil, nil, err
+	}
+	grid, err := fleetGrid(cells)
 	if err != nil {
 		return nil, nil, err
 	}
 	if o.Run == nil {
 		o.Run = CellRunner()
 	}
-	rep, err := fleet.Coordinator(ctx, o, storeDir, cells)
+	rep, err := fleet.Coordinator(ctx, o, storeDir, grid)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,6 +132,17 @@ func ExecuteSpecFleet(ctx context.Context, spec *confluence.JobSpec, storeDir st
 		}
 		return nil, rep, fmt.Errorf("serve: fleet quarantined %d cell(s): %s", len(descs), strings.Join(descs, "; "))
 	}
-	res, err := ExecuteSpecStore(ctx, spec, storeDir, emit)
-	return res, rep, err
+	res := storedResult(store.Open(storeDir), spec.NormKind(), cells)
+	if res == nil {
+		// An entry vanished after the fleet stored it (eviction under a
+		// size cap): run what is missing inline.
+		res, err := ExecuteSpec(ctx, spec, storeDir, emit)
+		return res, rep, err
+	}
+	if emit != nil {
+		for i := range res.Cells {
+			emit(res.Cells[i].progress())
+		}
+	}
+	return res, rep, nil
 }

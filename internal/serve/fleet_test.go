@@ -79,7 +79,7 @@ func TestExecuteSpecFleetMatchesStorePath(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := t.TempDir()
-			serial, err := ExecuteSpecStore(context.Background(), tc.spec, filepath.Join(base, "store-serial"), nil)
+			serial, err := ExecuteSpec(context.Background(), tc.spec, filepath.Join(base, "store-serial"), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,6 +67,14 @@ type Result struct {
 	MixRows []experiments.MixRow `json:"mix_rows,omitempty"`
 }
 
+// progress is the progress event a finished cell streams.
+func (c *CellResult) progress() experiments.ProgressEvent {
+	return experiments.ProgressEvent{
+		Mix: c.Mix, Design: c.Design,
+		IPC: c.Stats.IPC(), BTBMPKI: c.Stats.BTBMPKI(), L1IMPKI: c.Stats.L1IMPKI(),
+	}
+}
+
 // rowCount returns how many paginatable rows the result holds.
 func (r *Result) rowCount() int {
 	if r.Kind == confluence.KindMixStudy {
@@ -90,9 +98,8 @@ type Job struct {
 	Priority int                 `json:"priority"`
 	Spec     *confluence.JobSpec `json:"spec"`
 
-	seq       int64  // submission order, tie-break within a priority
-	heapIndex int    // position in the queue heap; -1 when not queued
-	storeKey  string // durable store key; "" when the job is not storable
+	seq       int64 // submission order, tie-break within a priority
+	heapIndex int   // position in the queue heap; -1 when not queued
 
 	mu     sync.Mutex
 	cond   *sync.Cond // broadcast on every event append
@@ -197,7 +204,11 @@ func (j *Job) summary(withSpec bool) Summary {
 // ExecuteSpec runs a validated job spec to completion, streaming one
 // progress event per finished simulation cell to emit (nil for none). It
 // is the single execution path shared by the daemon's workers and
-// `confluence-sim -job`, so a spec behaves identically under both.
+// `confluence-sim -job`, so a spec behaves identically under both. A
+// non-empty storeDir backs it with the durable per-cell store: every
+// point/sweep cell runs with Config.StoreDir set (stored cells are read,
+// not simulated; completed cells persist) and a mixstudy's runner
+// consults the same store per cell. An empty storeDir runs with no store.
 //
 // Point and sweep cells run through confluence.RunCtx — the same entry
 // point a direct library caller uses — which is what makes the serving
@@ -206,16 +217,7 @@ func (j *Job) summary(withSpec bool) Summary {
 // max(1, spec.Parallelism) goroutines; the default is serial so one job
 // cannot oversubscribe the daemon (the queue's Workers knob governs
 // cross-job concurrency).
-func ExecuteSpec(ctx context.Context, spec *confluence.JobSpec, emit func(experiments.ProgressEvent)) (*Result, error) {
-	return ExecuteSpecStore(ctx, spec, "", emit)
-}
-
-// ExecuteSpecStore is ExecuteSpec threading a durable result store: with
-// a non-empty storeDir, every point/sweep cell runs with Config.StoreDir
-// set (completed cells persist and are served from disk on re-execution)
-// and a mixstudy's runner consults the same store per cell. An empty
-// storeDir is exactly ExecuteSpec.
-func ExecuteSpecStore(ctx context.Context, spec *confluence.JobSpec, storeDir string, emit func(experiments.ProgressEvent)) (*Result, error) {
+func ExecuteSpec(ctx context.Context, spec *confluence.JobSpec, storeDir string, emit func(experiments.ProgressEvent)) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -263,10 +265,7 @@ func ExecuteSpecStore(ctx context.Context, spec *confluence.JobSpec, storeDir st
 			Sampled:      r.Sampled,
 		}
 		res.Cells[i] = cell
-		emitOne(experiments.ProgressEvent{
-			Mix: cell.Mix, Design: cell.Design,
-			IPC: r.Stats.IPC(), BTBMPKI: r.Stats.BTBMPKI(), L1IMPKI: r.Stats.L1IMPKI(),
-		})
+		emitOne(cell.progress())
 		return nil
 	})
 	if err != nil {

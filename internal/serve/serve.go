@@ -45,14 +45,16 @@ type Config struct {
 	QuotaBurst int
 	// MaxBodyBytes bounds a submitted spec's size. Zero means 1 MiB.
 	MaxBodyBytes int64
-	// StoreDir, when non-empty, backs finished job results with the
-	// durable content-addressed store rooted there: a submitted spec whose
-	// normalized form is already stored completes instantly with the
-	// persisted result (replaying the full event sequence), finished jobs
-	// persist their results for future submissions and future daemon
-	// processes, and point/sweep cells additionally share the per-cell
-	// store with direct library runs on the same directory. Empty keeps
-	// results in memory only — the pre-store behavior exactly.
+	// StoreDir, when non-empty, backs jobs with the durable per-cell store
+	// rooted there — the one result cache, shared with direct library runs
+	// (Config.StoreDir), `confluence-sim -store` and fleet workers on the
+	// same directory. A point or sweep submission whose every cell is
+	// stored, by any of them, completes at accept with the result
+	// assembled from the cell entries (replaying the full event sequence);
+	// otherwise the job queues and simulates only its missing cells, each
+	// persisting for future submissions and future daemon processes.
+	// Mixstudy jobs always queue and read their stored cells as they run.
+	// Empty keeps results in memory only.
 	StoreDir string
 	// FleetDir, when non-empty (StoreDir required too), routes point and
 	// sweep jobs through a lease-based fleet coordinator rooted there:
@@ -106,17 +108,16 @@ func New(cfg Config) *Server {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	s := &Server{
-		cfg:     cfg,
-		quotas:  newQuotaTable(cfg.QuotaRPS, cfg.QuotaBurst, cfg.Now),
-		jobs:    make(map[string]*Job),
-		execute: ExecuteSpec,
+		cfg:    cfg,
+		quotas: newQuotaTable(cfg.QuotaRPS, cfg.QuotaBurst, cfg.Now),
+		jobs:   make(map[string]*Job),
 	}
-	if cfg.StoreDir != "" {
-		s.store = store.Open(cfg.StoreDir)
-		storeDir := cfg.StoreDir
-		s.execute = func(ctx context.Context, spec *confluence.JobSpec, emit func(experiments.ProgressEvent)) (*Result, error) {
-			return ExecuteSpecStore(ctx, spec, storeDir, emit)
-		}
+	storeDir := cfg.StoreDir
+	s.execute = func(ctx context.Context, spec *confluence.JobSpec, emit func(experiments.ProgressEvent)) (*Result, error) {
+		return ExecuteSpec(ctx, spec, storeDir, emit)
+	}
+	if storeDir != "" {
+		s.store = store.Open(storeDir)
 		if cfg.FleetDir != "" {
 			// Each job coordinates in its own subdirectory: concurrent jobs
 			// must not share a manifest. The sequence number only needs to be
@@ -190,12 +191,6 @@ func (s *Server) runJob(j *Job) {
 		j.emit(Event{Type: "cell", Cell: &cell})
 	})
 
-	if err == nil && s.store != nil && j.storeKey != "" {
-		if payload, encErr := encodeJobResult(res); encErr == nil {
-			s.store.Put(j.storeKey, payload) // best-effort persistence
-		}
-	}
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cancel = nil
@@ -216,25 +211,16 @@ func (s *Server) runJob(j *Job) {
 
 // Submit queues a validated spec, returning the job or ErrQueueFull /
 // ErrDraining. It is the programmatic form of POST /jobs. With a result
-// store configured, a spec whose normalized form is already stored
-// returns a job that is instantly done — it never occupies a queue slot
-// or a worker, so stored re-submissions cannot shed live work.
+// store configured, a point or sweep spec whose every cell is stored
+// returns a job that is already done — it never occupies a queue slot or
+// a worker, so stored re-submissions cannot shed live work.
 func (s *Server) Submit(spec *confluence.JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	var storeKey string
-	var stored *Result
-	if s.store != nil {
-		if key, ok := jobStoreKey(spec); ok {
-			storeKey = key
-			// The store read happens outside s.mu: it is filesystem I/O and
-			// must not serialize against the queue.
-			if payload, hit := s.store.Get(key); hit {
-				stored, _ = decodeJobResult(payload)
-			}
-		}
-	}
+	// The store reads happen outside s.mu: they are filesystem I/O and
+	// must not serialize against the queue.
+	stored := s.lookup(spec)
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
@@ -246,7 +232,6 @@ func (s *Server) Submit(spec *confluence.JobSpec) (*Job, error) {
 	}
 	s.nextSeq++
 	j := newJob(fmt.Sprintf("j%06d", s.nextSeq), s.nextSeq, spec)
-	j.storeKey = storeKey
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
 	if stored == nil {
@@ -258,6 +243,21 @@ func (s *Server) Submit(spec *confluence.JobSpec) (*Job, error) {
 		j.completeFromStore(stored)
 	}
 	return j, nil
+}
+
+// lookup answers a spec from the per-cell store: the result assembled
+// from its cells' entries when every cell has one, else nil. Mixstudy
+// specs, and specs whose cells cannot be named (an unreadable capture),
+// are never answered here; they run.
+func (s *Server) lookup(spec *confluence.JobSpec) *Result {
+	if s.store == nil {
+		return nil
+	}
+	cells, err := spec.Cells()
+	if err != nil {
+		return nil
+	}
+	return storedResult(s.store, spec.NormKind(), cells)
 }
 
 // Cancel cancels a job: a queued job leaves the queue immediately

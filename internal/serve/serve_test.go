@@ -603,7 +603,7 @@ func TestExecuteSpecMixStudy(t *testing.T) {
 		Designs: []string{"Confluence"},
 	}
 	var events []experiments.ProgressEvent
-	res, err := ExecuteSpec(context.Background(), spec, func(e experiments.ProgressEvent) {
+	res, err := ExecuteSpec(context.Background(), spec, "", func(e experiments.ProgressEvent) {
 		events = append(events, e)
 	})
 	if err != nil {

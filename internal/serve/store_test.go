@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"confluence"
 	"confluence/internal/experiments"
@@ -106,7 +108,7 @@ func TestStoreSurvivesDaemonRestart(t *testing.T) {
 	executed := false
 	s2.execute = func(ctx context.Context, spec *confluence.JobSpec, emit func(experiments.ProgressEvent)) (*Result, error) {
 		executed = true
-		return ExecuteSpecStore(ctx, spec, dir, emit)
+		return ExecuteSpec(ctx, spec, dir, emit)
 	}
 	again := submitted(t, ts2, tinySpec())
 	if again.State != StateDone {
@@ -131,76 +133,137 @@ func TestStoreSurvivesDaemonRestart(t *testing.T) {
 	}
 }
 
-// TestJobStoreKeyNormalization pins what is — and is not — a distinct job
-// in the store's eyes.
-func TestJobStoreKeyNormalization(t *testing.T) {
-	key := func(s *confluence.JobSpec) string {
-		t.Helper()
-		k, ok := jobStoreKey(s)
-		if !ok {
-			t.Fatalf("unexpectedly unkeyable: %+v", s)
-		}
-		return k
-	}
-	ref := key(tinySpec())
-
-	// Scheduling knobs are not identity.
-	prio := tinySpec()
-	prio.Priority = 9
-	if key(prio) != ref {
-		t.Error("Priority changed the job store key")
-	}
-	par := tinySpec()
-	par.Parallelism, par.IntraParallelism = 8, 4
-	if key(par) != ref {
-		t.Error("Parallelism knobs changed the job store key")
-	}
-	// Kind normalization: "" and "point" are the same shape.
-	kp := tinySpec()
-	kp.Kind = confluence.KindPoint
-	if key(kp) != ref {
-		t.Error(`Kind "point" diverged from the empty default`)
-	}
-	// Zero-means-default sentinels resolve.
-	meas := tinySpec()
-	meas.MeasureInstr = 0
-	def := tinySpec()
-	def.MeasureInstr = 1_500_000
-	if key(meas) != key(def) {
-		t.Error("explicit 1.5M measure diverged from the zero default")
-	}
-	// Result-shaping fields are identity.
-	design := tinySpec()
-	design.Design = "Confluence"
-	if key(design) == ref {
-		t.Error("design not part of the job store key")
-	}
-	// Pinned literals: job keys of stored entries must not move. The
-	// compatibility field epoch_blocks stays in the key exactly as sent.
-	if ref != "ecb06bd815aa146e2d317920105d01cdbcd5a817a14709bfd9b737f9dc3843d8" {
-		t.Errorf("tinySpec job key = %s, moved from its pinned value", ref)
-	}
-	k1 := tinySpec()
-	k1.EpochBlocks = 1
-	if got := key(k1); got != "c4552d4bde0fce42770aac4ee1aeabb368070f7ce8a7caaca610eb44890561eb" {
-		t.Errorf("tinySpec+epoch_blocks=1 job key = %s, moved from its pinned value", got)
-	}
-
-	// Trace replays are not job-level cacheable.
-	tr := tinySpec()
-	tr.TraceDir = t.TempDir()
-	if _, ok := jobStoreKey(tr); ok {
-		t.Error("trace-replay spec got a job store key")
+// TestStoreHoldsOneEntryPerCell: a store-backed job persists its cells
+// and nothing else — the per-cell store is the only result cache.
+func TestStoreHoldsOneEntryPerCell(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	sum := submitted(t, ts, tinySpec())
+	waitState(t, s, sum.ID, StateDone)
+	if n := store.Open(dir).Len(); n != 1 {
+		t.Errorf("store holds %d entries after a one-cell job, want 1", n)
 	}
 }
 
-// TestDecodeJobResultRejectsGarbage: corrupt or schema-drifted payloads
-// are misses, never half-populated results.
-func TestDecodeJobResultRejectsGarbage(t *testing.T) {
-	for _, payload := range []string{"", "null", "{}", `{"cells": []}`} {
-		if _, ok := decodeJobResult([]byte(payload)); ok {
-			t.Errorf("decodeJobResult(%q) accepted", payload)
+// neverExecute installs an execute hook that records each spec it is
+// handed and parks it until the server closes: a job answered from the
+// store never reaches it, and a queued one never finishes.
+func neverExecute(s *Server) *atomic.Int64 {
+	var calls atomic.Int64
+	s.execute = func(ctx context.Context, spec *confluence.JobSpec, emit func(experiments.ProgressEvent)) (*Result, error) {
+		calls.Add(1)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return &calls
+}
+
+// TestResubmitAnsweredFromCells pins what the per-cell store treats as
+// the same job: any spec whose cells have the same keys is answered at
+// accept, whatever its scheduling knobs or spelling of a default, and a
+// spec naming a different cell queues.
+func TestResubmitAnsweredFromCells(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	defaultMeasure := tinySpec()
+	defaultMeasure.MeasureInstr = 0
+	for _, spec := range []*confluence.JobSpec{tinySpec(), defaultMeasure} {
+		waitState(t, s, submitted(t, ts, spec).ID, StateDone)
+	}
+	calls := neverExecute(s)
+
+	variant := func(edit func(*confluence.JobSpec)) *confluence.JobSpec {
+		spec := tinySpec()
+		edit(spec)
+		return spec
+	}
+	for _, tc := range []struct {
+		name string
+		spec *confluence.JobSpec
+		done bool
+	}{
+		{"priority", variant(func(s *confluence.JobSpec) { s.Priority = 9 }), true},
+		{"parallelism", variant(func(s *confluence.JobSpec) { s.Parallelism, s.IntraParallelism = 8, 4 }), true},
+		{"kind point", variant(func(s *confluence.JobSpec) { s.Kind = confluence.KindPoint }), true},
+		{"explicit default measure", variant(func(s *confluence.JobSpec) { s.MeasureInstr = 1_500_000 }), true},
+		{"epoch_blocks 1", variant(func(s *confluence.JobSpec) { s.EpochBlocks = 1 }), true},
+		{"other design", variant(func(s *confluence.JobSpec) { s.Design = "Confluence" }), false},
+	} {
+		sum := submitted(t, ts, tc.spec)
+		if got := sum.State == StateDone; got != tc.done {
+			t.Errorf("%s: state %s at accept, want done = %v", tc.name, sum.State, tc.done)
 		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for calls.Load() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d jobs reached the executor, want 1 (the other design)", n)
+	}
+}
+
+// TestLibraryRunAnswersSubmission: a cell stored by a direct library run
+// (confluence.RunCtx with StoreDir) answers a fresh daemon's submission
+// of the same point at accept, with the library run's stats.
+func TestLibraryRunAnswersSubmission(t *testing.T) {
+	dir := t.TempDir()
+	cfg, err := tinySpec().Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.StoreDir = dir
+	direct, err := confluence.RunCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	calls := neverExecute(s)
+	sum := submitted(t, ts, tinySpec())
+	if sum.State != StateDone {
+		t.Fatalf("state %s at accept, want done", sum.State)
+	}
+	if calls.Load() != 0 {
+		t.Error("a stored cell reached the executor")
+	}
+	var page struct {
+		Rows []CellResult `json:"rows"`
+	}
+	if err := json.Unmarshal(fetchResult(t, ts.URL, sum.ID), &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Rows) != 1 || !reflect.DeepEqual(page.Rows[0].Stats, direct.Stats) ||
+		!reflect.DeepEqual(page.Rows[0].PerCore, direct.PerCore) {
+		t.Errorf("served row diverges from the library run: %+v vs %+v", page.Rows, direct.Stats)
+	}
+}
+
+// TestPartlyStoredSweepRunsMissingCells: a sweep with one of its two
+// cells stored queues, and running it writes exactly the missing cell.
+func TestPartlyStoredSweepRunsMissingCells(t *testing.T) {
+	dir := t.TempDir()
+	cells, err := tinySweep().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecuteSpec(context.Background(), &cells[0].Spec, dir, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	st := store.Open(dir)
+	_, _, writesBefore := st.Counters()
+	sum := submitted(t, ts, tinySweep())
+	if sum.State == StateDone {
+		t.Fatal("partly stored sweep answered at accept")
+	}
+	waitState(t, s, sum.ID, StateDone)
+	if _, _, writesAfter := st.Counters(); writesAfter-writesBefore != 1 {
+		t.Errorf("job performed %d store writes, want 1 (the missing cell)", writesAfter-writesBefore)
+	}
+	if n := st.Len(); n != 2 {
+		t.Errorf("store holds %d entries, want 2", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 
 	"confluence/internal/experiments"
@@ -151,6 +150,15 @@ func (s *JobSpec) Validate() error {
 			return bad("unknown design %q (have: %s)", name, strings.Join(DesignNames(), ", "))
 		}
 	}
+	// A sweep's axes are sets: without repeats a spec expands to at most
+	// every workload × every design. Mix keeps its repeats (each one
+	// assigns cores).
+	if name, ok := repeated(s.Workloads); ok {
+		return bad("workloads names %q more than once", name)
+	}
+	if name, ok := repeated(s.Designs); ok {
+		return bad("designs names %q more than once", name)
+	}
 	if s.Cores < 0 || s.Parallelism < 0 || s.IntraParallelism < 0 || s.EpochBlocks < 0 {
 		return bad("cores/parallelism/intra_parallelism/epoch_blocks must be non-negative")
 	}
@@ -203,12 +211,24 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// buildWorkload generates one named workload with the spec's profile
+// repeated returns the first name that occurs twice in names.
+func repeated(names []string) (string, bool) {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if seen[n] {
+			return n, true
+		}
+		seen[n] = true
+	}
+	return "", false
+}
+
+// profile returns the named workload's generator profile with the spec's
 // overrides applied.
-func (s *JobSpec) buildWorkload(name string) (*Workload, error) {
+func (s *JobSpec) profile(name string) (synth.Profile, error) {
 	prof, ok := synth.ProfileByName(name)
 	if !ok {
-		return nil, fmt.Errorf("confluence: unknown workload %q", name)
+		return synth.Profile{}, fmt.Errorf("confluence: unknown workload %q", name)
 	}
 	if t := s.Profile; t != nil {
 		if t.Functions > 0 {
@@ -224,7 +244,39 @@ func (s *JobSpec) buildWorkload(name string) (*Workload, error) {
 			prof.Seed = *t.Seed
 		}
 	}
-	return synth.Build(prof)
+	return prof, nil
+}
+
+// generator returns a workload source that generates each named workload
+// once, so repeated names share one program.
+func (s *JobSpec) generator() func(name string) (*Workload, error) {
+	built := make(map[string]*Workload)
+	return func(name string) (*Workload, error) {
+		if w := built[name]; w != nil {
+			return w, nil
+		}
+		prof, err := s.profile(name)
+		if err != nil {
+			return nil, err
+		}
+		w, err := synth.Build(prof)
+		if err != nil {
+			return nil, err
+		}
+		built[name] = w
+		return w, nil
+	}
+}
+
+// profileOnly is a workload source that generates nothing: each workload
+// carries only its profile, which with the capture listing is all a cell
+// key hashes (experiments.CellSpec.Key).
+func (s *JobSpec) profileOnly(name string) (*Workload, error) {
+	prof, err := s.profile(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Workload{Prof: prof}, nil
 }
 
 // sampling assembles the spec's sampled-execution plan (zero = exact).
@@ -268,38 +320,30 @@ func (s *JobSpec) Config() (Config, error) {
 	if s.NormKind() != KindPoint {
 		return Config{}, fmt.Errorf("confluence: %s job spec does not map onto a single Config", s.NormKind())
 	}
+	return s.config(s.generator())
+}
+
+// config maps a validated point spec onto its Config, taking each named
+// workload from workload.
+func (s *JobSpec) config(workload func(name string) (*Workload, error)) (Config, error) {
 	cfg := s.baseConfig()
-	dp, _ := DesignByName(s.Design)
-	cfg.Design = dp
+	cfg.Design, _ = DesignByName(s.Design)
+	var err error
 	switch {
 	case len(s.Mix) > 0:
-		built := make(map[string]*Workload, len(s.Mix))
-		for _, name := range s.Mix {
-			if built[name] != nil {
-				continue
-			}
-			w, err := s.buildWorkload(name)
-			if err != nil {
-				return Config{}, err
-			}
-			built[name] = w
-		}
 		cfg.Mix = make([]*Workload, len(s.Mix))
 		for i, name := range s.Mix {
-			cfg.Mix[i] = built[name]
+			if cfg.Mix[i], err = workload(name); err != nil {
+				return Config{}, err
+			}
 		}
 	case s.Workload != "":
-		w, err := s.buildWorkload(s.Workload)
-		if err != nil {
-			return Config{}, err
-		}
-		cfg.Workload = w
+		cfg.Workload, err = workload(s.Workload)
 	default: // trace-only replay under default calibration
-		w, err := WorkloadFromTrace(s.TraceDir)
-		if err != nil {
-			return Config{}, err
-		}
-		cfg.Workload = w
+		cfg.Workload, err = WorkloadFromTrace(s.TraceDir)
+	}
+	if err != nil {
+		return Config{}, err
 	}
 	return cfg, nil
 }
@@ -315,171 +359,92 @@ func (s *JobSpec) MixWorkloads() ([]*Workload, error) {
 	if len(s.Mix) == 0 {
 		return nil, fmt.Errorf("confluence: job spec has no mix")
 	}
-	built := make(map[string]*Workload, len(s.Mix))
+	gen := s.generator()
 	mix := make([]*Workload, len(s.Mix))
 	for i, name := range s.Mix {
-		if built[name] == nil {
-			w, err := s.buildWorkload(name)
-			if err != nil {
-				return nil, err
-			}
-			built[name] = w
+		w, err := gen(name)
+		if err != nil {
+			return nil, err
 		}
-		mix[i] = built[name]
+		mix[i] = w
 	}
 	return mix, nil
 }
 
-// Configs expands the spec into the ordered list of simulations it
-// describes: one Config for a point job, the Workloads × Designs cross
-// product (workload-major, matching the figure runners' canonical order)
-// for a sweep. Workload generation is shared across cells. Mixstudy specs
-// do not expand to plain Configs.
-func (s *JobSpec) Configs() ([]Config, error) {
+// JobCell is one simulation of a point or sweep job: the point spec that
+// reproduces it and the store key RunCtx reads and writes for it.
+type JobCell struct {
+	Spec JobSpec
+	Key  string
+	// Mix labels the cell's workloads as the experiments package does
+	// (experiments.MixName), the label its result row carries.
+	Mix string
+}
+
+// Cells expands a point or sweep spec into its simulations in canonical
+// order: the point itself, or the Workloads × Designs cross product
+// (workload-major, matching the figure runners' order; Workloads defaults
+// to the paper's five-workload suite). Keys come from the same resolution
+// RunCtx applies (ConfigStoreKey) over workloads that carry only their
+// profile, so naming a job's cells generates no program. Mixstudy specs
+// do not expand to cells.
+func (s *JobSpec) Cells() ([]JobCell, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	var specs []JobSpec
 	switch s.NormKind() {
 	case KindPoint:
-		cfg, err := s.Config()
-		if err != nil {
-			return nil, err
-		}
-		return []Config{cfg}, nil
+		specs = []JobSpec{*s}
 	case KindSweep:
 		names := s.Workloads
 		if len(names) == 0 {
 			names = PaperWorkloadNames()
 		}
-		var cfgs []Config
 		for _, name := range names {
-			w, err := s.buildWorkload(name)
-			if err != nil {
-				return nil, err
-			}
 			for _, dn := range s.Designs {
-				dp, _ := DesignByName(dn)
-				cfg := s.baseConfig()
-				cfg.Workload = w
-				cfg.Design = dp
-				cfgs = append(cfgs, cfg)
+				p := *s
+				p.Kind, p.Workload, p.Design, p.Workloads, p.Designs = KindPoint, name, dn, nil, nil
+				specs = append(specs, p)
 			}
 		}
-		return cfgs, nil
 	default:
-		return nil, fmt.Errorf("confluence: %s job spec does not expand to Configs (run it through the serving layer or MixStudyFor)", s.NormKind())
+		return nil, fmt.Errorf("confluence: %s job spec does not expand to cells (run it through the serving layer or MixStudyFor)", s.NormKind())
 	}
-}
-
-// SpecFromConfig maps a Config back onto the point JobSpec that describes
-// it — the inverse of JobSpec.Config for configs expressible as specs:
-// workloads must be generated from named profiles (with at most the
-// ProfileTweak fields changed, uniformly across a mix), and Options must
-// be zero (specs carry no Options). The round trip
-// SpecFromConfig(cfg).Config() rebuilds bit-identical workloads, since
-// generation is deterministic in (profile, seed).
-func SpecFromConfig(cfg Config) (*JobSpec, error) {
-	// Options holds a func field, so the zero test is DeepEqual (two nil
-	// Sources compare equal; any set field or provider does not).
-	if !reflect.DeepEqual(cfg.Options, Options{}) {
-		return nil, fmt.Errorf("confluence: config with custom Options is not expressible as a JobSpec")
-	}
-	s := &JobSpec{
-		Design:                  cfg.Design.String(),
-		TraceDir:                cfg.TraceDir,
-		Cores:                   cfg.Cores,
-		WarmupInstr:             cfg.WarmupInstr,
-		MeasureInstr:            cfg.MeasureInstr,
-		NoWarmup:                cfg.NoWarmup,
-		Parallelism:             cfg.Parallelism,
-		IntraParallelism:        cfg.IntraParallelism,
-		SampleWindowInstr:       cfg.Sampling.WindowInstr,
-		SamplePeriodInstr:       cfg.Sampling.PeriodInstr,
-		SampleWindows:           cfg.Sampling.Windows,
-		SampleWindowWarmupInstr: cfg.Sampling.WindowWarmupInstr,
-		SampleJitterSeed:        cfg.Sampling.JitterSeed,
-	}
-	describe := func(w *Workload) (string, *ProfileTweak, error) {
-		name := w.Prof.Name
-		base, ok := synth.ProfileByName(name)
-		if !ok {
-			return "", nil, fmt.Errorf("confluence: workload %q is not a named profile", name)
-		}
-		var tweak *ProfileTweak
-		if w.Prof != base {
-			t := &ProfileTweak{}
-			p := base
-			if w.Prof.Functions != base.Functions {
-				t.Functions, p.Functions = w.Prof.Functions, w.Prof.Functions
-			}
-			if w.Prof.RequestTypes != base.RequestTypes {
-				t.RequestTypes, p.RequestTypes = w.Prof.RequestTypes, w.Prof.RequestTypes
-			}
-			if w.Prof.Concurrency != base.Concurrency {
-				t.Concurrency, p.Concurrency = w.Prof.Concurrency, w.Prof.Concurrency
-			}
-			if w.Prof.Seed != base.Seed {
-				seed := w.Prof.Seed
-				t.Seed, p.Seed = &seed, seed
-			}
-			if p != w.Prof {
-				return "", nil, fmt.Errorf("confluence: workload %q diverges from its profile beyond the ProfileTweak fields", name)
-			}
-			tweak = t
-		}
-		return name, tweak, nil
-	}
-	sameTweak := func(a, b *ProfileTweak) bool {
-		if (a == nil) != (b == nil) {
-			return false
-		}
-		if a == nil {
-			return true
-		}
-		if (a.Seed == nil) != (b.Seed == nil) || (a.Seed != nil && *a.Seed != *b.Seed) {
-			return false
-		}
-		return a.Functions == b.Functions && a.RequestTypes == b.RequestTypes && a.Concurrency == b.Concurrency
-	}
-	switch {
-	case cfg.Workload != nil && len(cfg.Mix) == 0:
-		w := cfg.Workload
-		if w.Prog == nil && w.TraceDir != "" && w.Prof == synth.TraceProfile(w.Prof.Name) {
-			// A WorkloadFromTrace wrapper: no program, no tuned profile —
-			// the capture directory is its whole identity, so the config is
-			// expressible as a trace-only spec (JobSpec.Config rebuilds it
-			// through WorkloadFromTrace).
-			if s.TraceDir == "" {
-				s.TraceDir = w.TraceDir
-			}
-			break
-		}
-		name, tweak, err := describe(w)
+	cells := make([]JobCell, len(specs))
+	for i := range specs {
+		cfg, err := specs[i].config(specs[i].profileOnly)
 		if err != nil {
 			return nil, err
 		}
-		s.Workload, s.Profile = name, tweak
-	case len(cfg.Mix) > 0 && cfg.Workload == nil:
-		for i, w := range cfg.Mix {
-			name, tweak, err := describe(w)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				s.Profile = tweak
-			} else if !sameTweak(s.Profile, tweak) {
-				return nil, fmt.Errorf("confluence: mix workloads with differing profile tweaks are not expressible as one JobSpec")
-			}
-			s.Mix = append(s.Mix, name)
+		cell, err := ConfigCellSpec(cfg)
+		if err != nil {
+			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("confluence: config needs exactly one of Workload and Mix")
+		key, ok := cell.Key()
+		if !ok {
+			return nil, fmt.Errorf("confluence: job cell %d has no store key (unreadable capture directory?)", i)
+		}
+		cells[i] = JobCell{Spec: specs[i], Key: key, Mix: experiments.MixName(cell.Mix)}
 	}
-	if _, ok := DesignByName(s.Design); !ok {
-		return nil, fmt.Errorf("confluence: design %v has no serialized name", cfg.Design)
-	}
-	if err := s.Validate(); err != nil {
+	return cells, nil
+}
+
+// Configs expands the spec into the ordered list of simulations it
+// describes: one Config per cell of Cells, each named workload generated
+// once and shared across cells. Mixstudy specs do not expand to plain
+// Configs.
+func (s *JobSpec) Configs() ([]Config, error) {
+	cells, err := s.Cells()
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	gen := s.generator()
+	cfgs := make([]Config, len(cells))
+	for i := range cells {
+		if cfgs[i], err = cells[i].Spec.config(gen); err != nil {
+			return nil, err
+		}
+	}
+	return cfgs, nil
 }

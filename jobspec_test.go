@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"confluence/internal/experiments"
 )
 
 func TestParseJobSpecRoundTrip(t *testing.T) {
@@ -38,6 +40,9 @@ var malformedSpecs = []struct{ name, body string }{
 	{"second JSON object", `{"design":"Base1K","workload":"DSS-Qrys"}{}`},
 	{"not an object", `[1,2,3]`},
 	{"removed bound-weave depth", `{"design":"Base1K","workload":"DSS-Qrys","epoch_blocks":8}`},
+	{"repeated sweep workload", `{"kind":"sweep","workloads":["DSS-Qrys","KeyValue","DSS-Qrys"],"designs":["Base1K"]}`},
+	{"repeated sweep design", `{"kind":"sweep","designs":["Base1K","Ideal","Base1K"]}`},
+	{"repeated mixstudy design", `{"kind":"mixstudy","mix":["DSS-Qrys","KeyValue"],"designs":["Ideal","Ideal"]}`},
 }
 
 func TestParseJobSpecStrictness(t *testing.T) {
@@ -216,65 +221,34 @@ func TestJobSpecConfigsSweep(t *testing.T) {
 	}
 }
 
-// TestSpecFromConfigRoundTrip checks the Config→JobSpec inverse: the
-// reconstructed spec rebuilds bit-identical workloads.
-func TestSpecFromConfigRoundTrip(t *testing.T) {
-	w, err := BuildWorkload("OLTP-DB2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Workload: w, Design: Confluence, Cores: 2,
-		WarmupInstr: 30_000, MeasureInstr: 60_000,
-	}
-	spec, err := SpecFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Workload != "OLTP-DB2" || spec.Profile != nil || spec.Design != "Confluence" {
-		t.Fatalf("spec = %+v", spec)
-	}
-	back, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Workload.Prof != w.Prof {
-		t.Errorf("rebuilt workload profile differs: %+v vs %+v", back.Workload.Prof, w.Prof)
-	}
-	if back.Design != cfg.Design || back.Cores != cfg.Cores ||
-		back.WarmupInstr != cfg.WarmupInstr || back.MeasureInstr != cfg.MeasureInstr {
-		t.Errorf("round-tripped config shape differs: %+v", back)
-	}
-}
-
 // TestSpecSamplingRoundTrip pins the sampled-execution plan through the
-// full serving path: Config → JobSpec → JSON → JobSpec → Config must
-// preserve every Sampling field (a dropped field would silently run a
-// different — or exact — plan on a remote worker).
+// path a fleet cell takes: sweep spec → cell spec → JSON → JobSpec →
+// Config must preserve every Sampling field (a dropped field would
+// silently run a different — or exact — plan on a remote worker).
 func TestSpecSamplingRoundTrip(t *testing.T) {
-	w, err := BuildWorkload("OLTP-DB2")
-	if err != nil {
-		t.Fatal(err)
+	plan := Sampling{WindowInstr: 500, PeriodInstr: 6000, Windows: 10, WindowWarmupInstr: 250, JitterSeed: 7}
+	spec := &JobSpec{
+		Kind: KindSweep, Workloads: []string{"OLTP-DB2"}, Designs: []string{"Confluence"},
+		Cores: 2, WarmupInstr: 30_000, MeasureInstr: 60_000,
+		SampleWindowInstr: plan.WindowInstr, SamplePeriodInstr: plan.PeriodInstr, SampleWindows: plan.Windows,
+		SampleWindowWarmupInstr: plan.WindowWarmupInstr, SampleJitterSeed: plan.JitterSeed,
 	}
-	cfg := Config{
-		Workload: w, Design: Confluence, Cores: 2,
-		WarmupInstr: 30_000, MeasureInstr: 60_000,
-		Sampling: Sampling{
-			WindowInstr: 500, PeriodInstr: 6000, Windows: 10,
-			WindowWarmupInstr: 250, JitterSeed: 7,
-		},
+	cellJSON := func(spec *JobSpec) []byte {
+		t.Helper()
+		cells, err := spec.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(&cells[0].Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	spec, err := SpecFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := cellJSON(spec)
 	for _, want := range []string{"sample_window_instr", "sample_period_instr", "sample_windows", "sample_window_warmup_instr", "sample_jitter_seed"} {
 		if !strings.Contains(string(data), want) {
-			t.Errorf("marshalled spec missing %q:\n%s", want, data)
+			t.Errorf("marshalled cell spec missing %q:\n%s", want, data)
 		}
 	}
 	parsed, err := ParseJobSpec(data)
@@ -285,125 +259,98 @@ func TestSpecSamplingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Sampling != cfg.Sampling {
-		t.Errorf("round-tripped sampling plan differs: %+v vs %+v", back.Sampling, cfg.Sampling)
+	if back.Sampling != plan {
+		t.Errorf("round-tripped sampling plan differs: %+v vs %+v", back.Sampling, plan)
 	}
 	// The exact plan must stay exactly representable: no sample_* keys.
-	cfg.Sampling = Sampling{}
-	spec, err = SpecFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, err = json.Marshal(spec); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "sample_") {
-		t.Errorf("exact-mode spec leaks sample_* fields:\n%s", data)
+	exact := *spec
+	exact.SampleWindowInstr, exact.SamplePeriodInstr, exact.SampleWindows = 0, 0, 0
+	exact.SampleWindowWarmupInstr, exact.SampleJitterSeed = 0, 0
+	if data := cellJSON(&exact); strings.Contains(string(data), "sample_") {
+		t.Errorf("exact-mode cell spec leaks sample_* fields:\n%s", data)
 	}
 }
 
-// TestSpecFromConfigTraceOnly is the regression test for trace-wrapper
-// configs: a Workload built by WorkloadFromTrace has a synthetic
-// "trace:<dir>" profile that is not a named profile, so SpecFromConfig
-// used to reject it even though the capture directory fully describes
-// the run. It must map onto a trace-only spec and round-trip.
-func TestSpecFromConfigTraceOnly(t *testing.T) {
+// TestJobSpecCells pins the one job-to-cell expansion: for every kind of
+// point and sweep spec, each cell's key is the key RunCtx derives from
+// the generated config (Configs), its spec is a point spec whose own
+// Config derives the same key, and its label is the config's mix name.
+func TestJobSpecCells(t *testing.T) {
 	src, err := BuildWorkload("DSS-Qrys")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := CaptureTrace(src, dir, 1, 20_000); err != nil {
+	capture := t.TempDir()
+	if err := CaptureTrace(src, capture, 1, 20_000); err != nil {
 		t.Fatal(err)
 	}
-	w, err := WorkloadFromTrace(dir)
-	if err != nil {
-		t.Fatal(err)
+	seed := uint64(0x5eed)
+	shape := func(s JobSpec) *JobSpec {
+		s.Cores, s.NoWarmup, s.MeasureInstr = 1, true, 10_000
+		return &s
+	}
+	for name, spec := range map[string]*JobSpec{
+		"point":   shape(JobSpec{Workload: "DSS-Qrys", Design: "Base1K", Priority: 4, Parallelism: 3}),
+		"mix":     shape(JobSpec{Mix: []string{"DSS-Qrys", "KeyValue", "DSS-Qrys"}, Design: "Confluence"}),
+		"sweep":   shape(JobSpec{Kind: KindSweep, Workloads: []string{"KeyValue", "DSS-Qrys"}, Designs: []string{"Base1K", "Ideal"}}),
+		"tweaked": shape(JobSpec{Workload: "OLTP-DB2", Design: "Base1K", Profile: &ProfileTweak{Functions: 520, Concurrency: 6, Seed: &seed}}),
+		"sampled": shape(JobSpec{Kind: KindSweep, Workloads: []string{"DSS-Qrys"}, Designs: []string{"Base1K"},
+			SampleWindowInstr: 1000, SamplePeriodInstr: 5000, SampleWindows: 2}),
+		"trace only":     shape(JobSpec{TraceDir: capture, Design: "Base1K"}),
+		"trace workload": shape(JobSpec{Workload: "DSS-Qrys", TraceDir: capture, Design: "Base1K"}),
+	} {
+		cells, err := spec.Cells()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfgs, err := spec.Configs()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(cells) != len(cfgs) {
+			t.Fatalf("%s: %d cells, %d configs", name, len(cells), len(cfgs))
+		}
+		keys := map[string]bool{}
+		for i, c := range cells {
+			key, ok := ConfigStoreKey(cfgs[i])
+			if !ok || key != c.Key {
+				t.Errorf("%s cell %d: key %.12s, generated config derives %.12s", name, i, c.Key, key)
+			}
+			keys[c.Key] = true
+			if c.Spec.NormKind() != KindPoint || len(c.Spec.Workloads) > 0 || len(c.Spec.Designs) > 0 {
+				t.Errorf("%s cell %d: spec %+v is not a point spec", name, i, c.Spec)
+			}
+			cfg, err := c.Spec.Config()
+			if err != nil {
+				t.Fatalf("%s cell %d: %v", name, i, err)
+			}
+			if key, _ := ConfigStoreKey(cfg); key != c.Key {
+				t.Errorf("%s cell %d: the cell spec's own config derives %.12s, want %.12s", name, i, key, c.Key)
+			}
+			mix := cfg.Mix
+			if len(mix) == 0 {
+				mix = []*Workload{cfg.Workload}
+			}
+			if want := experiments.MixName(mix); c.Mix != want || c.Spec.Design != cfg.Design.String() {
+				t.Errorf("%s cell %d: labelled %s/%s, config is %s/%s", name, i, c.Mix, c.Spec.Design, want, cfg.Design)
+			}
+		}
+		if len(keys) != len(cells) {
+			t.Errorf("%s: %d cells share %d keys", name, len(cells), len(keys))
+		}
 	}
 
-	cfg := Config{Workload: w, Design: Base1K, Cores: 1, NoWarmup: true, MeasureInstr: 10_000}
-	spec, err := SpecFromConfig(cfg)
-	if err != nil {
-		t.Fatalf("SpecFromConfig(trace-only workload): %v", err)
+	sweep := shape(JobSpec{Kind: KindSweep, Workloads: []string{"KeyValue", "DSS-Qrys"}, Designs: []string{"Base1K", "Ideal"}})
+	cells, _ := sweep.Cells()
+	var order []string
+	for _, c := range cells {
+		order = append(order, c.Spec.Workload+"/"+c.Spec.Design)
 	}
-	if spec.TraceDir != dir || spec.Workload != "" || spec.Profile != nil {
-		t.Fatalf("spec = %+v, want trace-only with TraceDir %q", spec, dir)
+	if got, want := strings.Join(order, " "), "KeyValue/Base1K KeyValue/Ideal DSS-Qrys/Base1K DSS-Qrys/Ideal"; got != want {
+		t.Errorf("sweep cell order %q, want %q (workload-major)", got, want)
 	}
-
-	back, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Workload == nil || back.Workload.TraceDir != dir || back.Workload.Prof != w.Prof {
-		t.Errorf("round-tripped workload = %+v, want the trace wrapper for %q", back.Workload, dir)
-	}
-
-	// An explicit Config.TraceDir (replaying a different capture over the
-	// wrapper) wins over the wrapper's own directory.
-	other := Config{Workload: w, TraceDir: dir, Design: Base1K}
-	spec2, err := SpecFromConfig(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec2.TraceDir != dir {
-		t.Errorf("spec.TraceDir = %q, want %q", spec2.TraceDir, dir)
-	}
-}
-
-// TestSpecFromConfigTweaked covers the tweak reconstruction: a profile
-// differing from its base in exactly the ProfileTweak fields round-trips.
-func TestSpecFromConfigTweaked(t *testing.T) {
-	spec := &JobSpec{
-		Workload: "OLTP-DB2",
-		Profile:  &ProfileTweak{Functions: 520, RequestTypes: 6, Concurrency: 6},
-		Design:   "Confluence",
-	}
-	cfg, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := SpecFromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Profile == nil || *back.Profile != *spec.Profile {
-		t.Errorf("tweak not reconstructed: %+v", back.Profile)
-	}
-	if back.Workload != "OLTP-DB2" {
-		t.Errorf("workload name %q", back.Workload)
-	}
-}
-
-func TestSpecFromConfigRejects(t *testing.T) {
-	w, err := BuildWorkload("DSS-Qrys")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Custom Options are not serializable.
-	withOpts := Config{Workload: w, Design: Base1K}
-	withOpts.Options.Cores = 4
-	if _, err := SpecFromConfig(withOpts); err == nil {
-		t.Error("config with custom Options accepted")
-	}
-
-	// A workload whose profile diverges beyond the tweak fields cannot be
-	// named.
-	mutant := *w
-	mutant.Prof.BackendCPI = w.Prof.BackendCPI + 0.25
-	if _, err := SpecFromConfig(Config{Workload: &mutant, Design: Base1K}); err == nil {
-		t.Error("workload diverging beyond ProfileTweak accepted")
-	}
-
-	// Mix entries with differing tweaks cannot share one spec.
-	k, err := BuildWorkload("KeyValue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tweaked := *k
-	tweaked.Prof.Concurrency = k.Prof.Concurrency + 1
-	if _, err := SpecFromConfig(Config{Mix: []*Workload{w, &tweaked}, Design: Base1K}); err == nil {
-		t.Error("mix with divergent tweaks accepted")
+	if _, err := (&JobSpec{Kind: KindMixStudy, Mix: []string{"DSS-Qrys"}}).Cells(); err == nil {
+		t.Error("mixstudy spec expanded to cells")
 	}
 }
 
