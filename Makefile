@@ -131,6 +131,7 @@ fuzz:
 	go test ./internal/store -run '^$$' -fuzz FuzzStoreEntry -fuzztime=$(FUZZTIME)
 	go test . -run '^$$' -fuzz FuzzParseJobSpec -fuzztime=$(FUZZTIME)
 	go test ./internal/serve -run '^$$' -fuzz FuzzServeHandlers -fuzztime=$(FUZZTIME)
+	go test ./internal/fleet -run '^$$' -fuzz FuzzReadManifest -fuzztime=$(FUZZTIME)
 	go test ./internal/core -run '^$$' -fuzz FuzzRestoreWarmSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
 
 # examples runs every runnable example end to end (tiny scales), the smoke

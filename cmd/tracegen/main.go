@@ -58,8 +58,8 @@ func main() {
 	if *showStats {
 		ss := w.Prog.StaticStats()
 		fmt.Printf("workload:          %s\n", prof.Name)
-		fmt.Printf("functions:         %d\n", len(w.Prog.Funcs))
-		fmt.Printf("basic blocks:      %d\n", len(w.Prog.Blocks()))
+		fmt.Printf("functions:         %d\n", len(w.Prog.Funcs()))
+		fmt.Printf("basic blocks:      %d\n", len(w.Prog.ExecNodes()))
 		fmt.Printf("footprint:         %d KB\n", w.Prog.FootprintBytes()>>10)
 		fmt.Printf("64B code blocks:   %d\n", w.Prog.NumCacheBlocks())
 		fmt.Printf("static br/block:   %.2f\n", ss.PerBlock)

@@ -16,7 +16,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("workload %s: %d functions, %d KB of code\n",
-		w.Prof.Name, len(w.Prog.Funcs), w.Prog.FootprintBytes()>>10)
+		w.Prof.Name, len(w.Prog.Funcs()), w.Prog.FootprintBytes()>>10)
 
 	// RunMany fans the two simulations out across CPUs and returns results
 	// in input order.

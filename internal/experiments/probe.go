@@ -85,6 +85,7 @@ func characterize(w *synth.Workload) (*Characterization, error) {
 		src = trace.NewExecutor(w, probeSeed)
 	}
 	var rec trace.Record
+	funcs := w.Prog.Funcs()
 	layerInstr := make([]uint64, w.Prof.Layers)
 	seen := map[uint64]uint64{} // block -> instruction count at its last touch
 	var reuseFar, total uint64
@@ -93,8 +94,10 @@ func characterize(w *synth.Workload) (*Characterization, error) {
 			return nil, err
 		}
 		total += uint64(rec.N)
-		if bb := w.Prog.BlockAt(rec.Start); bb != nil && bb.Func.Layer < len(layerInstr) {
-			layerInstr[bb.Func.Layer] += uint64(rec.N)
+		if n := w.Prog.NodeAt(rec.Start); n >= 0 {
+			if l := int(funcs[w.Prog.FuncOf(n)].Layer); l < len(layerInstr) {
+				layerInstr[l] += uint64(rec.N)
+			}
 		}
 		blk := uint64(rec.Start) >> 6
 		if last, ok := seen[blk]; !ok || total-last > probeFarReuse {
@@ -103,7 +106,7 @@ func characterize(w *synth.Workload) (*Characterization, error) {
 		seen[blk] = total
 	}
 	c := &Characterization{
-		Funcs:            len(w.Prog.Funcs),
+		Funcs:            len(funcs),
 		FootprintKB:      w.Prog.FootprintBytes() >> 10,
 		BranchesPerBlock: w.Prog.StaticStats().PerBlock,
 		FarReusePKI:      float64(reuseFar) / float64(total) * 1000,

@@ -71,7 +71,7 @@ func TestProbeReusesFigure6Cells(t *testing.T) {
 	if len(c.LayerPct) != w.Prof.Layers || math.Abs(sum-100) > 1e-6 {
 		t.Errorf("layer shares %v: want %d layers summing to 100%%", c.LayerPct, w.Prof.Layers)
 	}
-	if c.Funcs != len(w.Prog.Funcs) || c.FarReusePKI <= 0 {
+	if c.Funcs != len(w.Prog.Funcs()) || c.FarReusePKI <= 0 {
 		t.Errorf("implausible characterization %+v", c)
 	}
 	tab := ProbeTable(rows)

@@ -211,13 +211,11 @@ func writeFileAtomic(path string, data []byte) error {
 // WriteManifest publishes the grid into dir (creating it), atomically so
 // polling workers never read a torn manifest.
 func WriteManifest(dir string, m Manifest) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := checkCells(m.Cells); err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
-	for _, c := range m.Cells {
-		if !validCellID(c.ID) {
-			return fmt.Errorf("fleet: cell ID %q is not filename-safe", c.ID)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -232,7 +230,8 @@ func WriteManifest(dir string, m Manifest) error {
 // ReadManifest loads the grid description from dir. A missing manifest is
 // os.ErrNotExist (the coordinator has not published yet); a version
 // mismatch is a hard error — a skewed worker must not misinterpret the
-// directory.
+// directory. A manifest WriteManifest would refuse is refused here too:
+// workers build lease, attempt and poison paths from its cell IDs.
 func ReadManifest(dir string) (Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -244,6 +243,9 @@ func ReadManifest(dir string) (Manifest, error) {
 	}
 	if m.Version != ProtocolVersion {
 		return Manifest{}, fmt.Errorf("fleet: manifest in %s speaks %q, this binary speaks %q", dir, m.Version, ProtocolVersion)
+	}
+	if err := checkCells(m.Cells); err != nil {
+		return Manifest{}, fmt.Errorf("fleet: manifest in %s: %w", dir, err)
 	}
 	return m, nil
 }
@@ -264,6 +266,26 @@ func WaitManifest(ctx context.Context, dir string) (Manifest, error) {
 			return Manifest{}, ctx.Err()
 		}
 	}
+}
+
+// checkCells enforces what every participant derives file paths and
+// results from: each cell ID is filename-safe and unique within the grid,
+// and each cell names its store key.
+func checkCells(cells []Cell) error {
+	seen := make(map[string]bool, len(cells))
+	for _, c := range cells {
+		if !validCellID(c.ID) {
+			return fmt.Errorf("cell ID %q is not filename-safe", c.ID)
+		}
+		if seen[c.ID] {
+			return fmt.Errorf("duplicate cell ID %q", c.ID)
+		}
+		seen[c.ID] = true
+		if c.Key == "" {
+			return fmt.Errorf("cell %q has no store key", c.ID)
+		}
+	}
+	return nil
 }
 
 // validCellID restricts cell IDs to characters that cannot traverse or

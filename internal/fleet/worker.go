@@ -29,16 +29,6 @@ func Coordinator(ctx context.Context, o Options, storeDir string, cells []Cell) 
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("fleet: empty grid")
 	}
-	seen := make(map[string]bool, len(cells))
-	for _, c := range cells {
-		if c.Key == "" {
-			return nil, fmt.Errorf("fleet: cell %q has no store key", c.ID)
-		}
-		if seen[c.ID] {
-			return nil, fmt.Errorf("fleet: duplicate cell ID %q", c.ID)
-		}
-		seen[c.ID] = true
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = defaultLeaseTTL
 	}

@@ -20,8 +20,8 @@ func mathPow(x, y float64) float64 { return math.Pow(x, y) }
 type Workload struct {
 	Prof    Profile
 	Prog    *program.Program
-	Entries []*program.Function // Entries[r] is the entry of request type r
-	mixCum  []float64           // cumulative Zipf mix over request types
+	Entries []int32   // Entries[r] is the entry node of request type r
+	mixCum  []float64 // cumulative Zipf mix over request types
 
 	// TraceDir, when non-empty, replays the capture in that directory
 	// through the timing model instead of walking Prog with executors
@@ -54,7 +54,9 @@ const (
 )
 
 // Build generates the program and workload for a profile. Generation is
-// fully deterministic in Profile.Seed.
+// fully deterministic in Profile.Seed. The function graph is built as
+// scaffolding and dropped once finalized: the workload keeps only the
+// program's flat execution form.
 func Build(prof Profile) (*Workload, error) {
 	if prof.Layers < 3 {
 		return nil, fmt.Errorf("synth: need >=3 layers, got %d", prof.Layers)
@@ -74,13 +76,13 @@ func Build(prof Profile) (*Workload, error) {
 		}
 	}
 	b.layout()
-	prog := &program.Program{Name: prof.Name, Base: imageBase, Funcs: b.funcs}
-	if err := prog.Finalize(); err != nil {
+	prog, err := program.Finalize(prof.Name, b.funcs)
+	if err != nil {
 		return nil, fmt.Errorf("synth: %s: %w", prof.Name, err)
 	}
 	w := &Workload{Prof: prof, Prog: prog}
 	for _, f := range b.layers[0] {
-		w.Entries = append(w.Entries, f)
+		w.Entries = append(w.Entries, f.Entry().Index())
 	}
 	w.mixCum = zipfCum(len(w.Entries), prof.ZipfTheta)
 	return w, nil
@@ -120,7 +122,7 @@ func (b *builder) makeShells() {
 	b.cluster = make([]int, 0, p.Functions+16)
 	id := 0
 	add := func(layer, cluster int) *program.Function {
-		f := &program.Function{ID: id, Name: fmt.Sprintf("fn%d_L%d", id, layer), Layer: layer}
+		f := &program.Function{ID: id, Layer: layer}
 		id++
 		b.funcs = append(b.funcs, f)
 		b.layers[layer] = append(b.layers[layer], f)

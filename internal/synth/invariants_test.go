@@ -22,21 +22,20 @@ func TestImagePredecodeMatchesStaticSites(t *testing.T) {
 		direct bool
 	}
 	want := map[isa.Addr]site{}
-	for _, b := range prog.Blocks() {
-		if b.Branch == nil {
+	for _, n := range prog.ExecNodes() {
+		if n.BrKind == isa.BrNone {
 			continue
 		}
-		want[b.Branch.PC] = site{
-			kind:   b.Branch.Kind,
-			target: b.Branch.Target,
-			direct: b.Branch.Kind.IsDirect(),
+		want[n.BrPC()] = site{
+			kind:   n.BrKind,
+			target: n.Target,
+			direct: n.BrKind.IsDirect(),
 		}
 	}
 
-	img, base := prog.Image()
 	found := 0
-	for off := 0; off < len(img); off += isa.BlockBytes {
-		block := base + isa.Addr(off)
+	for i := 0; i < prog.NumCacheBlocks(); i++ {
+		block := prog.ImageBase() + isa.Addr(i*isa.BlockBytes)
 		for _, pb := range prog.PredecodeBlock(block) {
 			pc := pb.PC(block)
 			s, ok := want[pc]
@@ -61,11 +60,11 @@ func TestImagePredecodeMatchesStaticSites(t *testing.T) {
 // byte range lies inside the program image (no wild fetch regions).
 func TestExecutedPathStaysInImage(t *testing.T) {
 	w := buildTest(t)
-	img, base := w.Prog.Image()
-	end := base + isa.Addr(len(img))
-	for _, b := range w.Prog.Blocks() {
-		if b.Addr < base || b.End() > end {
-			t.Fatalf("block [%#x,%#x) outside image [%#x,%#x)", b.Addr, b.End(), base, end)
+	base := w.Prog.ImageBase()
+	end := base + isa.Addr(w.Prog.FootprintBytes())
+	for _, n := range w.Prog.ExecNodes() {
+		if n.Addr < base || n.End() > end {
+			t.Fatalf("block [%#x,%#x) outside image [%#x,%#x)", n.Addr, n.End(), base, end)
 		}
 	}
 }
@@ -74,22 +73,23 @@ func TestExecutedPathStaysInImage(t *testing.T) {
 // name callable functions (no dangling dispatch).
 func TestDispatcherTablesWithinCluster(t *testing.T) {
 	w := buildTest(t)
-	for _, f := range w.Prog.Funcs {
-		for _, b := range f.Blocks {
-			br := b.Branch
-			if br == nil || (br.Kind != isa.BrIndCall && br.Kind != isa.BrIndirect) {
-				continue
+	p := w.Prog
+	for i := range p.ExecNodes() {
+		n := &p.ExecNodes()[i]
+		if n.BrKind != isa.BrIndCall && n.BrKind != isa.BrIndirect {
+			continue
+		}
+		targets := p.IndirectTargets(n)
+		if len(targets) < 2 && n.BrKind == isa.BrIndCall {
+			t.Errorf("dispatch at %#x has %d targets", n.BrPC(), len(targets))
+		}
+		for _, tn := range targets {
+			f := p.FuncOf(tn)
+			if f < 0 {
+				t.Fatalf("dispatch target without function at %#x", n.BrPC())
 			}
-			if len(br.TargetBlocks) < 2 && br.Kind == isa.BrIndCall {
-				t.Errorf("dispatch at %#x has %d targets", br.PC, len(br.TargetBlocks))
-			}
-			for _, tb := range br.TargetBlocks {
-				if tb.Func == nil {
-					t.Fatalf("dispatch target without function at %#x", br.PC)
-				}
-				if br.Kind == isa.BrIndCall && tb != tb.Func.Entry() {
-					t.Errorf("indirect call at %#x targets mid-function %#x", br.PC, tb.Addr)
-				}
+			if n.BrKind == isa.BrIndCall && p.Funcs()[f].Entry != tn {
+				t.Errorf("indirect call at %#x targets mid-function %#x", n.BrPC(), p.ExecNodes()[tn].Addr)
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 package synth
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"confluence/internal/isa"
@@ -73,9 +74,7 @@ func TestBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ai, _ := a.Prog.Image()
-	bi, _ := b.Prog.Image()
-	if !bytes.Equal(ai, bi) {
+	if !reflect.DeepEqual(a.Prog, b.Prog) || !reflect.DeepEqual(a.Entries, b.Entries) {
 		t.Error("same seed produced different programs")
 	}
 }
@@ -86,9 +85,7 @@ func TestBuildSeedChangesProgram(t *testing.T) {
 	p2.Seed = 43
 	a, _ := Build(p1)
 	b, _ := Build(p2)
-	ai, _ := a.Prog.Image()
-	bi, _ := b.Prog.Image()
-	if bytes.Equal(ai, bi) {
+	if reflect.DeepEqual(a.Prog.ExecNodes(), b.Prog.ExecNodes()) {
 		t.Error("different seeds produced identical programs")
 	}
 }
@@ -115,64 +112,67 @@ func TestBranchDensityNearTargets(t *testing.T) {
 	}
 }
 
+// funcSpan returns the node range [lo, hi) of function i of p.
+func funcSpan(p *program.Program, i int) (lo, hi int32) {
+	fs := p.Funcs()
+	lo, hi = fs[i].First, int32(len(p.ExecNodes()))
+	if i+1 < len(fs) {
+		hi = fs[i+1].First
+	}
+	return lo, hi
+}
+
 func TestLayeringIsAcyclic(t *testing.T) {
 	w := buildTest(t)
+	p := w.Prog
+	fs := p.Funcs()
 	// Direct calls and dispatch targets must always go to a strictly deeper
 	// layer — this is what bounds the call stack and forbids recursion.
-	for _, f := range w.Prog.Funcs {
-		for _, b := range f.Blocks {
-			br := b.Branch
-			if br == nil {
-				continue
+	for i := range p.ExecNodes() {
+		n := &p.ExecNodes()[i]
+		if !n.BrKind.IsCall() {
+			continue
+		}
+		from := fs[p.FuncOf(int32(i))].Layer
+		check := func(tn int32) {
+			if to := fs[p.FuncOf(tn)].Layer; to <= from {
+				t.Fatalf("call at %#x from layer %d to layer %d", n.BrPC(), from, to)
 			}
-			check := func(tb *program.BasicBlock) {
-				if tb.Func.Layer <= f.Layer && br.Kind.IsCall() {
-					t.Fatalf("call from layer %d (%s) to layer %d (%s)",
-						f.Layer, f.Name, tb.Func.Layer, tb.Func.Name)
-				}
-			}
-			if br.Kind.IsCall() {
-				if br.TargetBlock != nil {
-					check(br.TargetBlock)
-				}
-				for _, tb := range br.TargetBlocks {
-					check(tb)
-				}
-			}
+		}
+		if n.TargetNode >= 0 {
+			check(n.TargetNode)
+		}
+		for _, tn := range p.IndirectTargets(n) {
+			check(tn)
 		}
 	}
 }
 
 func TestLeafFunctionsDoNotCall(t *testing.T) {
 	w := buildTest(t)
-	last := w.Prof.Layers - 1
-	for _, f := range w.Prog.Funcs {
-		if f.Layer != last {
-			continue
-		}
-		for _, b := range f.Blocks {
-			if b.Branch != nil && b.Branch.Kind.IsCall() {
-				t.Fatalf("leaf function %s contains a call", f.Name)
-			}
+	last := int32(w.Prof.Layers - 1)
+	for i, n := range w.Prog.ExecNodes() {
+		if n.BrKind.IsCall() && w.Prog.Funcs()[w.Prog.FuncOf(int32(i))].Layer == last {
+			t.Fatalf("leaf function block %#x contains a call", n.Addr)
 		}
 	}
 }
 
 func TestBlockLengthBounded(t *testing.T) {
 	w := buildTest(t)
-	for _, b := range w.Prog.Blocks() {
-		if b.NInstr < 1 || b.NInstr > maxBlockLen+1 {
-			t.Fatalf("block at %#x has %d instructions", b.Addr, b.NInstr)
+	for _, n := range w.Prog.ExecNodes() {
+		if n.NInstr < 1 || n.NInstr > maxBlockLen+1 {
+			t.Fatalf("block at %#x has %d instructions", n.Addr, n.NInstr)
 		}
 	}
 }
 
 func TestEveryFunctionEndsInReturn(t *testing.T) {
 	w := buildTest(t)
-	for _, f := range w.Prog.Funcs {
-		lastBlock := f.Blocks[len(f.Blocks)-1]
-		if lastBlock.Branch == nil || lastBlock.Branch.Kind != isa.BrRet {
-			t.Fatalf("function %s does not end in ret", f.Name)
+	for i := range w.Prog.Funcs() {
+		_, hi := funcSpan(w.Prog, i)
+		if last := w.Prog.ExecNodes()[hi-1]; last.BrKind != isa.BrRet {
+			t.Fatalf("function ending at %#x does not end in ret", last.End())
 		}
 	}
 }
@@ -181,18 +181,17 @@ func TestLoopSitesHaveTripMeans(t *testing.T) {
 	w := buildTest(t)
 	prof := w.Prof
 	loops := 0
-	for _, b := range w.Prog.Blocks() {
-		br := b.Branch
-		if br == nil || br.Loop == program.NotLoop {
+	for _, n := range w.Prog.ExecNodes() {
+		if n.Loop == program.NotLoop {
 			continue
 		}
 		loops++
-		if br.Kind != isa.BrCond {
-			t.Fatalf("loop site at %#x is %v, want cond", br.PC, br.Kind)
+		if n.BrKind != isa.BrCond {
+			t.Fatalf("loop site at %#x is %v, want cond", n.BrPC(), n.BrKind)
 		}
-		if br.TripMean < prof.LoopTripMin-1 || br.TripMean > prof.LoopTripMax+1 {
+		if int(n.TripMean) < prof.LoopTripMin-1 || int(n.TripMean) > prof.LoopTripMax+1 {
 			t.Fatalf("loop at %#x: trip mean %d outside [%d,%d]",
-				br.PC, br.TripMean, prof.LoopTripMin, prof.LoopTripMax)
+				n.BrPC(), n.TripMean, prof.LoopTripMin, prof.LoopTripMax)
 		}
 	}
 	if loops == 0 {
@@ -202,32 +201,36 @@ func TestLoopSitesHaveTripMeans(t *testing.T) {
 
 func TestMostFunctionsReachable(t *testing.T) {
 	w := buildTest(t)
+	p := w.Prog
 	// Walk the static call graph from all entries; the cursor-based callee
 	// selection exists precisely so generated code is not dead.
-	seen := map[*program.Function]bool{}
-	var walk func(f *program.Function)
-	walk = func(f *program.Function) {
+	seen := make([]bool, len(p.Funcs()))
+	reached := 0
+	var walk func(f int)
+	walk = func(f int) {
 		if seen[f] {
 			return
 		}
 		seen[f] = true
-		for _, b := range f.Blocks {
-			br := b.Branch
-			if br == nil || !br.Kind.IsCall() {
+		reached++
+		lo, hi := funcSpan(p, f)
+		for i := lo; i < hi; i++ {
+			n := &p.ExecNodes()[i]
+			if !n.BrKind.IsCall() {
 				continue
 			}
-			if br.TargetBlock != nil {
-				walk(br.TargetBlock.Func)
+			if n.TargetNode >= 0 {
+				walk(p.FuncOf(n.TargetNode))
 			}
-			for _, tb := range br.TargetBlocks {
-				walk(tb.Func)
+			for _, tn := range p.IndirectTargets(n) {
+				walk(p.FuncOf(tn))
 			}
 		}
 	}
 	for _, e := range w.Entries {
-		walk(e)
+		walk(p.FuncOf(e))
 	}
-	frac := float64(len(seen)) / float64(len(w.Prog.Funcs))
+	frac := float64(reached) / float64(len(p.Funcs()))
 	if frac < 0.7 {
 		t.Errorf("only %.0f%% of functions reachable from request entries", 100*frac)
 	}
@@ -300,11 +303,10 @@ func TestAirBundleFitsMostBlocks(t *testing.T) {
 	// branches; our generator must reproduce that rough property or the
 	// Figure 10 sensitivity loses its meaning.
 	w := buildTest(t)
-	img, base := w.Prog.Image()
 	within := 0
 	total := 0
-	for off := 0; off < len(img); off += isa.BlockBytes {
-		n := len(w.Prog.PredecodeBlock(base + isa.Addr(off)))
+	for i := 0; i < w.Prog.NumCacheBlocks(); i++ {
+		n := len(w.Prog.PredecodeBlock(w.Prog.ImageBase() + isa.Addr(i*isa.BlockBytes)))
 		if n == 0 {
 			continue
 		}
@@ -316,5 +318,30 @@ func TestAirBundleFitsMostBlocks(t *testing.T) {
 	frac := float64(within) / float64(total)
 	if frac < 0.3 || frac > 0.95 {
 		t.Errorf("%.0f%% of blocks hold ≤3 branches; want a middling fraction", 100*frac)
+	}
+}
+
+// TestProgramFootprint bounds what a live program retains per basic block:
+// only the flat execution form (48B nodes, the predecode table, the
+// indirect pool and the function table) may outlive Build, not the
+// construction graph.
+func TestProgramFootprint(t *testing.T) {
+	const maxPerBlock = 120
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	w, err := Build(OLTPDB2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	blocks := len(w.Prog.ExecNodes())
+	runtime.KeepAlive(w)
+	perBlock := (float64(ms.HeapAlloc) - float64(before)) / float64(blocks)
+	t.Logf("%s: %d blocks, %.1f retained B/block", w.Prof.Name, blocks, perBlock)
+	if perBlock > maxPerBlock {
+		t.Errorf("program retains %.1f B per block, want <= %d", perBlock, maxPerBlock)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 )
 
 // Source is the seam between workload supply and the timing model: anything
@@ -277,16 +277,22 @@ const DirStripeRecords = 4096
 
 // TraceFiles lists the capture files of a directory (sorted by name, the
 // order cores are assigned in). A capture directory holds one "*.trace"
-// file per captured core (see cmd/tracegen -cores).
+// file per captured core (see cmd/tracegen -cores). dir is a plain path,
+// never a pattern: metacharacters in it match only themselves.
 func TraceFiles(dir string) ([]string, error) {
-	files, err := filepath.Glob(filepath.Join(dir, "*.trace"))
+	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: no *.trace files in %s: %w", dir, err)
+	}
+	var files []string
+	for _, e := range entries {
+		if e.Type().IsRegular() && strings.HasSuffix(e.Name(), ".trace") {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("trace: no *.trace files in %s", dir)
 	}
-	sort.Strings(files)
 	return files, nil
 }
 

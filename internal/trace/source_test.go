@@ -4,6 +4,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -267,5 +269,35 @@ func TestOpenDirSourceStriping(t *testing.T) {
 	}
 	if _, err := OpenDirSource(t.TempDir(), 0); err == nil {
 		t.Error("directory without captures accepted")
+	}
+}
+
+// TestTraceFilesTakesDirLiterally: the capture directory is a path, not a
+// glob pattern — a name with pattern metacharacters is found, and a
+// pattern-shaped path does not search the filesystem.
+func TestTraceFilesTakesDirLiterally(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cap[1]")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeCapture(t, filepath.Join(dir, "core-001.trace"), 2, 10)
+	writeCapture(t, filepath.Join(dir, "core-000.trace"), 1, 10)
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "old.trace"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	got, err := TraceFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(dir, "core-000.trace"), filepath.Join(dir, "core-001.trace")}
+	if !slices.Equal(got, want) {
+		t.Errorf("TraceFiles(%q) = %v, want %v", dir, got, want)
+	}
+
+	if files, err := TraceFiles("/*/*"); err == nil || !strings.Contains(err.Error(), "no *.trace files") {
+		t.Errorf(`TraceFiles("/*/*") = %v, %v; want a "no *.trace files" error`, files, err)
 	}
 }

@@ -114,7 +114,7 @@ func (e *Executor) Reset() error {
 
 func (e *Executor) startRequest(c *reqContext) {
 	c.req = e.w.PickRequest(e.rng)
-	c.cur = e.w.Entries[c.req].Entry().Index()
+	c.cur = e.w.Entries[c.req]
 	c.stack = c.stack[:0]
 	e.Requests++
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"confluence/internal/isa"
@@ -30,22 +31,19 @@ func TestExecutorProducesValidRecords(t *testing.T) {
 	var rec Record
 	for i := 0; i < 50_000; i++ {
 		e.Next(&rec)
-		bb := w.Prog.BlockAt(rec.Start)
-		if bb == nil {
+		ni := w.Prog.NodeAt(rec.Start)
+		if ni < 0 {
 			t.Fatalf("record %d: no basic block at %#x", i, rec.Start)
 		}
-		if rec.N != bb.NInstr {
+		bb := &w.Prog.ExecNodes()[ni]
+		if rec.N != int(bb.NInstr) {
 			t.Fatalf("record %d: N=%d, block has %d", i, rec.N, bb.NInstr)
 		}
-		if rec.Br.Kind.IsBranch() {
-			if rec.Br.PC != bb.LastPC() {
-				t.Fatalf("record %d: branch PC %#x, want %#x", i, rec.Br.PC, bb.LastPC())
-			}
-			if bb.Branch == nil || bb.Branch.Kind != rec.Br.Kind {
-				t.Fatalf("record %d: branch kind mismatch", i)
-			}
-		} else if bb.Branch != nil {
-			t.Fatalf("record %d: block has branch but record says none", i)
+		if rec.Br.Kind.IsBranch() && rec.Br.PC != bb.BrPC() {
+			t.Fatalf("record %d: branch PC %#x, want %#x", i, rec.Br.PC, bb.BrPC())
+		}
+		if rec.Br.Kind != bb.BrKind {
+			t.Fatalf("record %d: branch kind %v, block has %v", i, rec.Br.Kind, bb.BrKind)
 		}
 	}
 }
@@ -172,10 +170,10 @@ func TestLoopTripsQuasiDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find a loop site and count per-execution trips over a long run.
-	var site *program.BranchSite
-	for _, b := range w.Prog.Blocks() {
-		if b.Branch != nil && b.Branch.Loop == program.LoopBackEdge && b.Branch.TripMean >= 4 {
-			site = b.Branch
+	var site *program.ExecNode
+	for i := range w.Prog.ExecNodes() {
+		if n := &w.Prog.ExecNodes()[i]; n.Loop == program.LoopBackEdge && n.TripMean >= 4 {
+			site = n
 			break
 		}
 	}
@@ -188,7 +186,7 @@ func TestLoopTripsQuasiDeterministic(t *testing.T) {
 	var counts []int
 	for i := 0; i < 3_000_000 && len(counts) < 50; i++ {
 		e.Next(&rec)
-		if rec.Br.PC == site.PC {
+		if rec.Br.PC == site.BrPC() {
 			if rec.Br.Taken {
 				trips++
 			} else {
@@ -209,7 +207,7 @@ func TestLoopTripsQuasiDeterministic(t *testing.T) {
 		t.Errorf("observed mean trips %.1f, site mean %d", mean, site.TripMean)
 	}
 	for _, c := range counts {
-		if c < site.TripMean-1 || c > site.TripMean+1 {
+		if c < int(site.TripMean)-1 || c > int(site.TripMean)+1 {
 			t.Errorf("trip count %d strays beyond ±1 of %d", c, site.TripMean)
 		}
 	}
@@ -273,17 +271,14 @@ func TestIndirectTargetsComeFromTable(t *testing.T) {
 		if rec.Br.Kind != isa.BrIndirect && rec.Br.Kind != isa.BrIndCall {
 			continue
 		}
-		bb := w.Prog.BlockAt(rec.Start)
-		ok := false
-		for _, tgt := range bb.Branch.Targets {
-			if tgt == rec.Br.Target {
-				ok = true
-				break
-			}
+		nodes := w.Prog.ExecNodes()
+		var table []isa.Addr
+		for _, tn := range w.Prog.IndirectTargets(&nodes[w.Prog.NodeAt(rec.Start)]) {
+			table = append(table, nodes[tn].Addr)
 		}
-		if !ok {
+		if !slices.Contains(table, rec.Br.Target) {
 			t.Fatalf("indirect at %#x resolved to %#x, not in table %v",
-				rec.Br.PC, rec.Br.Target, bb.Branch.Targets)
+				rec.Br.PC, rec.Br.Target, table)
 		}
 		checked++
 	}
