@@ -24,12 +24,13 @@ build:
 test:
 	go test ./...
 
-# The second command pins the detailed pipeline against testdata/golden.json
-# whatever the machine's core count: at -cpu 1 the stage goroutines share
-# the weave's CPU, at -cpu 4 they run beside it.
+# The second command pins the detailed pipeline against testdata/golden.json,
+# and the pipelined fast-forward against the serial schedule, whatever the
+# machine's core count: at -cpu 1 the stage and stepping goroutines share
+# the weave's or the replay's CPU, at -cpu 4 they run beside it.
 race:
 	go test -race ./...
-	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged' . ./internal/cmp ./internal/core
+	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged|FastForward|TestIntra' . ./internal/cmp ./internal/core
 
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x ./...
@@ -55,8 +56,8 @@ bench-json:
 # sub-100µs micro-benchmarks from gating (still printed): at the
 # snapshots' -benchtime=1x a single ~100ns call cannot be timed reliably,
 # and gating on it would flag a random set every run.
-BENCH_BEFORE ?= BENCH_pr10_before.json
-BENCH_AFTER  ?= BENCH_pr10_after.json
+BENCH_BEFORE ?= BENCH_pr20_before.json
+BENCH_AFTER  ?= BENCH_pr20_after.json
 bench-compare:
 	go run ./cmd/benchjson -compare -floor 100000 $(BENCH_BEFORE) $(BENCH_AFTER)
 
@@ -132,6 +133,7 @@ fuzz:
 	go test . -run '^$$' -fuzz FuzzParseJobSpec -fuzztime=$(FUZZTIME)
 	go test ./internal/serve -run '^$$' -fuzz FuzzServeHandlers -fuzztime=$(FUZZTIME)
 	go test ./internal/fleet -run '^$$' -fuzz FuzzReadManifest -fuzztime=$(FUZZTIME)
+	go test ./internal/fleet -run '^$$' -fuzz FuzzLeaseFiles -fuzztime=$(FUZZTIME)
 	go test ./internal/core -run '^$$' -fuzz FuzzRestoreWarmSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
 
 # examples runs every runnable example end to end (tiny scales), the smoke

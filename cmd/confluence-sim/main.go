@@ -108,7 +108,7 @@ func main() {
 	scaleFlag := flag.String("scale", "", "simulation scale: small, default, or paper")
 	runFlag := flag.String("run", "all", "comma-separated experiments: "+experimentNames())
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = REPRO_WORKERS or GOMAXPROCS)")
-	intraWorkers := flag.Int("intra-workers", 0, "fast-forward workers inside each simulation (0/1 = serial for grid cells; the -workers budget is split between levels)")
+	intraWorkers := flag.Int("intra-workers", 0, "cores stepping fast-forward at once inside each simulation, the replay of their writes running beside them (0/1 = one at a time for grid cells; the -workers budget is split between levels)")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	traceDir := flag.String("trace", "", "run the probe over a capture directory replayed through the timing model instead of the synthetic suite")
 	workload := flag.String("workload", "", "limit the suite to this workload; with -trace, the capture's source workload (restores program image + calibration)")

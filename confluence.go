@@ -285,13 +285,16 @@ type Config struct {
 	// resolves through the REPRO_WORKERS environment variable, then
 	// GOMAXPROCS. A single Run is one simulation and ignores it.
 	Parallelism int
-	// IntraParallelism bounds the worker goroutines stepping cores
-	// inside this single simulation in sampled mode's fast-forward phases
-	// (see internal/cmp). Zero fast-forwards on min(GOMAXPROCS, cores)
-	// workers; 1 steps them on one goroutine. Detailed phases do not use
-	// it: each core's record decode and branch prediction always run on a
-	// stage goroutine of their own ahead of the timing model, so a cell
-	// uses cores+1 goroutines there whatever the value. Results are
+	// IntraParallelism bounds how many cores step at once inside this
+	// single simulation in sampled mode's fast-forward phases (see
+	// internal/cmp). Each core steps on a goroutine of its own, and the
+	// replay of their logged LLC and history writes runs on the calling
+	// goroutine beside them, outside the bound. Zero lets
+	// min(GOMAXPROCS, cores) cores step at once; 1 steps one core at a
+	// time. Detailed phases do not use it: each core's record decode and
+	// branch prediction always run on a stage goroutine of their own
+	// ahead of the timing model, so a cell uses cores+1 goroutines there
+	// whatever the value. Results are
 	// bit-identical to serial for any IntraParallelism, so the knob is
 	// pure wall-clock.
 	IntraParallelism int
@@ -404,9 +407,10 @@ func ConfigStoreKey(cfg Config) (string, bool) {
 }
 
 // RunCtx assembles and simulates one design point, honoring cancellation
-// mid-run: the engine polls ctx at every batch and chunk barrier, so a
-// cancelled simulation returns ctx.Err() within a few dozen basic blocks
-// per core instead of running to its instruction target. A run that
+// mid-run: the engine polls ctx at every detailed stage batch and after
+// every fast-forward chunk replay (see cmp.System.RunCtx), so a cancelled
+// simulation returns ctx.Err() within milliseconds instead of running to
+// its instruction target. A run that
 // completes is bit-identical to Run — the poll feeds nothing back into
 // the timing model.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {

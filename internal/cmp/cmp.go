@@ -22,11 +22,14 @@
 // GOMAXPROCS.
 //
 // Functional fast-forward (System.FastForward, engine.phaseFF) is exact
-// too: FastStep reads no state another core writes (PhantomBTB's shared
-// group store aside, which keeps the serial schedule), so cores step
-// whole chunks concurrently on a worker pool, logging their LLC and
-// history writes by round, and the chunk barrier replays the logs in
-// (round, core) order — the serial interleaving itself.
+// too: FastStep reads no state another core writes, nor the LLC and
+// history its writes go to (PhantomBTB's shared group store aside, which
+// keeps the serial schedule). So each core steps chunk after chunk on a
+// goroutine of its own, logging its LLC and history writes by round, and
+// the phase goroutine replays chunk k of every core in (round, core)
+// order — the serial interleaving itself — while the cores step on, at
+// most ffLead chunks ahead of it. No barrier stops the cores between
+// chunks.
 package cmp
 
 import (
@@ -61,11 +64,14 @@ func New(cores []*frontend.Core, srcs []trace.Source, hier *mem.Hierarchy) (*Sys
 	return &System{Cores: cores, Sources: srcs, Hier: hier}, nil
 }
 
-// SetIntra configures in-run parallelism: workers bounds the goroutines
-// stepping cores in fast-forward chunks inside this one simulation; zero
-// means min(GOMAXPROCS, cores). Detailed phases do not use the count:
-// they always run one stage goroutine per active core beside the calling
-// goroutine. Every setting is bit-identical to the serial simulator.
+// SetIntra configures in-run parallelism: workers bounds how many cores
+// step fast-forward chunks at once inside this one simulation; zero
+// means min(GOMAXPROCS, cores). Every core steps on a goroutine of its
+// own, and the replay of their logged writes runs on the calling
+// goroutine beside them, outside the bound. Detailed phases do not use
+// the count: they always run one stage goroutine per active core beside
+// the calling goroutine. Every setting is bit-identical to the serial
+// simulator.
 // SetIntra must be called before the first Run; once the engine exists
 // the configuration is frozen and later calls are ignored.
 func (s *System) SetIntra(workers int) {
@@ -84,12 +90,15 @@ func (s *System) Run(warmup, measure uint64) (*frontend.Stats, error) {
 	return s.RunCtx(context.Background(), warmup, measure)
 }
 
-// RunCtx is Run honoring mid-run cancellation: the engine polls ctx at
-// every batch or chunk barrier (at most a few thousand basic blocks per
-// core), so a cancelled simulation returns ctx.Err() promptly instead of
-// running to its instruction target. The poll reads no simulated state and feeds
-// nothing back into the timing model, so a run that completes is
-// bit-identical whether or not a context is attached.
+// RunCtx is Run honoring mid-run cancellation, so a cancelled simulation
+// returns ctx.Err() within milliseconds instead of running to its
+// instruction target. A detailed phase polls ctx at every stage batch (at
+// most a few thousand basic blocks per core). Fast-forward polls it after
+// replaying each chunk of ffChunkRounds rounds: a cancellation that lands
+// while a core steps chunk k is seen by the end of chunk k's replay, and
+// by then no core has stepped past chunk k+ffLead. The poll reads no
+// simulated state and feeds nothing back into the timing model, so a run
+// that completes is bit-identical whether or not a context is attached.
 //
 // After any phase returns an error — a source failure or a cancellation —
 // the System is not reusable: cores may have stepped different numbers
@@ -163,13 +172,6 @@ type coreProg struct {
 	target uint64
 }
 
-// ffChunkRounds is the fast-forward chunk depth: the rounds every core
-// steps between barriers. Deep enough that barrier and replay overhead
-// vanish against the stepping (each round is one basic block per core),
-// shallow enough that a chunk is milliseconds — the latency of a
-// cancellation — and that the per-core write logs stay cache-sized.
-const ffChunkRounds = 4096
-
 // engine is the phase scheduler for one System (see the package comment
 // for the model).
 type engine struct {
@@ -184,16 +186,21 @@ type engine struct {
 	wg     sync.WaitGroup
 
 	// ff switches phases to the functional fast-forward path: cores
-	// advance through Core.FastStep instead of Core.Step, concurrently on
-	// ffWorkers workers in chunks (see phaseFF). The cores' shared-state
-	// writes are logged and replayed in canonical (round, core) order at
-	// each chunk barrier, so fast-forward is bit-identical to the serial
-	// round-robin schedule for any worker count. ffSerial (a BTB reading
-	// cross-core shared state) steps chunks on that serial schedule
-	// instead. See System.FastForward.
+	// advance through Core.FastStep instead of Core.Step, each on a
+	// goroutine of its own, at most ffWorkers stepping at once (ffSem's
+	// slots). Their shared-state writes are logged in chunks and replayed
+	// in canonical (round, core) order, so fast-forward is bit-identical
+	// to the serial round-robin schedule for any worker count. ffSerial
+	// (a BTB reading cross-core shared state) steps on that serial
+	// schedule instead. ffPipes carry the logs and ffCur holds the ones
+	// being replayed; both are built at the first fast-forward phase. See
+	// phaseFF.
 	ff        bool
 	ffWorkers int
 	ffSerial  bool
+	ffPipes   []*ffPipe
+	ffCur     []*ffChunk
+	ffSem     chan struct{}
 
 	q      []coreQ
 	active []int // compacted list of cores still below target
@@ -334,183 +341,10 @@ func (e *engine) phaseExact(ctx context.Context) error {
 	return nil
 }
 
-// phaseFF is the fast-forward engine. Each chunk, every active core
-// steps up to ffChunkRounds rounds — one FastStep per round, stopping
-// early only at its target or when its source runs dry — concurrently on
-// the pool. FastStep reads nothing another core writes, and its writes to
-// shared state, LLC warm touches and history records, are logged per core
-// with their round. At the barrier the logs are replayed in (round, core)
-// order, which is exactly how the serial round-robin loop would have
-// interleaved them: the result is bit-identical for any worker count.
-//
-// A BTB reading cross-core shared state (ffSerial) breaks the first
-// premise, so such systems step each chunk on one worker, one round of
-// every core at a time — the serial schedule itself.
-func (e *engine) phaseFF(ctx context.Context) error {
-	cores := e.s.Cores
-	for _, c := range cores {
-		c.DeferFF(true)
-	}
-	var p *pool
-	if !e.ffSerial {
-		p = e.startPool(e.ffWorkers)
-		defer p.stop()
-	}
-	for len(e.active) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if e.ffSerial {
-			e.ffSerialChunk()
-		} else {
-			e.barrier(p)
-		}
-		// A core below target that stepped fewer rounds than the chunk
-		// ran dry; the serial loop fails at the first such round, on the
-		// lowest such core.
-		rounds, dry, dryAt := 0, -1, 0
-		for _, c := range e.active {
-			n := int(cores[c].FFRounds())
-			rounds = max(rounds, n)
-			if pg := &e.prog[c]; pg.instr < pg.target && n < ffChunkRounds && (dry < 0 || n < dryAt) {
-				dry, dryAt = c, n
-			}
-		}
-		if dry >= 0 {
-			return e.dryErr(dry)
-		}
-		for r := 0; r < rounds; r++ {
-			for _, c := range e.active {
-				cores[c].ReplayFF(uint32(r))
-			}
-		}
-		w := 0
-		for _, c := range e.active {
-			if pg := &e.prog[c]; pg.instr < pg.target {
-				e.active[w] = c
-				w++
-			}
-		}
-		e.active = e.active[:w]
-	}
-	return nil
-}
-
-// ffChunk is one core's share of a fast-forward chunk. It runs
-// concurrently across cores and touches only core-private state and this
-// core's queue, source, and log; the queue and progress are worked on in
-// locals and written back once, so workers share no hot cache lines.
-func (e *engine) ffChunk(c int) {
-	core, src := e.s.Cores[c], e.s.Sources[c]
-	q, pg := e.q[c], e.prog[c]
-	core.ResetFF()
-	for n := 0; n < ffChunkRounds && ffStep(core, src, &q, &pg); n++ {
-	}
-	e.q[c], e.prog[c] = q, pg
-}
-
-// ffSerialChunk is a whole fast-forward chunk on the serial schedule:
-// round by round, every active core in core order.
-func (e *engine) ffSerialChunk() {
-	cores, srcs := e.s.Cores, e.s.Sources
-	for _, c := range e.active {
-		cores[c].ResetFF()
-	}
-	for r, live := 0, true; r < ffChunkRounds && live; r++ {
-		live = false
-		for _, c := range e.active {
-			if ffStep(cores[c], srcs[c], &e.q[c], &e.prog[c]) {
-				live = true
-			}
-		}
-	}
-}
-
-// ffStep advances one core by one fast-forward round, refilling its
-// decode queue first if drained. It steps nothing and reports false once
-// the core is at its target or its source has run dry.
-func ffStep(core *frontend.Core, src trace.Source, q *coreQ, pg *coreProg) bool {
-	if pg.instr >= pg.target {
-		return false
-	}
-	if q.n == 0 {
-		if q.refill(src); q.n == 0 {
-			return false
-		}
-	}
-	rec := &q.buf[q.head]
-	core.FastStep(rec)
-	q.head++
-	q.n--
-	pg.instr += uint64(rec.N)
-	pg.recs++
-	return true
-}
-
-// pool runs fast-forward chunks on persistent worker goroutines for the
-// duration of one phase (workers idle between barriers instead of
-// respawning every chunk). Each core is handed to exactly one worker per
-// chunk, and the barrier orders every job before the replay reads its
-// results, so jobs need no locking.
-type pool struct {
-	jobs chan int
-	done chan struct{}
-}
-
-// startPool launches min(w, cores) workers running ffChunk, or returns
-// nil when that is one (barrier then runs the chunks inline).
-func (e *engine) startPool(w int) *pool {
-	n := len(e.s.Cores)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return nil
-	}
-	p := &pool{jobs: make(chan int, n), done: make(chan struct{}, n)}
-	for i := 0; i < w; i++ {
-		//confluence:allow baregoroutine fast-forward chunk workers: per-core write logs are replayed at the chunk barrier in canonical (round, core) order, so results are independent of goroutine scheduling
-		go func() {
-			for c := range p.jobs {
-				e.ffChunk(c)
-				p.done <- struct{}{}
-			}
-		}()
-	}
-	return p
-}
-
-// barrier runs one chunk's jobs for the active cores and waits for all of
-// them; inline on the calling goroutine when the pool is nil.
-func (e *engine) barrier(p *pool) {
-	if p == nil {
-		for _, c := range e.active {
-			e.ffChunk(c)
-		}
-		return
-	}
-	for _, c := range e.active {
-		p.jobs <- c
-	}
-	for range e.active {
-		<-p.done
-	}
-}
-
-// stop terminates the pool's workers; safe on a nil pool.
-func (p *pool) stop() {
-	if p != nil {
-		close(p.jobs)
-	}
-}
-
-// Close releases sources holding external resources (trace files), the
-// cores' fast-forward log buffers and the engine's pipeline stages; the
-// synthetic executors' Close-less sources are unaffected.
+// Close releases sources holding external resources (trace files) and
+// the engine's pipeline stages and fast-forward logs; the synthetic
+// executors' Close-less sources are unaffected.
 func (s *System) Close() error {
-	for _, c := range s.Cores {
-		c.DeferFF(false)
-	}
 	if s.eng != nil {
 		s.eng.release()
 	}

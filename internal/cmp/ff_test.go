@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"confluence/internal/airbtb"
 	"confluence/internal/cache"
@@ -35,27 +37,50 @@ func finiteSources(t *testing.T, sys *System, lens []int) {
 	}
 }
 
+// slowSource is a source that sleeps before every batch, so its core
+// lags the others.
+type slowSource struct{ trace.Source }
+
+func (s slowSource) NextBatch(dst []trace.Record) (int, error) {
+	time.Sleep(50 * time.Microsecond)
+	return s.Source.NextBatch(dst)
+}
+
 // TestFastForwardDrySourceMatchesSerial: a finite source running dry
 // mid-fast-forward fails the phase with the serial schedule's error — the
 // core that ran dry in the earliest round, the lowest such core on a tie —
-// at every worker count, across chunk boundaries too. A core that reaches
-// its target before its source runs out never fails.
+// at every worker count, across chunk boundaries too, and however far the
+// cores with live sources have stepped ahead. A core that reaches its
+// target before its source runs out never fails.
 func TestFastForwardDrySourceMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		lens []int
+		slow bool // the finite sources lag, so live cores run a chunk ahead
 		want string
 	}{
 		// Core 3 runs dry first although core 1 is the lower index.
-		{"earliest-round", []int{0, 900, 0, 300}, "cmp: core 3 source: EOF"},
-		{"tie-lowest-core", []int{0, 300, 0, 300}, "cmp: core 1 source: EOF"},
+		{"earliest-round", []int{0, 900, 0, 300}, false, "cmp: core 3 source: EOF"},
+		{"tie-lowest-core", []int{0, 300, 0, 300}, false, "cmp: core 1 source: EOF"},
 		// Both run dry in the second chunk.
-		{"later-chunk", []int{0, ffChunkRounds + 700, 0, ffChunkRounds + 200}, "cmp: core 3 source: EOF"},
+		{"later-chunk", []int{0, ffChunkRounds + 700, 0, ffChunkRounds + 200}, false, "cmp: core 3 source: EOF"},
+		// Core 1 runs dry at a later round of the third chunk than core
+		// 3, while cores 0 and 2 are already stepping the fourth.
+		{"lagging-dry-cores", []int{0, 2*ffChunkRounds + 900, 0, 2*ffChunkRounds + 300}, true, "cmp: core 3 source: EOF"},
+		// Core 1 runs dry a chunk before core 3 does.
+		{"lower-core-earlier-chunk", []int{0, ffChunkRounds + 900, 0, 2*ffChunkRounds + 300}, true, "cmp: core 1 source: EOF"},
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			sys := testSystem(t, 4)
 			sys.SetIntra(workers)
 			finiteSources(t, sys, tc.lens)
+			if tc.slow {
+				for c, n := range tc.lens {
+					if n > 0 {
+						sys.Sources[c] = slowSource{sys.Sources[c]}
+					}
+				}
+			}
 			err := sys.FastForward(context.Background(), 1_000_000)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s, workers=%d: got error %v, want %q", tc.name, workers, err, tc.want)
@@ -92,11 +117,16 @@ func (s *cancelAfter) NextBatch(dst []trace.Record) (int, error) {
 }
 
 // TestFastForwardCancelWithinChunk: cancelling mid-fast-forward returns
-// ctx.Err() at the next chunk barrier, so no core steps more than one
-// chunk past the point of cancellation.
+// ctx.Err() within a chunk. The contract: the replay polls the context
+// after replaying each chunk and before handing its logs back, and a core
+// needs a log back to step on, so no core runs more than ffLead chunks
+// past the chunk being replayed. A cancellation landing while core 0
+// steps its second chunk is seen no later than after that chunk's replay,
+// so no core steps beyond chunk 2+ffLead: three chunks for a lead of one.
 func TestFastForwardCancelWithinChunk(t *testing.T) {
 	const at = ffChunkRounds + 100 // inside the second chunk
-	for _, workers := range []int{1, 4} {
+	const bound = (2 + ffLead) * ffChunkRounds
+	for _, workers := range []int{1, 2, 4} {
 		sys := testSystem(t, 4)
 		sys.SetIntra(workers)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -107,8 +137,8 @@ func TestFastForwardCancelWithinChunk(t *testing.T) {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
 		}
 		for c, n := range sys.ConsumedRecords() {
-			if n > 2*ffChunkRounds {
-				t.Errorf("workers=%d: core %d stepped %d records, more than the chunk cancellation landed in", workers, c, n)
+			if n > bound {
+				t.Errorf("workers=%d: core %d stepped %d records, more than %d chunks", workers, c, n, bound/ffChunkRounds)
 			}
 		}
 	}
@@ -137,9 +167,6 @@ func serialFastForward(t *testing.T, s *System, n uint64) {
 		s.eng = newEngine(s)
 	}
 	e := s.eng
-	for _, c := range s.Cores {
-		c.DeferFF(false)
-	}
 	target := make([]uint64, len(s.Cores))
 	for c := range target {
 		target[c] = e.prog[c].instr + n
@@ -171,9 +198,11 @@ func serialFastForward(t *testing.T, s *System, n uint64) {
 // chunked fast-forward leaves exactly the state the serial round-robin
 // schedule leaves — every core's warm state, the LLC, the shared history,
 // the stream positions — and the detailed run that follows measures
-// identically.
+// identically. The phases end mid-chunk, the second after less than a
+// chunk, so a phase's last, partial chunk is replayed too and the next
+// phase starts its chunks afresh.
 func TestChunkedFastForwardMatchesSerialSchedule(t *testing.T) {
-	const n = 3 * ffChunkRounds * 4 // several chunks of short blocks
+	phases := []uint64{3 * ffChunkRounds * 4, 7_777} // several chunks of short blocks, then a fraction of one
 	type state struct {
 		cores    []frontend.CoreWarmState
 		llc      cache.CacheState
@@ -191,13 +220,26 @@ func TestChunkedFastForwardMatchesSerialSchedule(t *testing.T) {
 		return st
 	}
 	ref, refHist := historySystem(t, 4)
-	serialFastForward(t, ref, n)
+	for i, n := range phases {
+		serialFastForward(t, ref, n)
+		if i == 0 {
+			midChunk := false
+			for _, recs := range ref.ConsumedRecords() {
+				midChunk = midChunk || recs%ffChunkRounds != 0
+			}
+			if !midChunk {
+				t.Fatal("the first phase ends on a chunk boundary on every core; pick a length that ends mid-chunk")
+			}
+		}
+	}
 	want := capture(ref, refHist)
 	for _, workers := range []int{1, 2, 4} {
 		sys, hist := historySystem(t, 4)
 		sys.SetIntra(workers)
-		if err := sys.FastForward(context.Background(), n); err != nil {
-			t.Fatal(err)
+		for _, n := range phases {
+			if err := sys.FastForward(context.Background(), n); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got := capture(sys, hist)
 		for c := range got.cores {
@@ -220,12 +262,47 @@ func TestChunkedFastForwardMatchesSerialSchedule(t *testing.T) {
 	}
 }
 
+// TestFastForwardRecyclesLogs: a closed system hands its fast-forward
+// logs on, grown, to the next system assembled, so a sweep's cells do not
+// each regrow them. The race detector makes the pool drop items at
+// random, so the check runs without it; collection is paused so the pool
+// is not emptied between the two systems.
+func TestFastForwardRecyclesLogs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a := testSystem(t, 4)
+	if err := a.FastForward(context.Background(), 4*ffChunkRounds); err != nil {
+		t.Fatal(err)
+	}
+	used := map[*ffPipe]bool{}
+	for _, p := range a.eng.ffPipes {
+		used[p] = true
+	}
+	a.Close()
+	b := testSystem(t, 4)
+	defer b.Close()
+	if err := b.FastForward(context.Background(), 1000); err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	for _, p := range b.eng.ffPipes {
+		if used[p] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Error("the second system built fresh logs instead of reusing the first system's")
+	}
+}
+
 // TestFastForwardScheduleChoice: a PhantomBTB system fast-forwards on the
 // serial schedule, because its FastStep reads the group store other cores
-// write; every other design steps its chunks on the pool. Output
-// comparisons cannot catch a wrong choice at one worker, where the pool
-// runs each core's chunk inline, core after core. AirBTB is not StreamOnly
-// and still takes the pool: the choice is PhantomBTB's alone.
+// write; every other design steps its chunks on per-core goroutines ahead
+// of the replay. Output comparisons cannot catch a wrong choice when the
+// goroutines happen to run one after another. AirBTB is not StreamOnly
+// and still takes the goroutines: the choice is PhantomBTB's alone.
 func TestFastForwardScheduleChoice(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -119,10 +119,11 @@ func BenchmarkPhaseStraggler(b *testing.B) {
 }
 
 // BenchmarkFastForward measures the functional fast-forward phase of a
-// 4-core system at one and two fast-forward workers: the path sampled
-// mode spends most of its time in.
+// 4-core system at one, two and four fast-forward workers — four steps
+// every core at once, past the vCPU count of a small host: the path
+// sampled mode spends most of its time in.
 func BenchmarkFastForward(b *testing.B) {
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sys := testSystem(b, 4)
 			sys.SetIntra(workers)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package cmp
+
+const raceEnabled = false

@@ -141,12 +141,13 @@ func (sp Sampling) TotalInstr() uint64 {
 }
 
 // FastForward advances every core by approximately n instructions
-// through the functional fast-forward path. Cores step concurrently in
-// chunks (see engine.phaseFF); their shared-state writes are replayed in
-// canonical (round, core) order at each chunk barrier, so fast-forward is
-// bit-identical to the serial round-robin schedule for any worker count.
-// An unset intra worker count (SetIntra's workers = 0) uses
-// min(GOMAXPROCS, cores) workers here.
+// through the functional fast-forward path. Cores step their chunks
+// concurrently, each on a goroutine of its own (see engine.phaseFF); the
+// calling goroutine replays their shared-state writes in canonical
+// (round, core) order a chunk behind, so fast-forward is bit-identical to
+// the serial round-robin schedule for any worker count. An unset intra
+// worker count (SetIntra's workers = 0) lets min(GOMAXPROCS, cores)
+// cores step at once.
 func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if s.eng == nil {
 		s.eng = newEngine(s)

@@ -55,13 +55,17 @@ var stagePool = sync.Pool{New: func() any {
 	return st
 }}
 
-// release returns the engine's stages to the pool when the system
-// closes.
+// release returns the engine's stages and fast-forward pipes to their
+// pools when the system closes.
 func (e *engine) release() {
 	for _, st := range e.stages {
 		stagePool.Put(st)
 	}
+	for _, p := range e.ffPipes {
+		ffPipePool.Put(p)
+	}
 	e.stages, e.cur = nil, nil
+	e.ffPipes, e.ffCur = nil, nil
 }
 
 // stageCursor is the weave's read position in a core's current batch.

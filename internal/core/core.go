@@ -158,13 +158,13 @@ type Options struct {
 	// HistoryPerCore gives every core a private SHIFT history instead of
 	// the shared one (ablation; the paper shares).
 	HistoryPerCore bool
-	// IntraWorkers bounds the worker goroutines stepping cores inside
-	// this one simulation in fast-forward chunks (see
-	// internal/cmp.System.SetIntra). Zero fast-forwards on
-	// min(GOMAXPROCS, cores) workers. Detailed phases do not use it: they
-	// always run each core's stream half on a stage goroutine of its own,
-	// cores+1 goroutines whatever the value. Any worker count is
-	// bit-identical to serial.
+	// IntraWorkers bounds how many cores step fast-forward chunks at once
+	// inside this one simulation (see internal/cmp.System.SetIntra); the
+	// replay of their logged writes runs beside them, outside the bound.
+	// Zero lets min(GOMAXPROCS, cores) cores step at once. Detailed
+	// phases do not use it: they always run each core's stream half on a
+	// stage goroutine of its own, cores+1 goroutines whatever the value.
+	// Any worker count is bit-identical to serial.
 	IntraWorkers int
 	// Sources overrides where cores' instruction streams come from. Nil
 	// selects the workload's own supply: live synthetic executors, or — for

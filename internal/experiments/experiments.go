@@ -83,7 +83,8 @@ type Runner struct {
 	// Detailed phases are the exception: they always run one stage
 	// goroutine per core beside the weave, so there a cell runs cores+1
 	// goroutines whatever the count. Zero gives the whole budget to the
-	// grid and steps each cell's fast-forward on one worker.
+	// grid and lets one core of each cell step fast-forward at a time
+	// (the replay of its writes runs beside it).
 	IntraWorkers int
 	// Sampling, when enabled, runs every cell in SMARTS-style sampled
 	// mode: warm-up by functional fast-forward (reusing durable warm

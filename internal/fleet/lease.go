@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -132,10 +133,14 @@ func (o *Options) release(id string) {
 
 // bumpAttempts charges one run against the cell's budget and returns the
 // new count. Called holding the lease. Read errors (first claim, or a
-// torn file) start the ledger fresh rather than failing the claim.
+// torn file) start the ledger fresh rather than failing the claim. The
+// count saturates instead of wrapping, so a ledger at the largest int
+// stays over any budget.
 func (o *Options) bumpAttempts(id string) int {
 	rec := o.readAttempts(id)
-	rec.Count++
+	if rec.Count < math.MaxInt {
+		rec.Count++
+	}
 	data, _ := json.Marshal(rec)
 	if err := writeFileAtomic(o.attemptPath(id), data); err != nil {
 		// A ledger that cannot be written still lets the cell run; the
@@ -147,14 +152,17 @@ func (o *Options) bumpAttempts(id string) int {
 }
 
 // readAttempts loads the cell's retry ledger; absent or torn reads as
-// zero attempts.
+// zero attempts. A negative count is torn too: no run ever wrote one,
+// and honouring it would buy the cell extra runs.
 func (o *Options) readAttempts(id string) attemptRecord {
 	var rec attemptRecord
 	data, err := os.ReadFile(o.attemptPath(id))
 	if err != nil {
 		return rec
 	}
-	json.Unmarshal(data, &rec)
+	if err := json.Unmarshal(data, &rec); err != nil || rec.Count < 0 {
+		return attemptRecord{}
+	}
 	return rec
 }
 

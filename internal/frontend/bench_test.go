@@ -184,16 +184,17 @@ func BenchmarkCoreFastStep(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			c, src := benchCore(b, bc.nBlocks)
-			c.DeferFF(true)
+			var l FFLog
+			c.DeferFF(&l)
 			var rec trace.Record
 			step := func(i int) {
 				src.Next(&rec)
 				c.FastStep(&rec)
 				if i%ffChunk == ffChunk-1 {
 					for r := uint32(0); r < ffChunk; r++ {
-						c.ReplayFF(r)
+						c.ReplayFF(&l, r)
 					}
-					c.ResetFF()
+					c.DeferFF(&l)
 				}
 			}
 			for i := 0; i < 1<<15; i++ {

@@ -134,11 +134,10 @@ type Core struct {
 	// (basic blocks are short; larger n falls back to dividing).
 	issueTab [64]float64
 
-	// ffLog, when on, receives FastStep's shared-state writes instead of
-	// the LLC and the history (DeferFF). It lives inside the core, so
-	// cores fast-forwarding concurrently never write a shared cache line;
-	// it sits last so Step's fields keep their layout.
-	ffLog ffLog
+	// ffLog, when attached, receives FastStep's shared-state writes
+	// instead of the LLC and the history (DeferFF). It sits last so
+	// Step's fields keep their layout.
+	ffLog *FFLog
 }
 
 // NewCore builds a core from its config.

@@ -1,8 +1,6 @@
 package frontend
 
 import (
-	"sync"
-
 	"confluence/internal/isa"
 	"confluence/internal/trace"
 )
@@ -45,68 +43,52 @@ func (a *FFCounts) Sub(b *FFCounts) {
 // FFCounts returns the core's cumulative fast-forward probe tallies.
 func (c *Core) FFCounts() FFCounts { return c.ffCt }
 
-// ffOp is one shared-state write FastStep deferred into the core's log:
-// an LLC warm touch of block address key, or (hist) a SHIFT history
-// record of block number key, issued during the given round.
+// ffOp is one shared-state write FastStep deferred into a log: an LLC
+// warm touch of block address key, or (hist) a SHIFT history record of
+// block number key, issued during the given round.
 type ffOp struct {
 	key   uint64
 	round uint32
 	hist  bool
 }
 
-// ffLog is a core's deferred-write log for concurrent fast-forward. Each
-// FastStep is one round; its shared writes are tagged with it.
-type ffLog struct {
-	on    bool
-	round uint32 // rounds stepped since the last reset
-	next  int    // replay cursor into ops
-	ops   []ffOp
+// FFLog is a deferred-write log for concurrent fast-forward: the
+// shared-state writes — LLC warm touches and history records, the only
+// cross-core effects of the functional path — that FastStep issued while
+// the log was attached to a core (DeferFF), each tagged with its round,
+// the FastStep call since attachment that issued it. A log is reused:
+// attaching empties it, keeping its buffer.
+type FFLog struct {
+	rounds uint32 // FastStep calls since attached
+	next   int    // replay cursor into ops
+	ops    []ffOp
 }
 
-// DeferFF switches FastStep between applying its shared-state writes —
-// LLC warm touches and history records, the only cross-core effects of
-// the functional path — directly (false, the default) and appending them
-// to a private per-core log (true). Logging lets several cores
-// fast-forward concurrently: the engine counts one round per FastStep
-// and, at a barrier, replays every core's log in (round, core) order
-// with ReplayFF, which reproduces the serial round-robin interleaving of
-// those writes exactly. Nothing FastStep reads depends on them, so the
-// deferral is invisible to the stepping core. Either switch discards an
-// unreplayed log; switching off also hands the log's buffer back for
-// the next core to reuse (see ffBufs), so call DeferFF(false) when done
-// with a logging core.
-func (c *Core) DeferFF(on bool) {
-	c.ResetFF()
-	c.ffLog.on = on
-	ffBufs.Lock()
-	defer ffBufs.Unlock()
-	switch l := &c.ffLog; {
-	case on && l.ops == nil && len(ffBufs.free) > 0:
-		n := len(ffBufs.free) - 1
-		l.ops, ffBufs.free = ffBufs.free[n], ffBufs.free[:n]
-	case !on && l.ops != nil:
-		ffBufs.free = append(ffBufs.free, l.ops)
-		l.ops = nil
+// Rounds returns the rounds logged since the log was attached.
+func (l *FFLog) Rounds() uint32 { return l.rounds }
+
+// DeferFF attaches l, emptied, as the log FastStep appends its
+// shared-state writes to instead of applying them; nil detaches the log,
+// and FastStep applies them directly again (the default). Logging lets
+// several cores fast-forward concurrently: replaying every core's log in
+// (round, core) order with ReplayFF reproduces the serial round-robin
+// interleaving of those writes exactly, and nothing FastStep reads
+// depends on them, so the deferral is invisible to the stepping core and
+// the replay may run while the core steps on into another log.
+func (c *Core) DeferFF(l *FFLog) {
+	if l != nil {
+		l.ops = l.ops[:0]
+		l.rounds, l.next = 0, 0
 	}
+	c.ffLog = l
 }
 
-// ffBufs recycles log buffers across cores. A sampled sweep assembles a
-// system per cell; regrowing every core's log in every cell would add
-// garbage per cell, enough to shift where GC cycles land against the
-// sweep's far larger allocations (program generation) and raise its peak
-// resident memory. The list holds at most one buffer per core ever live
-// at once, each sized by the largest chunk it logged.
-var ffBufs struct {
-	sync.Mutex
-	free [][]ffOp
-}
-
-// ReplayFF applies, in issue order, the logged writes of the given round
-// (rounds count FastStep calls since the last ResetFF) — a no-op for
-// rounds the core did not step. Rounds must be replayed in increasing
-// order.
-func (c *Core) ReplayFF(round uint32) {
-	l := &c.ffLog
+// ReplayFF applies, in issue order, the writes l logged in the given
+// round while attached to c — a no-op for rounds it did not log. Rounds
+// must be replayed in increasing order. It touches only the shared LLC
+// and history and l, never c's own state, so it may run while c steps
+// into another log.
+func (c *Core) ReplayFF(l *FFLog, round uint32) {
 	i := l.next
 	for ; i < len(l.ops) && l.ops[i].round == round; i++ {
 		if op := l.ops[i]; op.hist {
@@ -116,17 +98,6 @@ func (c *Core) ReplayFF(round uint32) {
 		}
 	}
 	l.next = i
-}
-
-// FFRounds returns the rounds stepped since the last ResetFF.
-func (c *Core) FFRounds() uint32 { return c.ffLog.round }
-
-// ResetFF empties the log and restarts the round count; call it once
-// every logged round has been replayed.
-func (c *Core) ResetFF() {
-	l := &c.ffLog
-	l.ops = l.ops[:0]
-	l.round, l.next = 0, 0
 }
 
 // FastStep advances one executed basic block through the functional
@@ -195,8 +166,8 @@ func (c *Core) FastStep(rec *trace.Record) {
 					c.ffCt.L1IMisses++
 					// Functional LLC touch: contents and replacement state
 					// evolve as under a demand access, no latency charged.
-					if l := &c.ffLog; l.on {
-						l.ops = append(l.ops, ffOp{key: uint64(b | c.asBase), round: l.round})
+					if l := c.ffLog; l != nil {
+						l.ops = append(l.ops, ffOp{key: uint64(b | c.asBase), round: l.rounds})
 					} else {
 						c.cfg.Hier.Warm(b | c.asBase)
 					}
@@ -205,8 +176,8 @@ func (c *Core) FastStep(rec *trace.Record) {
 			}
 			if c.cfg.Recorder != nil {
 				if !c.hasLast || key != c.lastBlock {
-					if l := &c.ffLog; l.on {
-						l.ops = append(l.ops, ffOp{key: key | c.keyTag, round: l.round, hist: true})
+					if l := c.ffLog; l != nil {
+						l.ops = append(l.ops, ffOp{key: key | c.keyTag, round: l.rounds, hist: true})
 					} else {
 						c.cfg.Recorder.Record(key | c.keyTag)
 					}
@@ -216,8 +187,8 @@ func (c *Core) FastStep(rec *trace.Record) {
 			}
 		}
 	}
-	if l := &c.ffLog; l.on {
-		l.round++
+	if l := c.ffLog; l != nil {
+		l.rounds++
 	}
 
 	var issue float64

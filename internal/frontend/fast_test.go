@@ -145,26 +145,35 @@ func TestWarmStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeferFFRecyclesLogBuffer: a core switched out of logging hands its
-// log buffer to the next core that switches in, so systems assembled one
-// after another (a sweep's cells) do not each regrow their logs.
+// TestDeferFFRecyclesLogBuffer: a log attached to one core, filled, and
+// then attached to another starts empty but keeps its grown buffer, so
+// logs handed from core to core and from system to system (a sweep's
+// cells) are not regrown per chunk; detaching makes FastStep apply its
+// writes directly again.
 func TestDeferFFRecyclesLogBuffer(t *testing.T) {
 	a, b := NewCore(testConfig()), NewCore(testConfig())
-	a.DeferFF(true)
+	var l FFLog
+	a.DeferFF(&l)
 	src := mixedRecords(64)
 	var rec trace.Record
 	for i := 0; i < 256; i++ {
 		src.Next(&rec)
 		a.FastStep(&rec)
 	}
-	grown := cap(a.ffLog.ops)
-	if grown == 0 {
-		t.Fatal("logging core logged nothing")
+	grown := cap(l.ops)
+	if grown == 0 || l.Rounds() != 256 {
+		t.Fatalf("logging core logged %d ops over %d rounds, want some over 256", len(l.ops), l.Rounds())
 	}
-	a.DeferFF(false)
-	b.DeferFF(true)
-	if got := cap(b.ffLog.ops); got != grown {
-		t.Errorf("next logging core got a buffer of capacity %d, want the recycled %d", got, grown)
+	a.DeferFF(nil)
+	b.DeferFF(&l)
+	if len(l.ops) != 0 || l.Rounds() != 0 || cap(l.ops) != grown {
+		t.Errorf("reattached log holds %d ops, %d rounds, capacity %d; want empty with the recycled capacity %d",
+			len(l.ops), l.Rounds(), cap(l.ops), grown)
 	}
-	b.DeferFF(false)
+	b.DeferFF(nil)
+	src.Next(&rec)
+	a.FastStep(&rec)
+	if len(l.ops) != 0 {
+		t.Error("detached log still received writes")
+	}
 }

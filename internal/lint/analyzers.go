@@ -248,9 +248,9 @@ func asExpr(n ast.Node) ast.Expr {
 
 // BareGoroutine bans `go` statements in simulation packages:
 // simulation-side concurrency must go through internal/parallel's
-// deterministic fan-out or the cmp engine (whose fast-forward pool
-// carries an explicit //confluence:allow with the chunk-barrier replay
-// argument). Infra packages schedule goroutines freely.
+// deterministic fan-out or the cmp engine (whose stage and fast-forward
+// goroutines carry explicit //confluence:allow directives with their
+// in-order replay argument). Infra packages schedule goroutines freely.
 var BareGoroutine = &Analyzer{
 	Name: "baregoroutine",
 	Doc:  "forbid bare go statements in simulation packages",

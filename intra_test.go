@@ -73,7 +73,7 @@ func TestIntraK1BitIdentity(t *testing.T) {
 }
 
 // TestIntraRaceMix is the -race workout: an 8-core heterogeneous
-// consolidation, sampled so that 4 fast-forward workers step chunks
+// consolidation, sampled so that 4 cores step fast-forward chunks
 // concurrently while the generator cores log history records for the
 // shared history, runs under the race detector in CI.
 func TestIntraRaceMix(t *testing.T) {
