@@ -88,7 +88,11 @@ store-smoke:
 # two workers SIGKILL themselves mid-cell (chaos kill-after-claims) and
 # their cells are reclaimed via lease expiry; the coordinator's stdout
 # must be byte-identical to a serial run. A second grid with a poison
-# cell must quarantine it after the retry budget and exit non-zero.
+# cell must quarantine it after the retry budget and exit non-zero. A
+# third, a mixstudy (2 workloads on Confluence, shared and private
+# history plus baselines), runs on a coordinator and one worker; its
+# stdout must match the serial -job run's and the coordinator must print
+# its fleet report.
 fleet-smoke:
 	FLEET_SMOKE=1 go test ./cmd/confluence-sim -run TestFleetSmoke -count=1 -v -timeout 15m
 

@@ -19,13 +19,13 @@
 // process exits 0. A second signal aborts immediately.
 //
 // With -store, every simulated cell persists to the content-addressed
-// on-disk per-cell store: a point or sweep spec whose cells are all stored
+// on-disk per-cell store: a spec of any kind whose cells are all stored
 // (by this daemon, a restarted one, a `-store` CLI run or a library run)
 // is done at accept, and a partly stored one simulates only the missing
 // cells. -store-max-bytes caps the store's size with least-recently-used
 // eviction (0 = unlimited).
 //
-// With -fleet (requires -store), point and sweep jobs run through a
+// With -fleet (requires -store), jobs of every kind run through a
 // lease-based work-stealing fleet: each job publishes its cell grid under
 // the fleet directory and `confluence-sim -fleet-worker` processes
 // pointed there compute cells alongside the daemon. With no workers
@@ -58,7 +58,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max wait for accepted jobs on shutdown")
 	storeDir := flag.String("store", "", "durable per-cell result store directory: cells persist, and a submission whose cells are all stored is done at accept")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "store size cap in bytes with LRU eviction (0 = unlimited; needs -store)")
-	fleetDir := flag.String("fleet", "", "fleet coordination directory: point/sweep jobs publish cell grids here for -fleet-worker processes (needs -store)")
+	fleetDir := flag.String("fleet", "", "fleet coordination directory: jobs publish cell grids here for -fleet-worker processes (needs -store)")
 	flag.Parse()
 
 	if *fleetDir != "" && *storeDir == "" {

@@ -14,13 +14,19 @@ package main
 //  3. Poison cell: a coordinator whose chaos fails one cell on every
 //     attempt must quarantine it after the retry budget, complete the
 //     rest of the grid, and exit non-zero naming the cell.
+//  4. Mixstudy grid: a consolidation study (two workloads on Confluence,
+//     shared and private history plus the baselines) run by a
+//     coordinator and one worker must print what the serial -job run
+//     prints, and the coordinator its fleet report.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -148,5 +154,50 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "c002") || !strings.Contains(stderr, "chaos-injected crash") {
 		t.Errorf("quarantine report does not name c002 with its last error:\n%s", stderr)
+	}
+
+	// Mixstudy grid: its four cells (shared, private, two baselines) go
+	// through the fleet like a sweep's.
+	study := filepath.Join(dir, "mixstudy.json")
+	if err := os.WriteFile(study, []byte(`{
+		"kind": "mixstudy",
+		"mix": ["DSS-Qrys", "KeyValue"],
+		"designs": ["Confluence"],
+		"cores": 2, "no_warmup": true, "measure_instr": 40000
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var studySerial, studySerialErr bytes.Buffer
+	serial = exec.Command(bin, "-job", study)
+	serial.Stdout, serial.Stderr = &studySerial, &studySerialErr
+	if err := serial.Run(); err != nil {
+		t.Fatalf("serial mixstudy failed: %v\n%s", err, studySerialErr.String())
+	}
+	studyFleet := filepath.Join(dir, "fleet-mixstudy")
+	studyWorker := exec.Command(bin, "-fleet-worker", studyFleet)
+	var studyWorkerErr bytes.Buffer
+	studyWorker.Stderr = &studyWorkerErr
+	if err := studyWorker.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var studyOut, studyErr bytes.Buffer
+	coord = exec.Command(bin, "-fleet-coordinator", studyFleet, "-job", study, "-store", filepath.Join(dir, "store-mixstudy"))
+	coord.Stdout, coord.Stderr = &studyOut, &studyErr
+	if err := coord.Run(); err != nil {
+		t.Fatalf("mixstudy coordinator failed: %v\nstderr:\n%s", err, studyErr.String())
+	}
+	if err := studyWorker.Wait(); err != nil {
+		t.Errorf("mixstudy worker failed: %v\nstderr:\n%s", err, studyWorkerErr.String())
+	}
+	if studyOut.String() != studySerial.String() {
+		t.Errorf("fleet mixstudy stdout differs from serial run:\nserial:\n%s\nfleet:\n%s", studySerial.String(), studyOut.String())
+	}
+	// The coordinator's own completions plus the cells it found done
+	// (the worker's) cover the grid.
+	var done, hits, steals, quarantined int
+	report := regexp.MustCompile(`fleet ` + regexp.QuoteMeta(studyFleet) + `: \d+ completed.*`).FindString(studyErr.String())
+	if _, err := fmt.Sscanf(strings.TrimPrefix(report, "fleet "+studyFleet+": "), "%d completed, %d hits, %d steals, %d quarantined",
+		&done, &hits, &steals, &quarantined); err != nil || done+hits != 4 || quarantined != 0 {
+		t.Errorf("mixstudy coordinator report %q, want its 4 cells completed or found done, none quarantined:\n%s", report, studyErr.String())
 	}
 }

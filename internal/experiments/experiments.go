@@ -252,6 +252,14 @@ type ProgressEvent struct {
 	L1IMPKI float64 `json:"l1i_mpki"`
 }
 
+// CellProgress is the progress event of cell c finished with stats st.
+func CellProgress(c CellSpec, st *frontend.Stats) ProgressEvent {
+	return ProgressEvent{
+		Mix: MixName(c.Mix), Design: c.Design.String(),
+		IPC: st.IPC(), BTBMPKI: st.BTBMPKI(), L1IMPKI: st.L1IMPKI(),
+	}
+}
+
 // String formats the event as one human-readable progress line.
 func (e ProgressEvent) String() string {
 	return fmt.Sprintf("%-16s %-18s IPC=%.3f btbMPKI=%5.1f l1iMPKI=%5.1f",
@@ -273,10 +281,7 @@ func (r *Runner) simulate(ctx context.Context, cell CellSpec) (StoreEntry, error
 	}
 	if r.OnProgress != nil {
 		r.progressMu.Lock()
-		r.OnProgress(ProgressEvent{
-			Mix: MixName(cell.Mix), Design: cell.Design.String(),
-			IPC: e.Stats.IPC(), BTBMPKI: e.Stats.BTBMPKI(), L1IMPKI: e.Stats.L1IMPKI(),
-		})
+		r.OnProgress(CellProgress(cell, e.Stats))
 		r.progressMu.Unlock()
 	}
 	return e, nil

@@ -2,9 +2,10 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"confluence/internal/core"
-	"confluence/internal/frontend"
+	"confluence/internal/parallel"
 	"confluence/internal/stats"
 	"confluence/internal/synth"
 )
@@ -87,64 +88,113 @@ func (r *Runner) MixStudy(ctx context.Context) ([]MixRow, error) {
 	return r.MixStudyFor(ctx, r.DefaultMixes(), MixStudyDesigns())
 }
 
-// MixStudyFor plans every (mix, design, history-variant) cell plus the
-// homogeneous baselines the weighted-speedup metric needs, executes them
-// across the worker pool, and assembles rows in canonical (mix, design,
-// variant) order.
+// MixStudyFor runs a consolidation study: it lists the study's cells
+// (MixStudySpec.Cells) at the runner's scale and sampling plan, executes
+// them across the worker pool into the memo, and assembles the rows.
 func (r *Runner) MixStudyFor(ctx context.Context, mixes [][]*synth.Workload, designs []core.DesignPoint) ([]MixRow, error) {
-	plan := r.NewPlan()
-	for _, mix := range mixes {
-		for _, dp := range designs {
+	study := MixStudySpec{Base: r.cell(nil, 0, r.options()), Mixes: mixes, Designs: designs}
+	cells := study.Cells()
+	entries := make([]StoreEntry, len(cells))
+	err := parallel.ForEach(ctx, r.workers(), len(cells), func(ctx context.Context, i int) (err error) {
+		entries[i], err = r.entry(ctx, cells[i].Mix, cells[i].Design, cells[i].Opt)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return study.Rows(entries)
+}
+
+// MixStudySpec is a consolidation study: every mix on every design, in
+// each of the design's history variants, plus the homogeneous baselines
+// the weighted-speedup metric needs. Base supplies the rest of every
+// cell (instruction counts, sampling plan, options); its own Mix, Design
+// and Opt.HistoryPerCore are ignored. The Runner and the serving layer
+// both run a study through Cells and Rows, so a study's cells have one
+// identity whichever path runs them.
+type MixStudySpec struct {
+	Base    CellSpec
+	Mixes   [][]*synth.Workload
+	Designs []core.DesignPoint
+}
+
+// cell is the study's cell for mix on dp with a shared or private history.
+func (s MixStudySpec) cell(mix []*synth.Workload, dp core.DesignPoint, private bool) CellSpec {
+	c := s.Base
+	c.Mix, c.Design = mix, dp
+	c.Opt.HistoryPerCore = private
+	return c
+}
+
+// Cells lists the study's cells: per mix and design, each history variant
+// of the mix, then each mix workload's homogeneous baseline (shared
+// history), deduplicated by CellSpec.Key in that order (a cell with no
+// key is always listed).
+func (s MixStudySpec) Cells() []CellSpec {
+	var cells []CellSpec
+	seen := make(map[string]bool)
+	add := func(c CellSpec) {
+		if key, ok := c.Key(); ok {
+			if seen[key] {
+				return
+			}
+			seen[key] = true
+		}
+		cells = append(cells, c)
+	}
+	for _, mix := range s.Mixes {
+		for _, dp := range s.Designs {
 			for _, priv := range mixVariants(dp) {
-				opt := r.options()
-				opt.HistoryPerCore = priv
-				plan.AddMix(mix, dp, opt)
+				add(s.cell(mix, dp, priv))
 			}
 			for _, w := range mix {
-				plan.Add(w, dp, r.options())
+				add(s.cell([]*synth.Workload{w}, dp, false))
 			}
 		}
 	}
-	if _, err := plan.Execute(ctx); err != nil {
-		return nil, err
-	}
+	return cells
+}
 
+// Rows assembles the study's rows in canonical (mix, design, variant)
+// order from its cells' entries, parallel to Cells. A study with a cell
+// that has no key or no entry cannot be assembled.
+func (s MixStudySpec) Rows(entries []StoreEntry) ([]MixRow, error) {
+	cells := s.Cells()
+	byKey := make(map[string]StoreEntry, len(cells))
+	for i, c := range cells {
+		key, ok := c.Key()
+		if !ok || i >= len(entries) {
+			return nil, fmt.Errorf("experiments: mix study cell %s/%s has no key or no entry", MixName(c.Mix), c.Design)
+		}
+		byKey[key] = entries[i]
+	}
+	entry := func(mix []*synth.Workload, dp core.DesignPoint, private bool) StoreEntry {
+		key, _ := s.cell(mix, dp, private).Key()
+		return byKey[key]
+	}
 	var rows []MixRow
-	for _, mix := range mixes {
-		for _, dp := range designs {
-			// Core i's "alone" IPC is core i of the homogeneous run of its
-			// workload on the same design — same tile, same NOC distances.
-			alone := make([][]*frontend.Stats, len(mix))
-			for j, w := range mix {
-				e, err := r.entry(ctx, []*synth.Workload{w}, dp, r.options())
-				if err != nil {
-					return nil, err
-				}
-				alone[j] = e.PerCore
-			}
+	for _, mix := range s.Mixes {
+		for _, dp := range s.Designs {
 			for _, priv := range mixVariants(dp) {
-				opt := r.options()
-				opt.HistoryPerCore = priv
-				e, err := r.entry(ctx, mix, dp, opt)
-				if err != nil {
-					return nil, err
-				}
-				agg, per := e.Stats, e.PerCore
-				mixIPC := make([]float64, len(per))
-				aloneIPC := make([]float64, len(per))
-				for i, st := range per {
-					mixIPC[i] = st.IPC()
-					aloneIPC[i] = alone[i%len(mix)][i].IPC()
+				e := entry(mix, dp, priv)
+				mixIPC := make([]float64, len(e.PerCore))
+				aloneIPC := make([]float64, len(e.PerCore))
+				for i, st := range e.PerCore {
+					// Core i's "alone" IPC is core i of the homogeneous run of
+					// its workload on the same design — same tile, same NOC
+					// distances.
+					alone := entry([]*synth.Workload{mix[i%len(mix)]}, dp, false)
+					mixIPC[i], aloneIPC[i] = st.IPC(), alone.PerCore[i].IPC()
 				}
 				rows = append(rows, MixRow{
 					Mix:             MixName(mix),
 					Design:          dp,
 					Private:         priv,
-					IPC:             agg.IPC(),
+					IPC:             e.Stats.IPC(),
 					HMeanIPC:        stats.HarmonicMean(mixIPC),
 					WeightedSpeedup: stats.WeightedSpeedup(mixIPC, aloneIPC),
-					BTBMPKI:         agg.BTBMPKI(),
-					L1IMPKI:         agg.L1IMPKI(),
+					BTBMPKI:         e.Stats.BTBMPKI(),
+					L1IMPKI:         e.Stats.L1IMPKI(),
 				})
 			}
 		}

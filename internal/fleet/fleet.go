@@ -50,14 +50,17 @@ import (
 )
 
 // ProtocolVersion pins the on-disk coordination schema (manifest, lease,
-// attempt, and poison file shapes). A worker refuses a manifest from a
-// different protocol generation instead of misreading it.
-const ProtocolVersion = "confluence-fleet-v1"
+// attempt, and poison file shapes) and what a cell's Spec means. A
+// worker refuses a manifest from a different protocol generation instead
+// of misreading it. v2: a cell's Spec is its whole job's spec, not a
+// point spec of the cell.
+const ProtocolVersion = "confluence-fleet-v2"
 
-// Cell is one unit of fleet work: an opaque spec (a serialized point
-// JobSpec in practice — the fleet does not interpret it) plus the
-// content-addressed store key its result must land under. A cell is done
-// exactly when the store holds a valid entry for Key.
+// Cell is one unit of fleet work: an opaque spec (in practice the
+// serialized JobSpec of the job the cell belongs to, which the runner
+// expands to find the cell by Key — the fleet does not interpret it) plus
+// the content-addressed store key its result must land under. A cell is
+// done exactly when the store holds a valid entry for Key.
 type Cell struct {
 	ID   string          `json:"id"`   // filename-safe, unique within the grid
 	Key  string          `json:"key"`  // store key of the cell's result

@@ -198,8 +198,9 @@ func (c *Core) fillLatency(b isa.Addr) int {
 func blockKey(b isa.Addr) uint64 { return uint64(b) >> isa.BlockShift }
 
 // Step processes one executed basic block: the stream half, then the
-// timing half. It is the one stepping path; the CMP engine merely runs the
-// two halves on different goroutines when it pipelines them.
+// timing half. It is the reference composition of the two halves that
+// tests and benchmarks call; the CMP engine calls StreamPredict and
+// StepPredicted itself, on different goroutines.
 func (c *Core) Step(rec *trace.Record) {
 	o := c.StreamPredict(rec)
 	c.StepPredicted(rec, &o)

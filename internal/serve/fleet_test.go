@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"confluence"
@@ -22,49 +24,72 @@ func tinySweep() *confluence.JobSpec {
 	}
 }
 
-// TestFleetCellsExpansion: cells follow spec expansion order with
-// deterministic IDs, carry the RunCtx store key, and each cell spec
-// round-trips to a runnable point config.
-func TestFleetCellsExpansion(t *testing.T) {
-	cells, err := FleetCells(tinySweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("expanded to %d cells, want 2", len(cells))
-	}
-	for i, c := range cells {
-		if want := []string{"c000", "c001"}[i]; c.ID != want {
-			t.Errorf("cell %d ID = %s, want %s", i, c.ID, want)
-		}
-		spec, err := confluence.ParseJobSpec(c.Spec)
-		if err != nil {
-			t.Fatalf("cell %s spec does not parse: %v", c.ID, err)
-		}
-		if spec.NormKind() != confluence.KindPoint || spec.Parallelism != 0 || spec.Priority != 0 {
-			t.Errorf("cell %s spec = %+v, want a scheduling-free point spec", c.ID, spec)
-		}
-		cfg, err := spec.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key, ok := confluence.ConfigStoreKey(cfg); !ok || key != c.Key {
-			t.Errorf("cell %s: manifest key %.12s, round-tripped config derives %.12s", c.ID, c.Key, key)
-		}
-	}
-	if cells[0].Key == cells[1].Key {
-		t.Error("distinct cells share a store key")
-	}
-
-	if _, err := FleetCells(&confluence.JobSpec{Kind: confluence.KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue"}}); err == nil {
-		t.Error("mixstudy spec expanded to fleet cells")
+// tinyMixStudy is a fast consolidation study: two workloads on two
+// cores, Confluence with shared and private history plus the two
+// baselines.
+func tinyMixStudy() *confluence.JobSpec {
+	return &confluence.JobSpec{
+		Kind:    confluence.KindMixStudy,
+		Mix:     []string{"DSS-Qrys", "KeyValue"},
+		Designs: []string{"Confluence"},
+		Cores:   2, NoWarmup: true, MeasureInstr: 20_000,
 	}
 }
 
-// TestExecuteSpecFleetMatchesStorePath: the same sweep through the fleet
+// TestFleetCellsExpansion: cells follow spec expansion order with
+// deterministic IDs and carry the store key of the spec's cell, and each
+// cell's payload is the job's spec without its scheduling knobs — the
+// spec a worker expands to find the cell. A mixstudy expands like any
+// other kind.
+func TestFleetCellsExpansion(t *testing.T) {
+	for _, tc := range []struct {
+		spec *confluence.JobSpec
+		n    int
+	}{
+		{tinySweep(), 2},
+		{tinyMixStudy(), 4},
+	} {
+		job := *tc.spec
+		job.Parallelism, job.Priority = 3, 5
+		cells, err := fleetGrid(&job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != tc.n {
+			t.Fatalf("%s expanded to %d cells, want %d", job.NormKind(), len(cells), tc.n)
+		}
+		want, err := tc.spec.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := map[string]bool{}
+		for i, c := range cells {
+			if id := fmt.Sprintf("c%03d", i); c.ID != id {
+				t.Errorf("cell %d ID = %s, want %s", i, c.ID, id)
+			}
+			if c.Key != want[i].Key {
+				t.Errorf("cell %s: manifest key %.12s, spec cell %d has %.12s", c.ID, c.Key, i, want[i].Key)
+			}
+			keys[c.Key] = true
+			spec, err := confluence.ParseJobSpec(c.Spec)
+			if err != nil {
+				t.Fatalf("cell %s spec does not parse: %v", c.ID, err)
+			}
+			if !reflect.DeepEqual(spec, tc.spec) {
+				t.Errorf("cell %s payload = %+v, want the job's spec without scheduling knobs %+v", c.ID, spec, tc.spec)
+			}
+		}
+		if len(keys) != len(cells) {
+			t.Errorf("%s: distinct cells share a store key", job.NormKind())
+		}
+	}
+}
+
+// TestExecuteSpecFleetMatchesStorePath: the same spec through the fleet
 // path and the plain store path yields byte-identical results — the
 // fleet only changes who computes the cells, never what is served. The
-// sampled sweep pins that a cell's sampling report survives the fleet.
+// sampled sweep pins that a cell's sampling report survives the fleet,
+// and the mixstudy that its private-history cells do.
 func TestExecuteSpecFleetMatchesStorePath(t *testing.T) {
 	sampled := tinySweep()
 	sp := confluence.AutoSampling(sampled.MeasureInstr)
@@ -76,12 +101,16 @@ func TestExecuteSpecFleetMatchesStorePath(t *testing.T) {
 	}{
 		{"exact", tinySweep()},
 		{"sampled", sampled},
+		{"mixstudy", tinyMixStudy()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := t.TempDir()
 			serial, err := ExecuteSpec(context.Background(), tc.spec, filepath.Join(base, "store-serial"), nil)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.name == "mixstudy" && len(serial.MixRows) != 2 {
+				t.Fatalf("serial mixstudy has %d rows, want 2 (shared, private)", len(serial.MixRows))
 			}
 			for i, c := range serial.Cells {
 				if (c.Sampled != nil) != (tc.name == "sampled") {
@@ -94,8 +123,12 @@ func TestExecuteSpecFleetMatchesStorePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep == nil || rep.Completed != 2 || rep.Failed() {
-				t.Fatalf("fleet report = %+v, want 2 completed", rep)
+			cells, err := tc.spec.Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep == nil || rep.Completed != len(cells) || rep.Failed() {
+				t.Fatalf("fleet report = %+v, want %d completed", rep, len(cells))
 			}
 
 			a, _ := json.Marshal(serial)

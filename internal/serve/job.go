@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"confluence"
@@ -65,14 +64,6 @@ type Result struct {
 	Kind    string               `json:"kind"`
 	Cells   []CellResult         `json:"cells,omitempty"`
 	MixRows []experiments.MixRow `json:"mix_rows,omitempty"`
-}
-
-// progress is the progress event a finished cell streams.
-func (c *CellResult) progress() experiments.ProgressEvent {
-	return experiments.ProgressEvent{
-		Mix: c.Mix, Design: c.Design,
-		IPC: c.Stats.IPC(), BTBMPKI: c.Stats.BTBMPKI(), L1IMPKI: c.Stats.L1IMPKI(),
-	}
 }
 
 // rowCount returns how many paginatable rows the result holds.
@@ -204,122 +195,81 @@ func (j *Job) summary(withSpec bool) Summary {
 // ExecuteSpec runs a validated job spec to completion, streaming one
 // progress event per finished simulation cell to emit (nil for none). It
 // is the single execution path shared by the daemon's workers and
-// `confluence-sim -job`, so a spec behaves identically under both. A
-// non-empty storeDir backs it with the durable per-cell store: every
-// point/sweep cell runs with Config.StoreDir set (stored cells are read,
-// not simulated; completed cells persist) and a mixstudy's runner
-// consults the same store per cell. An empty storeDir runs with no store.
-//
-// Point and sweep cells run through confluence.RunCtx — the same entry
-// point a direct library caller uses — which is what makes the serving
-// determinism contract (server result bit-identical to direct Run) hold
-// by construction. Within a job, cells fan out across
-// max(1, spec.Parallelism) goroutines; the default is serial so one job
-// cannot oversubscribe the daemon (the queue's Workers knob governs
-// cross-job concurrency).
+// `confluence-sim -job`, and it treats every kind alike: the spec's cells
+// (JobSpec.Cells, resolved as RunCtx resolves a Config) run through
+// experiments.Execute, the call RunCtx makes, which is what makes a
+// served result bit-identical to a direct Run by construction; the
+// result is assembled from their entries. A non-empty storeDir backs
+// every cell with the durable per-cell store: stored cells are read, not
+// simulated, and completed cells persist before their progress event.
+// Within a job, cells fan out across max(1, spec.Parallelism)
+// goroutines; the default is serial so one job cannot oversubscribe the
+// daemon (the queue's Workers knob governs cross-job concurrency).
 func ExecuteSpec(ctx context.Context, spec *confluence.JobSpec, storeDir string, emit func(experiments.ProgressEvent)) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if emit == nil {
-		emit = func(experiments.ProgressEvent) {}
-	}
-	var emitMu sync.Mutex
-	emitOne := func(e experiments.ProgressEvent) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		emit(e)
-	}
-
-	kind := spec.NormKind()
-	if kind == confluence.KindMixStudy {
-		return executeMixStudy(ctx, spec, storeDir, emitOne)
-	}
-
-	cfgs, err := spec.Configs()
+	cells, err := spec.Cells()
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: kind, Cells: make([]CellResult, len(cfgs))}
-	workers := spec.Parallelism
-	if workers <= 0 {
-		workers = 1
+	var st *store.Store
+	if storeDir != "" {
+		st = store.Open(storeDir)
 	}
-	err = parallel.ForEach(ctx, workers, len(cfgs), func(ctx context.Context, i int) error {
-		cfg := cfgs[i]
-		// Within-job fan-out is already bounded by this ForEach; the
-		// per-cell config must not fan out again.
-		cfg.Parallelism = 0
-		cfg.StoreDir = storeDir
-		r, err := confluence.RunCtx(ctx, cfg)
+	if err := confluence.GenerateCells(cells); err != nil {
+		return nil, err
+	}
+	var emitMu sync.Mutex
+	entries := make([]experiments.StoreEntry, len(cells))
+	err = parallel.ForEach(ctx, max(1, spec.Parallelism), len(cells), func(ctx context.Context, i int) error {
+		e, err := experiments.Execute(ctx, cells[i].Cell, 0, st)
 		if err != nil {
 			return err
 		}
-		cell := CellResult{
-			Mix:          mixName(cfg),
-			Design:       cfg.Design.String(),
-			Stats:        r.Stats,
-			PerCore:      r.PerCore,
-			OverheadMM2:  r.OverheadMM2,
-			RelativeArea: r.RelativeArea,
-			Sampled:      r.Sampled,
+		entries[i] = e
+		if emit != nil {
+			emitMu.Lock()
+			defer emitMu.Unlock()
+			emit(experiments.CellProgress(cells[i].Cell, e.Stats))
 		}
-		res.Cells[i] = cell
-		emitOne(cell.progress())
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return assemble(spec, cells, entries)
 }
 
-// executeMixStudy runs a mixstudy spec through the experiments runner,
-// forwarding its serialized progress events; a non-empty storeDir gives
-// the runner the durable per-cell store.
-func executeMixStudy(ctx context.Context, spec *confluence.JobSpec, storeDir string, emit func(experiments.ProgressEvent)) (*Result, error) {
-	mix, err := spec.MixWorkloads()
-	if err != nil {
-		return nil, err
+// assemble builds a job's result from its cells' entries (parallel to
+// cells): one row per cell for point and sweep jobs, the consolidation
+// study's rows (experiments.MixStudySpec.Rows) for a mixstudy. Every
+// path that finishes a job assembles it here: a live run, a store hit at
+// accept and a fleet.
+func assemble(spec *confluence.JobSpec, cells []confluence.JobCell, entries []experiments.StoreEntry) (*Result, error) {
+	kind := spec.NormKind()
+	if kind == confluence.KindMixStudy {
+		study, err := spec.MixStudy()
+		if err != nil {
+			return nil, err
+		}
+		rows, err := study.Rows(entries)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Kind: kind, MixRows: rows}, nil
 	}
-	designs := experiments.MixStudyDesigns()
-	if len(spec.Designs) > 0 {
-		designs = designs[:0]
-		for _, name := range spec.Designs {
-			dp, ok := confluence.DesignByName(name)
-			if !ok {
-				return nil, fmt.Errorf("serve: unknown design %q", name)
-			}
-			designs = append(designs, dp)
+	res := &Result{Kind: kind, Cells: make([]CellResult, len(cells))}
+	for i, c := range cells {
+		e := entries[i]
+		res.Cells[i] = CellResult{
+			Mix:          experiments.MixName(c.Cell.Mix),
+			Design:       c.Cell.Design.String(),
+			Stats:        e.Stats,
+			PerCore:      e.PerCore,
+			OverheadMM2:  e.OverheadMM2,
+			RelativeArea: e.RelativeArea,
+			Sampled:      e.Sampled,
 		}
 	}
-	r := experiments.NewRunnerFor(spec.Scale(), nil)
-	if storeDir != "" {
-		r.Store = store.Open(storeDir)
-	}
-	r.Workers = spec.Parallelism
-	if r.Workers <= 0 {
-		r.Workers = 1
-	}
-	r.IntraWorkers = spec.IntraParallelism
-	r.OnProgress = emit
-	rows, err := r.MixStudyFor(ctx, [][]*confluence.Workload{mix}, designs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Kind: confluence.KindMixStudy, MixRows: rows}, nil
-}
-
-// mixName labels a config's workload mix the way the experiments package
-// does.
-func mixName(cfg confluence.Config) string {
-	if len(cfg.Mix) > 0 {
-		return experiments.MixName(cfg.Mix)
-	}
-	if cfg.Workload != nil {
-		return cfg.Workload.Prof.Name
-	}
-	return ""
+	return res, nil
 }
 
 // isCancellation reports whether err is a context cancellation (the job

@@ -47,17 +47,17 @@ type Config struct {
 	MaxBodyBytes int64
 	// StoreDir, when non-empty, backs jobs with the durable per-cell store
 	// rooted there — the one result cache, shared with direct library runs
-	// (Config.StoreDir), `confluence-sim -store` and fleet workers on the
-	// same directory. A point or sweep submission whose every cell is
-	// stored, by any of them, completes at accept with the result
-	// assembled from the cell entries (replaying the full event sequence);
-	// otherwise the job queues and simulates only its missing cells, each
-	// persisting for future submissions and future daemon processes.
-	// Mixstudy jobs always queue and read their stored cells as they run.
-	// Empty keeps results in memory only.
+	// (Config.StoreDir), `confluence-sim -store` and `-mix`, and fleet
+	// workers on the same directory. A submission of any kind (point,
+	// sweep or mixstudy) whose every cell is stored, by any of them,
+	// completes at accept with the result assembled from the cell entries
+	// (replaying the full event sequence); otherwise the job queues and
+	// simulates only its missing cells, each persisting for future
+	// submissions and future daemon processes. Empty keeps results in
+	// memory only.
 	StoreDir string
-	// FleetDir, when non-empty (StoreDir required too), routes point and
-	// sweep jobs through a lease-based fleet coordinator rooted there:
+	// FleetDir, when non-empty (StoreDir required too), routes every job
+	// through a lease-based fleet coordinator rooted there:
 	// each job publishes its grid under FleetDir/job-<n> and any
 	// `confluence-sim -fleet-worker` processes pointed at that directory
 	// work cells alongside the daemon. With no workers attached the
@@ -211,7 +211,7 @@ func (s *Server) runJob(j *Job) {
 
 // Submit queues a validated spec, returning the job or ErrQueueFull /
 // ErrDraining. It is the programmatic form of POST /jobs. With a result
-// store configured, a point or sweep spec whose every cell is stored
+// store configured, a spec of any kind whose every cell is stored
 // returns a job that is already done — it never occupies a queue slot or
 // a worker, so stored re-submissions cannot shed live work.
 func (s *Server) Submit(spec *confluence.JobSpec) (*Job, error) {
@@ -220,7 +220,7 @@ func (s *Server) Submit(spec *confluence.JobSpec) (*Job, error) {
 	}
 	// The store reads happen outside s.mu: they are filesystem I/O and
 	// must not serialize against the queue.
-	stored := s.lookup(spec)
+	stored, events := storedResult(s.store, spec)
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
@@ -240,24 +240,9 @@ func (s *Server) Submit(spec *confluence.JobSpec) (*Job, error) {
 	}
 	s.mu.Unlock()
 	if stored != nil {
-		j.completeFromStore(stored)
+		j.completeFromStore(stored, events)
 	}
 	return j, nil
-}
-
-// lookup answers a spec from the per-cell store: the result assembled
-// from its cells' entries when every cell has one, else nil. Mixstudy
-// specs, and specs whose cells cannot be named (an unreadable capture),
-// are never answered here; they run.
-func (s *Server) lookup(spec *confluence.JobSpec) *Result {
-	if s.store == nil {
-		return nil
-	}
-	cells, err := spec.Cells()
-	if err != nil {
-		return nil
-	}
-	return storedResult(s.store, spec.NormKind(), cells)
 }
 
 // Cancel cancels a job: a queued job leaves the queue immediately

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -617,6 +618,30 @@ func TestExecuteSpecMixStudy(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Error("mixstudy produced no progress events")
+	}
+}
+
+// TestExecuteSpecSampledMixStudy: a mixstudy's sample_* fields reach
+// every cell. The sampled study's rows differ from the exact study's and
+// equal Runner.MixStudyFor's run with the same sampling plan.
+func TestExecuteSpecSampledMixStudy(t *testing.T) {
+	exact := tinyMixStudy()
+	exact.MeasureInstr = 200_000
+	sampled := *exact
+	sampled.SampleWindowInstr, sampled.SamplePeriodInstr, sampled.SampleWindows = 10_000, 50_000, 4
+	var rows [2][]experiments.MixRow
+	for i, spec := range []*confluence.JobSpec{exact, &sampled} {
+		res, err := ExecuteSpec(context.Background(), spec, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = res.MixRows
+	}
+	if reflect.DeepEqual(rows[0], rows[1]) {
+		t.Fatalf("sampled mixstudy rows equal the exact ones: %+v", rows[1])
+	}
+	if want := mixStudyRunner(t, &sampled, ""); !reflect.DeepEqual(rows[1], want) {
+		t.Errorf("sampled mixstudy rows diverge from the sampled runner's:\n%+v\nvs\n%+v", rows[1], want)
 	}
 }
 

@@ -6,46 +6,52 @@ import (
 	"confluence/internal/store"
 )
 
-// storedResult assembles a point or sweep job's result from the per-cell
-// store: one row per cell, in cell order, from the entry stored under the
-// cell's key. It stops at the first cell with no valid entry and returns
-// nil; the job must then run (and re-simulates only what is missing,
-// since every cell it runs consults the same store).
-func storedResult(st *store.Store, kind string, cells []confluence.JobCell) *Result {
-	res := &Result{Kind: kind, Cells: make([]CellResult, len(cells))}
+// storedResult answers a spec of any kind from the per-cell store st
+// (none when nil): the result assembled from its cells' entries, and each
+// cell's progress event in cell order. It stops at the first cell with no
+// valid entry, as it does for a spec whose cells cannot be named (an
+// unreadable capture), and returns nil; the job must then run (and
+// re-simulates only what is missing, since every cell it runs consults
+// the same store).
+func storedResult(st *store.Store, spec *confluence.JobSpec) (*Result, []experiments.ProgressEvent) {
+	if st == nil {
+		return nil, nil
+	}
+	cells, err := spec.Cells()
+	if err != nil {
+		return nil, nil
+	}
+	entries := make([]experiments.StoreEntry, len(cells))
+	events := make([]experiments.ProgressEvent, len(cells))
 	for i, c := range cells {
 		payload, hit := st.Get(c.Key)
 		if !hit {
-			return nil
+			return nil, nil
 		}
 		e, ok := experiments.DecodeStoreEntry(payload)
 		if !ok {
-			return nil
+			return nil, nil
 		}
-		res.Cells[i] = CellResult{
-			Mix:          c.Mix,
-			Design:       c.Spec.Design,
-			Stats:        e.Stats,
-			PerCore:      e.PerCore,
-			OverheadMM2:  e.OverheadMM2,
-			RelativeArea: e.RelativeArea,
-			Sampled:      e.Sampled,
-		}
+		entries[i] = e
+		events[i] = experiments.CellProgress(c.Cell, e.Stats)
 	}
-	return res
+	res, err := assemble(spec, cells, entries)
+	if err != nil {
+		return nil, nil
+	}
+	return res, events
 }
 
 // completeFromStore replays a stored result onto a freshly-minted job: the
-// same event sequence a live run appends (started, one cell per completed
+// same event sequence a live run appends (started, one cell per
 // simulation, done), so SSE consumers and pollers see a store-served job
 // exactly as they would a fast live one.
-func (j *Job) completeFromStore(res *Result) {
+func (j *Job) completeFromStore(res *Result, cells []experiments.ProgressEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.appendEventLocked(Event{Type: "started"})
-	for i := range res.Cells {
-		cell := res.Cells[i].progress()
-		j.appendEventLocked(Event{Type: "cell", Cell: &cell})
+	for i := range cells {
+		j.appendEventLocked(Event{Type: "cell", Cell: &cells[i]})
 	}
 	j.state = StateDone
 	j.result = res

@@ -243,11 +243,9 @@ func TestLibraryRunAnswersSubmission(t *testing.T) {
 // cells stored queues, and running it writes exactly the missing cell.
 func TestPartlyStoredSweepRunsMissingCells(t *testing.T) {
 	dir := t.TempDir()
-	cells, err := tinySweep().Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExecuteSpec(context.Background(), &cells[0].Spec, dir, nil); err != nil {
+	first := tinySweep()
+	first.Workloads = first.Workloads[:1]
+	if _, err := ExecuteSpec(context.Background(), first, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -264,6 +262,86 @@ func TestPartlyStoredSweepRunsMissingCells(t *testing.T) {
 	}
 	if n := st.Len(); n != 2 {
 		t.Errorf("store holds %d entries, want 2", n)
+	}
+}
+
+// mixStudyRunner runs spec's study the way `confluence-sim -mix` does:
+// through Runner.MixStudyFor over generated workloads, at the spec's
+// scale and sampling plan, on the store in dir (none when empty).
+func mixStudyRunner(t *testing.T, spec *confluence.JobSpec, dir string) []experiments.MixRow {
+	t.Helper()
+	var mix []*confluence.Workload
+	for _, name := range spec.Mix {
+		w, err := confluence.BuildWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix = append(mix, w)
+	}
+	var designs []confluence.DesignPoint
+	for _, name := range spec.Designs {
+		dp, _ := confluence.DesignByName(name)
+		designs = append(designs, dp)
+	}
+	r := experiments.NewRunnerFor(spec.Scale(), nil)
+	r.Workers = 1
+	r.Sampling = confluence.Sampling{
+		WindowInstr: spec.SampleWindowInstr, PeriodInstr: spec.SamplePeriodInstr, Windows: spec.SampleWindows,
+		WindowWarmupInstr: spec.SampleWindowWarmupInstr, JitterSeed: spec.SampleJitterSeed,
+	}
+	if dir != "" {
+		r.Store = store.Open(dir)
+	}
+	rows, err := r.MixStudyFor(context.Background(), [][]*confluence.Workload{mix}, designs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestRunnerMixStudyAnswersSubmission: cells stored by Runner.MixStudyFor
+// (the `confluence-sim -mix` path) answer the equal mixstudy submission
+// at accept — already done, one cell event per cell, the runner's rows —
+// and a re-submission of the finished study is answered the same way.
+func TestRunnerMixStudyAnswersSubmission(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinyMixStudy()
+	direct := mixStudyRunner(t, spec, dir)
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	calls := neverExecute(s)
+	for round := 0; round < 2; round++ {
+		sum := submitted(t, ts, spec)
+		if sum.State != StateDone {
+			t.Fatalf("round %d: state %s at accept, want done", round, sum.State)
+		}
+		j, _ := s.Job(sum.ID)
+		evs, _ := j.eventsSince(0, func() bool { return true })
+		var n int
+		for _, e := range evs {
+			if e.Type == "cell" {
+				n++
+			}
+		}
+		if n != len(cells) {
+			t.Errorf("round %d: %d cell events, want one per cell (%d)", round, n, len(cells))
+		}
+		var page struct {
+			Rows []experiments.MixRow `json:"rows"`
+		}
+		if err := json.Unmarshal(fetchResult(t, ts.URL, sum.ID), &page); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(page.Rows, direct) {
+			t.Errorf("round %d: served rows diverge from the runner's:\n%+v\nvs\n%+v", round, page.Rows, direct)
+		}
+	}
+	if calls.Load() != 0 {
+		t.Error("a stored mixstudy reached the executor")
 	}
 }
 

@@ -29,6 +29,10 @@ import (
 //   - "mixstudy": the consolidation study over Mix — every design in
 //     Designs (default MixStudyDesigns) with the shared-vs-private
 //     history ablation and per-workload homogeneous baselines.
+//
+// Every kind expands into its simulation cells through Cells, and every
+// execution path (the serving layer, `confluence-sim -job`, fleets) runs
+// those cells and nothing else.
 type JobSpec struct {
 	Kind string `json:"kind,omitempty"`
 
@@ -174,6 +178,11 @@ func (s *JobSpec) Validate() error {
 	if s.Profile != nil && (s.Profile.Functions < 0 || s.Profile.RequestTypes < 0 || s.Profile.Concurrency < 0) {
 		return bad("profile overrides must be non-negative")
 	}
+	// Core i runs mix[i mod len]: a workload without a core is not part
+	// of the consolidation, and the system refuses to assemble it.
+	if cores := s.Scale().Cores; len(s.Mix) > cores {
+		return bad("mix names %d workloads for %d cores", len(s.Mix), cores)
+	}
 	switch s.NormKind() {
 	case KindPoint:
 		if len(s.Workloads) > 0 || len(s.Designs) > 0 {
@@ -252,20 +261,47 @@ func (s *JobSpec) profile(name string) (synth.Profile, error) {
 func (s *JobSpec) generator() func(name string) (*Workload, error) {
 	built := make(map[string]*Workload)
 	return func(name string) (*Workload, error) {
-		if w := built[name]; w != nil {
-			return w, nil
-		}
-		prof, err := s.profile(name)
+		w, err := s.profileOnly(name)
 		if err != nil {
 			return nil, err
 		}
-		w, err := synth.Build(prof)
-		if err != nil {
-			return nil, err
-		}
-		built[name] = w
+		return generated(w, built)
+	}
+}
+
+// generated returns profile-only workload w with its program generated,
+// or the workload of the same name in built if one was generated before.
+// A capture-backed workload needs no program.
+func generated(w *Workload, built map[string]*Workload) (*Workload, error) {
+	if w.TraceDir != "" {
 		return w, nil
 	}
+	if built[w.Prof.Name] == nil {
+		g, err := synth.Build(w.Prof)
+		if err != nil {
+			return nil, err
+		}
+		built[w.Prof.Name] = g
+	}
+	return built[w.Prof.Name], nil
+}
+
+// GenerateCells makes cells ready to run in place: every workload Cells
+// named by its profile alone gets its generated program, one program per
+// workload name across the cells.
+func GenerateCells(cells []JobCell) error {
+	built := make(map[string]*Workload)
+	for i := range cells {
+		mix := make([]*Workload, len(cells[i].Cell.Mix))
+		for j, w := range cells[i].Cell.Mix {
+			var err error
+			if mix[j], err = generated(w, built); err != nil {
+				return err
+			}
+		}
+		cells[i].Cell.Mix = mix
+	}
+	return nil
 }
 
 // profileOnly is a workload source that generates nothing: each workload
@@ -312,7 +348,7 @@ func (s *JobSpec) Scale() experiments.Scale { return s.baseConfig().scale() }
 
 // Config maps a point spec onto the Config it describes, generating its
 // workloads. Sweep and mixstudy specs expand to more than one simulation
-// — use Configs (sweep) or the serving layer's executor (mixstudy).
+// — use Cells, or Configs (sweep).
 func (s *JobSpec) Config() (Config, error) {
 	if err := s.Validate(); err != nil {
 		return Config{}, err
@@ -348,59 +384,74 @@ func (s *JobSpec) config(workload func(name string) (*Workload, error)) (Config,
 	return cfg, nil
 }
 
-// MixWorkloads generates the spec's workload mix (core i runs
-// mix[i mod len]) with the profile overrides applied — the input a
-// mixstudy job hands to the experiments runner. Repeated names share one
-// generated workload.
-func (s *JobSpec) MixWorkloads() ([]*Workload, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if len(s.Mix) == 0 {
-		return nil, fmt.Errorf("confluence: job spec has no mix")
-	}
-	gen := s.generator()
-	mix := make([]*Workload, len(s.Mix))
-	for i, name := range s.Mix {
-		w, err := gen(name)
-		if err != nil {
-			return nil, err
-		}
-		mix[i] = w
-	}
-	return mix, nil
-}
-
-// JobCell is one simulation of a point or sweep job: the point spec that
-// reproduces it and the store key RunCtx reads and writes for it.
+// JobCell is one simulation of a job: its resolved cell, whose workloads
+// carry only their profile, and the store key every execution path reads
+// and writes for it.
 type JobCell struct {
-	Spec JobSpec
+	Cell experiments.CellSpec
 	Key  string
-	// Mix labels the cell's workloads as the experiments package does
-	// (experiments.MixName), the label its result row carries.
-	Mix string
 }
 
-// Cells expands a point or sweep spec into its simulations in canonical
-// order: the point itself, or the Workloads × Designs cross product
+// Cells expands a spec into its simulations in canonical order: the
+// point itself; the Workloads × Designs cross product of a sweep
 // (workload-major, matching the figure runners' order; Workloads defaults
-// to the paper's five-workload suite). Keys come from the same resolution
-// RunCtx applies (ConfigStoreKey) over workloads that carry only their
-// profile, so naming a job's cells generates no program. Mixstudy specs
-// do not expand to cells.
+// to the paper's five-workload suite); or the cells of a mixstudy's
+// consolidation study (MixStudy), the list Runner.MixStudyFor plans.
+// Every cell is resolved the way RunCtx resolves a Config
+// (ConfigCellSpec) over workloads that carry only their profile, so
+// naming a job's cells generates no program.
 func (s *JobSpec) Cells() ([]JobCell, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	var specs []JobSpec
+	var specs []experiments.CellSpec
+	if s.NormKind() == KindMixStudy {
+		study, err := s.MixStudy()
+		if err != nil {
+			return nil, err
+		}
+		specs = study.Cells()
+	}
+	for _, p := range s.points() {
+		cell, err := p.cell()
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, cell)
+	}
+	cells := make([]JobCell, len(specs))
+	for i, c := range specs {
+		key, ok := c.Key()
+		if !ok {
+			return nil, fmt.Errorf("confluence: job cell %d has no store key (unreadable capture directory?)", i)
+		}
+		cells[i] = JobCell{Cell: c, Key: key}
+	}
+	return cells, nil
+}
+
+// cell resolves the spec's own simulation as RunCtx resolves its Config
+// (ConfigCellSpec), over workloads that carry only their profile.
+func (s *JobSpec) cell() (experiments.CellSpec, error) {
+	cfg, err := s.config(s.profileOnly)
+	if err != nil {
+		return experiments.CellSpec{}, err
+	}
+	return ConfigCellSpec(cfg)
+}
+
+// points lists a point or sweep spec's simulations as point specs, in
+// Cells order (none for a mixstudy).
+func (s *JobSpec) points() []JobSpec {
 	switch s.NormKind() {
 	case KindPoint:
-		specs = []JobSpec{*s}
+		return []JobSpec{*s}
 	case KindSweep:
 		names := s.Workloads
 		if len(names) == 0 {
 			names = PaperWorkloadNames()
 		}
+		var specs []JobSpec
 		for _, name := range names {
 			for _, dn := range s.Designs {
 				p := *s
@@ -408,43 +459,57 @@ func (s *JobSpec) Cells() ([]JobCell, error) {
 				specs = append(specs, p)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("confluence: %s job spec does not expand to cells (run it through the serving layer or MixStudyFor)", s.NormKind())
+		return specs
 	}
-	cells := make([]JobCell, len(specs))
-	for i := range specs {
-		cfg, err := specs[i].config(specs[i].profileOnly)
-		if err != nil {
-			return nil, err
-		}
-		cell, err := ConfigCellSpec(cfg)
-		if err != nil {
-			return nil, err
-		}
-		key, ok := cell.Key()
-		if !ok {
-			return nil, fmt.Errorf("confluence: job cell %d has no store key (unreadable capture directory?)", i)
-		}
-		cells[i] = JobCell{Spec: specs[i], Key: key, Mix: experiments.MixName(cell.Mix)}
-	}
-	return cells, nil
+	return nil
 }
 
-// Configs expands the spec into the ordered list of simulations it
-// describes: one Config per cell of Cells, each named workload generated
-// once and shared across cells. Mixstudy specs do not expand to plain
+// MixStudy resolves a mixstudy spec into its consolidation study over
+// workloads that carry only their profile: Mix on every design in Designs
+// (default MixStudyDesigns), each cell shaped by the spec the way RunCtx
+// shapes a Config. Its Cells are the spec's cells, and its Rows assemble
+// their entries into the job's result.
+func (s *JobSpec) MixStudy() (experiments.MixStudySpec, error) {
+	if err := s.Validate(); err != nil {
+		return experiments.MixStudySpec{}, err
+	}
+	if s.NormKind() != KindMixStudy {
+		return experiments.MixStudySpec{}, fmt.Errorf("confluence: %s job spec is not a consolidation study", s.NormKind())
+	}
+	base, err := s.cell()
+	if err != nil {
+		return experiments.MixStudySpec{}, err
+	}
+	designs := experiments.MixStudyDesigns()
+	if len(s.Designs) > 0 {
+		designs = make([]DesignPoint, len(s.Designs))
+		for i, name := range s.Designs {
+			designs[i], _ = DesignByName(name)
+		}
+	}
+	return experiments.MixStudySpec{Base: base, Mixes: [][]*Workload{base.Mix}, Designs: designs}, nil
+}
+
+// Configs expands a point or sweep spec into the ordered list of
+// simulations it describes, one Config per cell of Cells, each named
+// workload generated once and shared across cells. A mixstudy's
+// private-history cells have no point spec, so it does not expand to
 // Configs.
 func (s *JobSpec) Configs() ([]Config, error) {
-	cells, err := s.Cells()
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	if s.NormKind() == KindMixStudy {
+		return nil, fmt.Errorf("confluence: mixstudy job spec does not expand to Configs (use Cells)")
+	}
 	gen := s.generator()
-	cfgs := make([]Config, len(cells))
-	for i := range cells {
-		if cfgs[i], err = cells[i].Spec.config(gen); err != nil {
+	var cfgs []Config
+	for _, p := range s.points() {
+		cfg, err := p.config(gen)
+		if err != nil {
 			return nil, err
 		}
+		cfgs = append(cfgs, cfg)
 	}
 	return cfgs, nil
 }

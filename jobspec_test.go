@@ -1,12 +1,14 @@
 package confluence
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"confluence/internal/experiments"
+	"confluence/internal/store"
 )
 
 func TestParseJobSpecRoundTrip(t *testing.T) {
@@ -43,6 +45,8 @@ var malformedSpecs = []struct{ name, body string }{
 	{"repeated sweep workload", `{"kind":"sweep","workloads":["DSS-Qrys","KeyValue","DSS-Qrys"],"designs":["Base1K"]}`},
 	{"repeated sweep design", `{"kind":"sweep","designs":["Base1K","Ideal","Base1K"]}`},
 	{"repeated mixstudy design", `{"kind":"mixstudy","mix":["DSS-Qrys","KeyValue"],"designs":["Ideal","Ideal"]}`},
+	{"mix wider than the CMP", `{"mix":["DSS-Qrys","KeyValue","OLTP-DB2"],"design":"Base1K","cores":2}`},
+	{"mixstudy wider than the CMP", `{"kind":"mixstudy","mix":["DSS-Qrys","KeyValue","OLTP-DB2"],"cores":2}`},
 }
 
 func TestParseJobSpecStrictness(t *testing.T) {
@@ -100,19 +104,21 @@ func FuzzParseJobSpec(f *testing.F) {
 
 func TestJobSpecValidate(t *testing.T) {
 	cases := map[string]JobSpec{
-		"unknown workload":      {Workload: "SAP-HANA", Design: "Base1K"},
-		"unknown design":        {Workload: "DSS-Qrys", Design: "Base9K"},
-		"unknown kind":          {Kind: "batch", Workload: "DSS-Qrys", Design: "Base1K"},
-		"point without design":  {Workload: "DSS-Qrys"},
-		"point without work":    {Design: "Base1K"},
-		"workload and mix":      {Workload: "DSS-Qrys", Mix: []string{"KeyValue"}, Design: "Base1K"},
-		"point with sweep axes": {Workload: "DSS-Qrys", Design: "Base1K", Designs: []string{"Ideal"}},
-		"sweep without designs": {Kind: KindSweep},
-		"sweep with point axes": {Kind: KindSweep, Design: "Base1K", Designs: []string{"Ideal"}},
-		"mixstudy without mix":  {Kind: KindMixStudy},
-		"mixstudy with trace":   {Kind: KindMixStudy, Mix: []string{"DSS-Qrys"}, TraceDir: "x"},
-		"negative cores":        {Workload: "DSS-Qrys", Design: "Base1K", Cores: -1},
-		"negative tweak":        {Workload: "DSS-Qrys", Design: "Base1K", Profile: &ProfileTweak{Functions: -5}},
+		"unknown workload":       {Workload: "SAP-HANA", Design: "Base1K"},
+		"unknown design":         {Workload: "DSS-Qrys", Design: "Base9K"},
+		"unknown kind":           {Kind: "batch", Workload: "DSS-Qrys", Design: "Base1K"},
+		"point without design":   {Workload: "DSS-Qrys"},
+		"point without work":     {Design: "Base1K"},
+		"workload and mix":       {Workload: "DSS-Qrys", Mix: []string{"KeyValue"}, Design: "Base1K"},
+		"point with sweep axes":  {Workload: "DSS-Qrys", Design: "Base1K", Designs: []string{"Ideal"}},
+		"sweep without designs":  {Kind: KindSweep},
+		"sweep with point axes":  {Kind: KindSweep, Design: "Base1K", Designs: []string{"Ideal"}},
+		"mixstudy without mix":   {Kind: KindMixStudy},
+		"mixstudy with trace":    {Kind: KindMixStudy, Mix: []string{"DSS-Qrys"}, TraceDir: "x"},
+		"mix wider than cores":   {Mix: []string{"DSS-Qrys", "KeyValue"}, Design: "Base1K", Cores: 1},
+		"study wider than cores": {Kind: KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue"}, Cores: 1},
+		"negative cores":         {Workload: "DSS-Qrys", Design: "Base1K", Cores: -1},
+		"negative tweak":         {Workload: "DSS-Qrys", Design: "Base1K", Profile: &ProfileTweak{Functions: -5}},
 	}
 	for name, spec := range cases {
 		if err := spec.Validate(); err == nil {
@@ -158,28 +164,39 @@ func TestJobSpecConfig(t *testing.T) {
 	}
 }
 
-// TestJobSpecMixWorkloads checks the mixstudy workload expansion:
-// repeated names share one generated workload.
-func TestJobSpecMixWorkloads(t *testing.T) {
+// TestGenerateCells checks the generation of a mixstudy's cells: every
+// workload gets its program, in mix order, and repeated names share one
+// generated workload across all cells.
+func TestGenerateCells(t *testing.T) {
 	spec := &JobSpec{
-		Kind: KindMixStudy,
-		Mix:  []string{"DSS-Qrys", "KeyValue", "DSS-Qrys"},
+		Kind: KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue", "DSS-Qrys"},
+		Designs: []string{"Confluence"}, Cores: 3,
 	}
-	mix, err := spec.MixWorkloads()
+	cells, err := spec.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mix) != 3 {
-		t.Fatalf("mix expanded to %d workloads", len(mix))
+	if err := GenerateCells(cells); err != nil {
+		t.Fatal(err)
+	}
+	mix := cells[0].Cell.Mix
+	if len(mix) != 3 || mix[0].Prof.Name != "DSS-Qrys" || mix[1].Prof.Name != "KeyValue" {
+		t.Fatalf("mix cell runs %s", experiments.MixName(mix))
 	}
 	if mix[0] != mix[2] {
 		t.Error("repeated mix names built distinct workloads")
 	}
-	if mix[0].Prof.Name != "DSS-Qrys" || mix[1].Prof.Name != "KeyValue" {
-		t.Errorf("mix order: %s, %s", mix[0].Prof.Name, mix[1].Prof.Name)
+	for i, c := range cells {
+		for _, w := range c.Cell.Mix {
+			if w.Prog == nil {
+				t.Errorf("cell %d: %s has no program", i, w.Prof.Name)
+			}
+			if w.Prof.Name == "DSS-Qrys" && w != mix[0] {
+				t.Errorf("cell %d: DSS-Qrys generated again", i)
+			}
+		}
 	}
-	bad := &JobSpec{Kind: KindMixStudy}
-	if _, err := bad.MixWorkloads(); err == nil {
+	if _, err := (&JobSpec{Kind: KindMixStudy}).Cells(); err == nil {
 		t.Error("mixstudy without a mix expanded")
 	}
 }
@@ -222,9 +239,9 @@ func TestJobSpecConfigsSweep(t *testing.T) {
 }
 
 // TestSpecSamplingRoundTrip pins the sampled-execution plan through the
-// path a fleet cell takes: sweep spec → cell spec → JSON → JobSpec →
-// Config must preserve every Sampling field (a dropped field would
-// silently run a different — or exact — plan on a remote worker).
+// path a fleet cell takes: job spec → JSON (the cell's payload) →
+// JobSpec → Cells must preserve every Sampling field (a dropped field
+// would silently run a different — or exact — plan on a remote worker).
 func TestSpecSamplingRoundTrip(t *testing.T) {
 	plan := Sampling{WindowInstr: 500, PeriodInstr: 6000, Windows: 10, WindowWarmupInstr: 250, JitterSeed: 7}
 	spec := &JobSpec{
@@ -233,48 +250,50 @@ func TestSpecSamplingRoundTrip(t *testing.T) {
 		SampleWindowInstr: plan.WindowInstr, SamplePeriodInstr: plan.PeriodInstr, SampleWindows: plan.Windows,
 		SampleWindowWarmupInstr: plan.WindowWarmupInstr, SampleJitterSeed: plan.JitterSeed,
 	}
-	cellJSON := func(spec *JobSpec) []byte {
-		t.Helper()
-		cells, err := spec.Cells()
+	mixstudy := &JobSpec{
+		Kind: KindMixStudy, Mix: []string{"OLTP-DB2", "KeyValue"}, Designs: []string{"Confluence"},
+		Cores: spec.Cores, WarmupInstr: spec.WarmupInstr, MeasureInstr: spec.MeasureInstr,
+		SampleWindowInstr: plan.WindowInstr, SamplePeriodInstr: plan.PeriodInstr, SampleWindows: plan.Windows,
+		SampleWindowWarmupInstr: plan.WindowWarmupInstr, SampleJitterSeed: plan.JitterSeed,
+	}
+	for _, spec := range []*JobSpec{spec, mixstudy} {
+		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(&cells[0].Spec)
+		for _, want := range []string{"sample_window_instr", "sample_period_instr", "sample_windows", "sample_window_warmup_instr", "sample_jitter_seed"} {
+			if !strings.Contains(string(data), want) {
+				t.Errorf("marshalled %s spec missing %q:\n%s", spec.NormKind(), want, data)
+			}
+		}
+		parsed, err := ParseJobSpec(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
-	}
-	data := cellJSON(spec)
-	for _, want := range []string{"sample_window_instr", "sample_period_instr", "sample_windows", "sample_window_warmup_instr", "sample_jitter_seed"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("marshalled cell spec missing %q:\n%s", want, data)
+		cells, err := parsed.Cells()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	parsed, err := ParseJobSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := parsed.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Sampling != plan {
-		t.Errorf("round-tripped sampling plan differs: %+v vs %+v", back.Sampling, plan)
-	}
-	// The exact plan must stay exactly representable: no sample_* keys.
-	exact := *spec
-	exact.SampleWindowInstr, exact.SamplePeriodInstr, exact.SampleWindows = 0, 0, 0
-	exact.SampleWindowWarmupInstr, exact.SampleJitterSeed = 0, 0
-	if data := cellJSON(&exact); strings.Contains(string(data), "sample_") {
-		t.Errorf("exact-mode cell spec leaks sample_* fields:\n%s", data)
+		for i, c := range cells {
+			if c.Cell.Sampling != plan {
+				t.Errorf("%s cell %d: round-tripped sampling plan differs: %+v vs %+v", spec.NormKind(), i, c.Cell.Sampling, plan)
+			}
+		}
+		// The exact plan must stay exactly representable: no sample_* keys.
+		exact := *spec
+		exact.SampleWindowInstr, exact.SamplePeriodInstr, exact.SampleWindows = 0, 0, 0
+		exact.SampleWindowWarmupInstr, exact.SampleJitterSeed = 0, 0
+		if data, _ := json.Marshal(&exact); strings.Contains(string(data), "sample_") {
+			t.Errorf("exact-mode %s spec leaks sample_* fields:\n%s", spec.NormKind(), data)
+		}
 	}
 }
 
 // TestJobSpecCells pins the one job-to-cell expansion: for every kind of
 // point and sweep spec, each cell's key is the key RunCtx derives from
-// the generated config (Configs), its spec is a point spec whose own
-// Config derives the same key, and its label is the config's mix name.
+// the generated config (Configs) and the key of the cell itself, and its
+// mix and design are the config's; a mixstudy's cells are exactly the
+// cells Runner.MixStudyFor runs for the same study.
 func TestJobSpecCells(t *testing.T) {
 	src, err := BuildWorkload("DSS-Qrys")
 	if err != nil {
@@ -286,7 +305,7 @@ func TestJobSpecCells(t *testing.T) {
 	}
 	seed := uint64(0x5eed)
 	shape := func(s JobSpec) *JobSpec {
-		s.Cores, s.NoWarmup, s.MeasureInstr = 1, true, 10_000
+		s.Cores, s.NoWarmup, s.MeasureInstr = 3, true, 10_000
 		return &s
 	}
 	for name, spec := range map[string]*JobSpec{
@@ -317,22 +336,20 @@ func TestJobSpecCells(t *testing.T) {
 				t.Errorf("%s cell %d: key %.12s, generated config derives %.12s", name, i, c.Key, key)
 			}
 			keys[c.Key] = true
-			if c.Spec.NormKind() != KindPoint || len(c.Spec.Workloads) > 0 || len(c.Spec.Designs) > 0 {
-				t.Errorf("%s cell %d: spec %+v is not a point spec", name, i, c.Spec)
+			if key, _ := c.Cell.Key(); key != c.Key {
+				t.Errorf("%s cell %d: the cell itself derives %.12s, want %.12s", name, i, key, c.Key)
 			}
-			cfg, err := c.Spec.Config()
-			if err != nil {
-				t.Fatalf("%s cell %d: %v", name, i, err)
-			}
-			if key, _ := ConfigStoreKey(cfg); key != c.Key {
-				t.Errorf("%s cell %d: the cell spec's own config derives %.12s, want %.12s", name, i, key, c.Key)
-			}
-			mix := cfg.Mix
+			mix := cfgs[i].Mix
 			if len(mix) == 0 {
-				mix = []*Workload{cfg.Workload}
+				mix = []*Workload{cfgs[i].Workload}
 			}
-			if want := experiments.MixName(mix); c.Mix != want || c.Spec.Design != cfg.Design.String() {
-				t.Errorf("%s cell %d: labelled %s/%s, config is %s/%s", name, i, c.Mix, c.Spec.Design, want, cfg.Design)
+			if got, want := experiments.MixName(c.Cell.Mix), experiments.MixName(mix); got != want || c.Cell.Design != cfgs[i].Design {
+				t.Errorf("%s cell %d: %s/%s, config is %s/%s", name, i, got, c.Cell.Design, want, cfgs[i].Design)
+			}
+			for _, w := range c.Cell.Mix {
+				if w.Prog != nil {
+					t.Errorf("%s cell %d: naming the cell generated %s", name, i, w.Prof.Name)
+				}
 			}
 		}
 		if len(keys) != len(cells) {
@@ -344,13 +361,46 @@ func TestJobSpecCells(t *testing.T) {
 	cells, _ := sweep.Cells()
 	var order []string
 	for _, c := range cells {
-		order = append(order, c.Spec.Workload+"/"+c.Spec.Design)
+		order = append(order, experiments.MixName(c.Cell.Mix)+"/"+c.Cell.Design.String())
 	}
 	if got, want := strings.Join(order, " "), "KeyValue/Base1K KeyValue/Ideal DSS-Qrys/Base1K DSS-Qrys/Ideal"; got != want {
 		t.Errorf("sweep cell order %q, want %q (workload-major)", got, want)
 	}
-	if _, err := (&JobSpec{Kind: KindMixStudy, Mix: []string{"DSS-Qrys"}}).Cells(); err == nil {
-		t.Error("mixstudy spec expanded to cells")
+
+	// A mixstudy's cells are the cells the Runner plans for the same
+	// study: running it with a store leaves exactly their keys behind.
+	study := shape(JobSpec{Kind: KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue"}, Designs: []string{"Confluence", "PhantomBTB+FDP"}})
+	cells, err = study.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per design: shared and private mix cells (Confluence only) and two
+	// baselines.
+	if len(cells) != 4+3 {
+		t.Fatalf("mixstudy expanded to %d cells, want 7", len(cells))
+	}
+	var mix []*Workload
+	for _, name := range study.Mix {
+		w, err := BuildWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mix = append(mix, w)
+	}
+	st := store.Open(t.TempDir())
+	r := experiments.NewRunnerFor(study.Scale(), nil)
+	r.Workers, r.Store = 1, st
+	if _, err := r.MixStudyFor(context.Background(), [][]*Workload{mix}, []DesignPoint{Confluence, PhantomFDP}); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if !st.Has(c.Key) {
+			t.Errorf("mixstudy cell %d (%s/%s private=%v): key %.12s is not a cell the runner ran",
+				i, experiments.MixName(c.Cell.Mix), c.Cell.Design, c.Cell.Opt.HistoryPerCore, c.Key)
+		}
+	}
+	if n := st.Len(); n != len(cells) {
+		t.Errorf("the runner stored %d cells, the spec names %d", n, len(cells))
 	}
 }
 
