@@ -37,8 +37,9 @@ bench:
 
 # bench-json records a machine-readable benchmark snapshot (BENCH_OUT) for
 # committing perf trajectories alongside PRs; see BENCH_pr3_*.json. The
-# test run and the JSON conversion are separate commands so a failing
-# benchmark fails the target instead of hiding behind the pipe.
+# test run streams into benchjson, which records GOMAXPROCS and the CPU
+# steal share over the run from /proc/stat, and which exits non-zero on
+# any FAIL line so a failing benchmark fails the target despite the pipe.
 # Snapshots take the median of 5 separate runs (-count=5; benchjson merges
 # repeated lines per benchmark): a scheduler spike on a loaded or small
 # machine contaminates one run, never the middle of five, whereas the old
@@ -46,9 +47,7 @@ bench:
 # bench-compare's 10% gate and made the committed trajectory a coin flip.
 BENCH_OUT ?= bench.json
 bench-json:
-	go test -run '^$$' -bench=. -benchtime=1x -count=5 -benchmem ./... > $(BENCH_OUT).txt
-	go run ./cmd/benchjson < $(BENCH_OUT).txt > $(BENCH_OUT)
-	@rm -f $(BENCH_OUT).txt
+	go test -run '^$$' -bench=. -benchtime=1x -count=5 -benchmem ./... | go run ./cmd/benchjson > $(BENCH_OUT)
 
 # bench-compare gates the committed perf trajectory: per-benchmark ns/op
 # deltas between the PR's before/after snapshots, failing on >10%
@@ -56,8 +55,8 @@ bench-json:
 # sub-100µs micro-benchmarks from gating (still printed): at the
 # snapshots' -benchtime=1x a single ~100ns call cannot be timed reliably,
 # and gating on it would flag a random set every run.
-BENCH_BEFORE ?= BENCH_pr20_before.json
-BENCH_AFTER  ?= BENCH_pr20_after.json
+BENCH_BEFORE ?= BENCH_pr22_before.json
+BENCH_AFTER  ?= BENCH_pr22_after.json
 bench-compare:
 	go run ./cmd/benchjson -compare -floor 100000 $(BENCH_BEFORE) $(BENCH_AFTER)
 

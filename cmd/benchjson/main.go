@@ -15,11 +15,20 @@
 // per benchmark holding the per-metric median across runs, so committed
 // snapshots shrug off one-run scheduler spikes on noisy shared machines.
 //
-// With -compare, the tool diffs two snapshots instead: it prints a
-// per-benchmark ns/op delta table (benchmarks present in only one snapshot
-// are listed but not judged) and exits non-zero when any common benchmark
-// regressed by more than 10% — the gate `make bench-compare` runs over the
-// committed BENCH_pr*_{before,after}.json pairs.
+// Each snapshot also records the host's noise: the GOMAXPROCS the tool
+// runs with and the share of CPU time the hypervisor stole from this
+// machine between the tool's start and the end of its input, read from
+// /proc/stat (the steal share is omitted where that file is absent). Piping `go
+// test` straight into the tool makes that window the benchmark run
+// itself. A stream that reports a failed test or package (a line
+// starting with FAIL) exits non-zero, so a pipe cannot hide the failure.
+//
+// With -compare, the tool diffs two snapshots instead: it prints both
+// snapshots' host noise, then a per-benchmark ns/op delta table
+// (benchmarks present in only one snapshot are listed but not judged) and
+// exits non-zero when any common benchmark regressed by more than 10% —
+// the gate `make bench-compare` runs over the committed
+// BENCH_pr*_{before,after}.json pairs.
 package main
 
 import (
@@ -27,7 +36,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,9 +54,13 @@ type Record struct {
 
 // Output is the document benchjson emits.
 type Output struct {
-	GOOS       string   `json:"goos,omitempty"`
-	GOARCH     string   `json:"goarch,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	// StealPct is the percentage of all CPU time stolen from the host
+	// while the stream ran; nil where /proc/stat is unreadable.
+	StealPct   *float64 `json:"steal_pct,omitempty"`
 	Benchmarks []Record `json:"benchmarks"`
 }
 
@@ -62,13 +77,17 @@ func main() {
 		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *regress, *floor))
 	}
 
-	out := Output{}
+	out := Output{GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	start, startOK := readCPUTimes("/proc/stat")
 	pkg := ""
+	failed := false
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
+		case strings.HasPrefix(line, "FAIL"):
+			failed = true
 		case strings.HasPrefix(line, "goos:"):
 			out.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
@@ -87,6 +106,15 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+	if failed {
+		fmt.Fprintln(os.Stderr, "benchjson: the benchmark run reported a failure (a FAIL line); no snapshot written")
+		os.Exit(1)
+	}
+	if end, ok := readCPUTimes("/proc/stat"); ok && startOK {
+		if pct, ok := stealPct(start, end); ok {
+			out.StealPct = &pct
+		}
 	}
 	out.Benchmarks = mergeRecords(out.Benchmarks)
 	enc := json.NewEncoder(os.Stdout)
@@ -143,6 +171,73 @@ func mergeRecords(recs []Record) []Record {
 	return out
 }
 
+// cpuTimes are the aggregate "cpu" counters of /proc/stat, in clock
+// ticks: user, nice, system, idle, iowait, irq, softirq, steal (guest
+// time is already counted in user).
+type cpuTimes [8]uint64
+
+// readCPUTimes reads the aggregate CPU counters from a /proc/stat file.
+func readCPUTimes(path string) (cpuTimes, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return cpuTimes{}, false
+	}
+	defer f.Close()
+	return parseCPUTimes(f)
+}
+
+// parseCPUTimes parses the first line of /proc/stat ("cpu  user nice
+// system idle iowait irq softirq steal ..."). Kernels too old to report
+// steal, or any other shape, report ok = false.
+func parseCPUTimes(r io.Reader) (cpuTimes, bool) {
+	line, err := bufio.NewReader(r).ReadString('\n')
+	if err != nil && line == "" {
+		return cpuTimes{}, false
+	}
+	f := strings.Fields(line)
+	var t cpuTimes
+	if len(f) < 1+len(t) || f[0] != "cpu" {
+		return cpuTimes{}, false
+	}
+	for i := range t {
+		v, err := strconv.ParseUint(f[1+i], 10, 64)
+		if err != nil {
+			return cpuTimes{}, false
+		}
+		t[i] = v
+	}
+	return t, true
+}
+
+// stealPct is the percentage of the CPU time that passed between two
+// readings that the hypervisor stole; ok = false when no time passed or
+// the counters went backwards.
+func stealPct(a, b cpuTimes) (float64, bool) {
+	var total uint64
+	for i := range a {
+		if b[i] < a[i] {
+			return 0, false
+		}
+		total += b[i] - a[i]
+	}
+	if total == 0 {
+		return 0, false
+	}
+	return 100 * float64(b[7]-a[7]) / float64(total), true
+}
+
+// hostNoise describes a snapshot's recorded host noise for -compare.
+func hostNoise(o Output) string {
+	procs, steal := "-", "-"
+	if o.GOMAXPROCS > 0 {
+		procs = strconv.Itoa(o.GOMAXPROCS)
+	}
+	if o.StealPct != nil {
+		steal = fmt.Sprintf("%.1f%%", *o.StealPct)
+	}
+	return fmt.Sprintf("gomaxprocs %s, cpu steal %s", procs, steal)
+}
+
 // loadSnapshot reads a benchjson document from disk.
 func loadSnapshot(path string) (Output, error) {
 	var out Output
@@ -191,6 +286,7 @@ func runCompare(beforePath, afterPath string, limit, floor float64) int {
 	}
 	sort.Strings(keys)
 
+	fmt.Printf("before: %s\nafter:  %s\n\n", hostNoise(before), hostNoise(after))
 	fmt.Printf("%-64s %14s %14s %8s\n", "benchmark", "before ns/op", "after ns/op", "delta")
 	regressions := 0
 	for _, k := range keys {

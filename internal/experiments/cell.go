@@ -271,27 +271,47 @@ func DecodeStoreEntry(payload []byte) (StoreEntry, bool) {
 	return e, true
 }
 
+// Stored returns the valid entry st holds under key, if any (none when st
+// is nil).
+func Stored(st *store.Store, key string) (StoreEntry, bool) {
+	if st == nil {
+		return StoreEntry{}, false
+	}
+	payload, hit := st.Get(key)
+	if !hit {
+		return StoreEntry{}, false
+	}
+	return DecodeStoreEntry(payload)
+}
+
 // Execute runs one cell: it returns the entry st holds under the cell's
-// Key when there is one, and otherwise assembles the system, simulates it
-// exactly or sampled (restoring and capturing the warm snapshot under
-// WarmKey in st), and writes the entry back to st. A nil st runs with no
-// store. workers stands in for an unset Options.IntraWorkers — a caller's
-// share of the goroutine budget; like every worker count it changes only
-// wall-clock. A running cell polls ctx at every detailed batch and
-// fast-forward chunk.
+// Key when there is one (Stored), and otherwise simulates it (Simulate).
 func Execute(ctx context.Context, c CellSpec, workers int, st *store.Store) (StoreEntry, error) {
+	if st != nil {
+		if key, keyed := c.Key(); keyed {
+			if e, ok := Stored(st, key); ok {
+				return e, nil
+			}
+		}
+	}
+	return Simulate(ctx, c, workers, st)
+}
+
+// Simulate runs one cell without consulting st for its result: it
+// assembles the system, simulates it exactly or sampled (restoring and
+// capturing the warm snapshot under WarmKey in st), and writes the entry
+// to st under the cell's Key. A nil st runs with no store. workers stands
+// in for an unset Options.IntraWorkers — a caller's share of the
+// goroutine budget; like every worker count it changes only wall-clock. A
+// running cell polls ctx at every detailed batch and fast-forward chunk.
+// Callers that looked the cell up themselves (Stored) call it on a miss.
+func Simulate(ctx context.Context, c CellSpec, workers int, st *store.Store) (StoreEntry, error) {
 	if err := c.Sampling.Validate(); err != nil {
 		return StoreEntry{}, err
 	}
 	key, keyed := "", false
 	if st != nil {
-		if key, keyed = c.Key(); keyed {
-			if payload, hit := st.Get(key); hit {
-				if e, ok := DecodeStoreEntry(payload); ok {
-					return e, nil
-				}
-			}
-		}
+		key, keyed = c.Key()
 	}
 	opt := c.Opt
 	if opt.IntraWorkers == 0 {

@@ -3,9 +3,13 @@ package serve
 // BenchmarkServeLatency measures end-to-end job latency through the HTTP
 // serving layer — submit over the wire, poll to completion — under 1, 8,
 // and 64 concurrent clients, reporting p50/p99 per-job latency in
-// milliseconds as custom metrics. The simulated cell is deliberately tiny
-// so the numbers isolate serving overhead (queueing, JSON, polling), not
-// simulator throughput.
+// milliseconds as custom metrics. Every job is the same tiny point cell
+// (DSS-Qrys, one core, 5k instructions) on a daemon without a store, so
+// each job simulates the cell again, but its program is built once per
+// process: the first job builds it and the program table hands the same
+// program to every later one. A job's latency is therefore the serving
+// overhead (queueing behind the other clients' jobs, JSON, polling) plus
+// one tiny simulation; B/op and allocs/op are per job and include both.
 //
 // Record a snapshot with the Makefile's bench-serve target (commits as
 // BENCH_pr6_serve.json via cmd/benchjson).

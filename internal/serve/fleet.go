@@ -51,8 +51,11 @@ func fleetGrid(spec *confluence.JobSpec) ([]fleet.Cell, error) {
 // spec, expand it (JobSpec.Cells), run the cell whose key is the
 // manifest's through experiments.Execute — the path every other
 // execution takes — and return the encoded store entry for the fleet to
-// persist. The runner never writes the store itself (a nil store) — the
-// fleet owns the Put, which is what lets the chaos harness intercept it.
+// persist. The cell's programs come from the process's program table
+// (confluence.GenerateCells), so a worker running one workload's cells
+// back to back builds its program once. The runner never writes the
+// store itself (a nil store) — the fleet owns the Put, which is what lets
+// the chaos harness intercept it.
 func CellRunner() fleet.Runner {
 	return func(ctx context.Context, cell fleet.Cell) ([]byte, error) {
 		spec, err := confluence.ParseJobSpec(cell.Spec)

@@ -140,6 +140,28 @@ func TestExecuteSpecFleetMatchesStorePath(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerBuildsProgramOnce: a fleet worker that runs one
+// workload's three design cells through CellRunner builds the workload's
+// program once, not once per cell.
+func TestFleetWorkerBuildsProgramOnce(t *testing.T) {
+	spec := seededSweep(0xf1ee7)
+	spec.Workloads = spec.Workloads[:1]
+	spec.Designs = []string{"Base1K", "FDP", "Confluence"}
+	base := t.TempDir()
+	o := fleet.Options{Dir: filepath.Join(base, "fleet"), WorkerID: "test-coord"}
+	var rep *fleet.Report
+	n := buildsDuring(t, func() (err error) {
+		_, rep, err = ExecuteSpecFleet(context.Background(), spec, filepath.Join(base, "store"), o, nil)
+		return err
+	})
+	if rep == nil || rep.Completed != 3 {
+		t.Fatalf("fleet report = %+v, want 3 completed", rep)
+	}
+	if n != 1 {
+		t.Errorf("the worker built %d programs for one workload's 3 cells, want 1", n)
+	}
+}
+
 // TestExecuteSpecFleetReportsPoison: a quarantined cell surfaces as an
 // error naming the cell, with the report carrying the poison record.
 func TestExecuteSpecFleetReportsPoison(t *testing.T) {

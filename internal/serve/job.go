@@ -197,11 +197,16 @@ func (j *Job) summary(withSpec bool) Summary {
 // is the single execution path shared by the daemon's workers and
 // `confluence-sim -job`, and it treats every kind alike: the spec's cells
 // (JobSpec.Cells, resolved as RunCtx resolves a Config) run through
-// experiments.Execute, the call RunCtx makes, which is what makes a
+// experiments.Stored and Simulate, the two halves of the
+// experiments.Execute call RunCtx makes, which is what makes a
 // served result bit-identical to a direct Run by construction; the
 // result is assembled from their entries. A non-empty storeDir backs
-// every cell with the durable per-cell store: stored cells are read, not
-// simulated, and completed cells persist before their progress event.
+// every cell with the durable per-cell store: each cell reads the store
+// first, and a stored cell is neither simulated nor given a program;
+// completed cells persist before their progress event. A missing cell
+// takes its programs from the process's program table
+// (confluence.GenerateCells), so consecutive jobs and cells of one
+// workload share one build.
 // Within a job, cells fan out across max(1, spec.Parallelism)
 // goroutines; the default is serial so one job cannot oversubscribe the
 // daemon (the queue's Workers knob governs cross-job concurrency).
@@ -214,15 +219,22 @@ func ExecuteSpec(ctx context.Context, spec *confluence.JobSpec, storeDir string,
 	if storeDir != "" {
 		st = store.Open(storeDir)
 	}
-	if err := confluence.GenerateCells(cells); err != nil {
-		return nil, err
-	}
 	var emitMu sync.Mutex
 	entries := make([]experiments.StoreEntry, len(cells))
 	err = parallel.ForEach(ctx, max(1, spec.Parallelism), len(cells), func(ctx context.Context, i int) error {
-		e, err := experiments.Execute(ctx, cells[i].Cell, 0, st)
-		if err != nil {
-			return err
+		e, ok := experiments.Stored(st, cells[i].Key)
+		if !ok {
+			// A miss takes its programs from the program table into a
+			// copy of the cell, so cells stays profile-only and a program
+			// no running cell holds can be dropped.
+			run := []confluence.JobCell{cells[i]}
+			if err := confluence.GenerateCells(run); err != nil {
+				return err
+			}
+			var err error
+			if e, err = experiments.Simulate(ctx, run[0].Cell, 0, st); err != nil {
+				return err
+			}
 		}
 		entries[i] = e
 		if emit != nil {

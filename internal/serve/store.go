@@ -24,11 +24,7 @@ func storedResult(st *store.Store, spec *confluence.JobSpec) (*Result, []experim
 	entries := make([]experiments.StoreEntry, len(cells))
 	events := make([]experiments.ProgressEvent, len(cells))
 	for i, c := range cells {
-		payload, hit := st.Get(c.Key)
-		if !hit {
-			return nil, nil
-		}
-		e, ok := experiments.DecodeStoreEntry(payload)
+		e, ok := experiments.Stored(st, c.Key)
 		if !ok {
 			return nil, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -363,5 +364,55 @@ func TestNoStoreDirKeepsLegacyBehavior(t *testing.T) {
 	}
 	if runs != 2 {
 		t.Errorf("identical specs executed %d times without a store, want 2", runs)
+	}
+}
+
+// seededSweep is tinySweep over three workloads with a program seed no
+// other test uses, so no program it needs can be alive beforehand.
+func seededSweep(seed uint64) *confluence.JobSpec {
+	spec := tinySweep()
+	spec.Workloads = []string{"DSS-Qrys", "KeyValue", "Web-Frontend"}
+	spec.Profile = &confluence.ProfileTweak{Seed: &seed}
+	return spec
+}
+
+// buildsDuring returns how many programs run builds once the programs
+// nothing holds have been collected (the table keeps at most one).
+func buildsDuring(t *testing.T, run func() error) uint64 {
+	t.Helper()
+	runtime.GC()
+	before := confluence.ProgramBuilds()
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	return confluence.ProgramBuilds() - before
+}
+
+// TestStoredCellsBuildNoProgram: a cell the store answers is given no
+// program. A fully stored sweep builds none; a partly stored one builds
+// only the workloads of its missing cells, and its result equals a run
+// from an empty store.
+func TestStoredCellsBuildNoProgram(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	full := seededSweep(0x51a7e)
+	part := seededSweep(0x51a7e)
+	part.Workloads = part.Workloads[:2]
+	if n := buildsDuring(t, func() error { _, err := ExecuteSpec(ctx, part, dir, nil); return err }); n != 2 {
+		t.Fatalf("empty store: %d builds for 2 workloads, want 2", n)
+	}
+	var got *Result
+	if n := buildsDuring(t, func() (err error) { got, err = ExecuteSpec(ctx, full, dir, nil); return err }); n != 1 {
+		t.Errorf("partly stored sweep built %d programs, want 1 (Web-Frontend, the missing cell's)", n)
+	}
+	want, err := ExecuteSpec(ctx, full, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("partly stored sweep's result differs from a run without a store")
+	}
+	if n := buildsDuring(t, func() error { _, err := ExecuteSpec(ctx, full, dir, nil); return err }); n != 0 {
+		t.Errorf("fully stored sweep built %d programs, want 0", n)
 	}
 }

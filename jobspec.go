@@ -256,46 +256,28 @@ func (s *JobSpec) profile(name string) (synth.Profile, error) {
 	return prof, nil
 }
 
-// generator returns a workload source that generates each named workload
-// once, so repeated names share one program.
-func (s *JobSpec) generator() func(name string) (*Workload, error) {
-	built := make(map[string]*Workload)
-	return func(name string) (*Workload, error) {
-		w, err := s.profileOnly(name)
-		if err != nil {
-			return nil, err
-		}
-		return generated(w, built)
+// generated is a workload source that takes each named workload, with the
+// spec's overrides, from the process's program table.
+func (s *JobSpec) generated(name string) (*Workload, error) {
+	w, err := s.profileOnly(name)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// generated returns profile-only workload w with its program generated,
-// or the workload of the same name in built if one was generated before.
-// A capture-backed workload needs no program.
-func generated(w *Workload, built map[string]*Workload) (*Workload, error) {
-	if w.TraceDir != "" {
-		return w, nil
-	}
-	if built[w.Prof.Name] == nil {
-		g, err := synth.Build(w.Prof)
-		if err != nil {
-			return nil, err
-		}
-		built[w.Prof.Name] = g
-	}
-	return built[w.Prof.Name], nil
+	return generated(w)
 }
 
 // GenerateCells makes cells ready to run in place: every workload Cells
-// named by its profile alone gets its generated program, one program per
-// workload name across the cells.
+// named by its profile alone gets its program from the process's program
+// table, which builds a profile's program only when no live copy exists
+// (see programTable). The workloads it hands out are shared with every
+// other caller and must not be modified. Execution paths call it per
+// cell, and only for cells the store cannot answer.
 func GenerateCells(cells []JobCell) error {
-	built := make(map[string]*Workload)
 	for i := range cells {
 		mix := make([]*Workload, len(cells[i].Cell.Mix))
 		for j, w := range cells[i].Cell.Mix {
 			var err error
-			if mix[j], err = generated(w, built); err != nil {
+			if mix[j], err = generated(w); err != nil {
 				return err
 			}
 		}
@@ -346,9 +328,10 @@ func (s *JobSpec) baseConfig() Config {
 // by the rules RunCtx applies to a Config.
 func (s *JobSpec) Scale() experiments.Scale { return s.baseConfig().scale() }
 
-// Config maps a point spec onto the Config it describes, generating its
-// workloads. Sweep and mixstudy specs expand to more than one simulation
-// — use Cells, or Configs (sweep).
+// Config maps a point spec onto the Config it describes, taking its
+// workloads from the program table (shared, read-only). Sweep and
+// mixstudy specs expand to more than one simulation — use Cells, or
+// Configs (sweep).
 func (s *JobSpec) Config() (Config, error) {
 	if err := s.Validate(); err != nil {
 		return Config{}, err
@@ -356,7 +339,7 @@ func (s *JobSpec) Config() (Config, error) {
 	if s.NormKind() != KindPoint {
 		return Config{}, fmt.Errorf("confluence: %s job spec does not map onto a single Config", s.NormKind())
 	}
-	return s.config(s.generator())
+	return s.config(s.generated)
 }
 
 // config maps a validated point spec onto its Config, taking each named
@@ -492,9 +475,9 @@ func (s *JobSpec) MixStudy() (experiments.MixStudySpec, error) {
 
 // Configs expands a point or sweep spec into the ordered list of
 // simulations it describes, one Config per cell of Cells, each named
-// workload generated once and shared across cells. A mixstudy's
-// private-history cells have no point spec, so it does not expand to
-// Configs.
+// workload taken from the program table and so shared across cells and
+// with every other caller holding it. A mixstudy's private-history cells
+// have no point spec, so it does not expand to Configs.
 func (s *JobSpec) Configs() ([]Config, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -502,10 +485,9 @@ func (s *JobSpec) Configs() ([]Config, error) {
 	if s.NormKind() == KindMixStudy {
 		return nil, fmt.Errorf("confluence: mixstudy job spec does not expand to Configs (use Cells)")
 	}
-	gen := s.generator()
 	var cfgs []Config
 	for _, p := range s.points() {
-		cfg, err := p.config(gen)
+		cfg, err := p.config(p.generated)
 		if err != nil {
 			return nil, err
 		}
