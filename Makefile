@@ -14,7 +14,7 @@ COVER_FLOOR ?= 75.0
 # FUZZTIME bounds each fuzz target's run in `make fuzz` (CI uses 10s).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-json bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke fmt vet lint cover fuzz examples ci
+.PHONY: all build test race bench bench-json bench-micro bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke fmt vet lint cover fuzz examples ci
 
 all: build test
 
@@ -25,12 +25,14 @@ test:
 	go test ./...
 
 # The second command pins the detailed pipeline against testdata/golden.json,
-# and the pipelined fast-forward against the serial schedule, whatever the
-# machine's core count: at -cpu 1 the stage and stepping goroutines share
-# the weave's or the replay's CPU, at -cpu 4 they run beside it.
+# the pipelined fast-forward against the serial schedule, the concurrent
+# restore skip, snapshot restore, and the LRU buffers against their
+# linear-scan references, whatever the machine's core count: at -cpu 1 the
+# stage, stepping and skipping goroutines share the weave's or the
+# replay's CPU, at -cpu 4 they run beside it.
 race:
 	go test -race ./...
-	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged|FastForward|TestIntra' . ./internal/cmp ./internal/core
+	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged|FastForward|TestIntra|SkipRecords|Restore|Victim' . ./internal/cmp ./internal/core ./internal/cache ./internal/airbtb
 
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x ./...
@@ -48,6 +50,18 @@ bench:
 BENCH_OUT ?= bench.json
 bench-json:
 	go test -run '^$$' -bench=. -benchtime=1x -count=5 -benchmem ./... | go run ./cmd/benchjson > $(BENCH_OUT)
+
+# bench-micro records the per-structure micro-benchmarks — the caches and
+# LRU buffers, AirBTB, the frontend step paths, the branch predictor, the
+# flat map, trace decode, and cmp's fast-forward phase — at a real
+# -benchtime (MICRO_BENCHTIME per run, five runs, median kept) into
+# MICRO_OUT. bench-json's one-iteration runs time a single ~100ns call,
+# which says nothing about these layers; see BENCH_pr23_micro_*.json.
+MICRO_OUT ?= bench_micro.json
+MICRO_BENCHTIME ?= 1s
+bench-micro:
+	{ go test -run '^$$' -bench=. -benchtime=$(MICRO_BENCHTIME) -count=5 -benchmem ./internal/cache ./internal/airbtb ./internal/frontend ./internal/bpu ./internal/flatmap ./internal/trace; \
+	  go test -run '^$$' -bench='^BenchmarkFastForward$$' -benchtime=$(MICRO_BENCHTIME) -count=5 -benchmem ./internal/cmp; } | go run ./cmd/benchjson > $(MICRO_OUT)
 
 # bench-compare gates the committed perf trajectory: per-benchmark ns/op
 # deltas between the PR's before/after snapshots, failing on >10%

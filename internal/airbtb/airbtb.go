@@ -6,13 +6,19 @@
 // block), carries a 16-bit branch bitmap marking which instruction slots
 // hold branches, and stores a fixed number of branch entries (offset, type,
 // target). Branches that do not fit overflow into a small fully-associative
-// overflow buffer. Insertions and evictions are driven by L1-I fills and
+// LRU overflow buffer — cache.Victim, the same buffer the conventional
+// BTB's victim buffer and PhantomBTB's prefetch buffer use, keyed by
+// branch PC. Insertions and evictions are driven by L1-I fills and
 // evictions — Confluence's synchronization — so the bundle store never
-// conflicts between two L1-I-resident blocks.
+// conflicts between two L1-I-resident blocks, and a bundle's eviction
+// drops its overflowed entries one bitmap slot at a time.
 package airbtb
 
 import (
+	"math/bits"
+
 	"confluence/internal/btb"
+	"confluence/internal/cache"
 	"confluence/internal/flatmap"
 	"confluence/internal/isa"
 	"confluence/internal/trace"
@@ -64,11 +70,12 @@ func (c Config) StorageBits() int {
 // sized once to the configured bundle count (L1-I synchronization bounds
 // residency at cfg.Bundles): fills store a bundle by value and evictions
 // use backward-shift deletion, so no per-fill allocation and no Go-map
-// hashing on the lookup path.
+// hashing on the lookup path. The overflow buffer is nil when the
+// configuration has none.
 type AirBTB struct {
 	cfg      Config
 	bundles  *flatmap.Map[Bundle]
-	overflow *overflowBuffer
+	overflow *cache.Victim[Entry]
 
 	// Stats.
 	Fills, Evictions    uint64
@@ -81,12 +88,17 @@ func New(cfg Config) *AirBTB {
 	if cfg.EntriesPerBundle < 1 || cfg.EntriesPerBundle > len(Bundle{}.Entries) {
 		panic("airbtb: entries per bundle out of range")
 	}
-	return &AirBTB{
-		cfg:      cfg,
-		bundles:  flatmap.New[Bundle](cfg.Bundles),
-		overflow: newOverflowBuffer(cfg.OverflowEntries),
+	a := &AirBTB{cfg: cfg, bundles: flatmap.New[Bundle](cfg.Bundles)}
+	if cfg.OverflowEntries > 0 {
+		a.overflow = cache.NewVictim[Entry](cfg.OverflowEntries)
 	}
+	return a
 }
+
+// overflowKey keys a branch's overflow entry by its instruction slot:
+// the PC with the bits below an instruction cleared, so the bundle's
+// bitmap slot alone names the entry to drop when the block leaves.
+func overflowKey(pc isa.Addr) uint64 { return uint64(pc &^ (isa.InstrBytes - 1)) }
 
 // Name implements the frontend BTB interface.
 func (a *AirBTB) Name() string { return "AirBTB" }
@@ -127,8 +139,10 @@ func (a *AirBTB) Lookup(now float64, bb, brPC isa.Addr) btb.Result {
 			return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
 		}
 	}
-	if e, ok := a.overflow.lookup(brPC); ok {
-		return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
+	if a.overflow != nil {
+		if e, ok := a.overflow.Peek(overflowKey(brPC)); ok {
+			return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
+		}
 	}
 	a.OverflowMissedSlots++
 	return btb.Result{}
@@ -162,7 +176,9 @@ func (a *AirBTB) Resolve(now float64, bb isa.Addr, nInstr int, br trace.BranchIn
 		return
 	}
 	// The entry belongs to the overflow buffer; insert or refresh it.
-	a.overflow.insert(br.PC, Entry{Offset: off, Kind: br.Kind, Target: br.Target})
+	if a.overflow != nil {
+		a.overflow.Put(overflowKey(br.PC), Entry{Offset: off, Kind: br.Kind, Target: br.Target})
+	}
 }
 
 // BlockFilled implements the frontend BTB interface: predecoded branches of
@@ -183,7 +199,9 @@ func (a *AirBTB) BlockFilled(now float64, block isa.Addr, branches []isa.Predeco
 			b.Entries[b.N] = e
 			b.N++
 		} else {
-			a.overflow.insert(pb.PC(block), e)
+			if a.overflow != nil {
+				a.overflow.Put(overflowKey(pb.PC(block)), e)
+			}
 			a.OverflowInserts++
 		}
 	}
@@ -207,123 +225,18 @@ func (a *AirBTB) BlockEvicted(block isa.Addr) {
 // bundles are filled and evicted with their L1-I blocks.
 func (a *AirBTB) StreamOnly() bool { return false }
 
+// dropOverflowed removes from the overflow buffer the entries of the
+// branches in b's bitmap that the bundle does not hold itself.
 func (a *AirBTB) dropOverflowed(block isa.Addr, b *Bundle) {
-	// Entries beyond the bundle's capacity live in the overflow buffer;
-	// drop the bitmap slots not present in the bundle in one buffer sweep
-	// (one scan for the whole block instead of one per overflowed branch).
+	if a.overflow == nil {
+		return
+	}
 	inBundle := uint16(0)
 	for i := uint8(0); i < b.N; i++ {
 		inBundle |= 1 << b.Entries[i].Offset
 	}
-	if over := b.Bitmap &^ inBundle; over != 0 {
-		a.overflow.removeBlock(block, over)
+	for over := b.Bitmap &^ inBundle; over != 0; over &= over - 1 {
+		off := bits.TrailingZeros16(over)
+		a.overflow.Remove(uint64(block) + uint64(off*isa.InstrBytes))
 	}
 }
-
-// overflowBuffer is the small fully-associative LRU buffer backing bundles.
-// Entries are unordered; recency is a strictly increasing use-stamp and the
-// victim is the minimum stamp — identical LRU semantics to an ordered list,
-// with no memmove on the per-fill insert path (the ordered variant shifted
-// the whole buffer on every insert, which profiling showed as the hottest
-// AirBTB cost). The policy deliberately mirrors cache.Victim's stamp LRU;
-// it stays a private copy because its extra verbs (removeBlock's
-// block/bitmap sweep, updateTarget) are ISA-aware and don't belong on the
-// generic buffer — keep the two recency schemes in lockstep.
-type overflowBuffer struct {
-	cap   int
-	pcs   []isa.Addr
-	ents  []Entry
-	stamp []uint64
-	clock uint64
-}
-
-func newOverflowBuffer(capacity int) *overflowBuffer {
-	return &overflowBuffer{
-		cap:   capacity,
-		pcs:   make([]isa.Addr, 0, capacity),
-		ents:  make([]Entry, 0, capacity),
-		stamp: make([]uint64, 0, capacity),
-	}
-}
-
-func (o *overflowBuffer) tick() uint64 {
-	o.clock++
-	return o.clock
-}
-
-func (o *overflowBuffer) lookup(pc isa.Addr) (Entry, bool) {
-	for i, p := range o.pcs {
-		if p == pc {
-			o.stamp[i] = o.tick() // refresh recency
-			return o.ents[i], true
-		}
-	}
-	return Entry{}, false
-}
-
-func (o *overflowBuffer) insert(pc isa.Addr, e Entry) {
-	if o.cap == 0 {
-		return
-	}
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for i, p := range o.pcs {
-		if p == pc { // present: overwrite and refresh
-			o.ents[i] = e
-			o.stamp[i] = o.tick()
-			return
-		}
-		if o.stamp[i] < oldest {
-			oldest, victim = o.stamp[i], i
-		}
-	}
-	if len(o.pcs) < o.cap {
-		o.pcs = append(o.pcs, pc)
-		o.ents = append(o.ents, e)
-		o.stamp = append(o.stamp, o.tick())
-		return
-	}
-	o.pcs[victim], o.ents[victim], o.stamp[victim] = pc, e, o.tick()
-}
-
-func (o *overflowBuffer) updateTarget(pc isa.Addr, target isa.Addr) {
-	for i, p := range o.pcs {
-		if p == pc {
-			o.ents[i].Target = target
-			return
-		}
-	}
-}
-
-func (o *overflowBuffer) remove(pc isa.Addr) {
-	for i, p := range o.pcs {
-		if p == pc {
-			o.removeAt(i)
-			return
-		}
-	}
-}
-
-// removeBlock drops every entry whose PC lies in the given 64B block at an
-// instruction slot marked in over — the per-block form of remove used by
-// bundle eviction (one scan instead of one per overflowed branch).
-func (o *overflowBuffer) removeBlock(block isa.Addr, over uint16) {
-	for i := 0; i < len(o.pcs); {
-		pc := o.pcs[i]
-		if isa.BlockOf(pc) == block && over&(1<<isa.BlockIndex(pc)) != 0 {
-			o.removeAt(i)
-			continue // the swapped-in entry occupies slot i now
-		}
-		i++
-	}
-}
-
-func (o *overflowBuffer) removeAt(i int) {
-	last := len(o.pcs) - 1
-	o.pcs[i], o.ents[i], o.stamp[i] = o.pcs[last], o.ents[last], o.stamp[last]
-	o.pcs = o.pcs[:last]
-	o.ents = o.ents[:last]
-	o.stamp = o.stamp[:last]
-}
-
-func (o *overflowBuffer) len() int { return len(o.pcs) }

@@ -3,6 +3,7 @@ package airbtb
 import (
 	"fmt"
 
+	"confluence/internal/cache"
 	"confluence/internal/flatmap"
 	"confluence/internal/isa"
 )
@@ -25,29 +26,38 @@ type State struct {
 // ExportState deep-copies the structure's contents.
 func (a *AirBTB) ExportState() State {
 	st, vals := a.bundles.ExportState()
-	return State{
-		Bundles:       st,
-		BundleVals:    vals,
-		OverflowPCs:   append([]isa.Addr(nil), a.overflow.pcs...),
-		OverflowEnts:  append([]Entry(nil), a.overflow.ents...),
-		OverflowStamp: append([]uint64(nil), a.overflow.stamp...),
-		OverflowClock: a.overflow.clock,
+	out := State{Bundles: st, BundleVals: vals}
+	if a.overflow != nil {
+		vs, ents := a.overflow.ExportState()
+		for _, k := range vs.Keys {
+			out.OverflowPCs = append(out.OverflowPCs, isa.Addr(k))
+		}
+		out.OverflowEnts, out.OverflowStamp, out.OverflowClock = ents, vs.Stamp, vs.Clock
 	}
+	return out
 }
 
 // RestoreState overwrites the structure's contents from a snapshot;
-// geometry (bundle table slots, overflow capacity) must match.
+// geometry (bundle table slots, overflow capacity) must match, and the
+// overflow buffer must be one a live run can reach (see
+// cache.Victim.RestoreState).
 func (a *AirBTB) RestoreState(st State) error {
-	if err := a.bundles.RestoreState(st.Bundles, st.BundleVals); err != nil {
-		return err
+	if a.overflow == nil {
+		if len(st.OverflowPCs) > 0 || len(st.OverflowEnts) > 0 || len(st.OverflowStamp) > 0 || st.OverflowClock != 0 {
+			return fmt.Errorf("airbtb: overflow snapshot for a configuration without an overflow buffer")
+		}
+	} else {
+		keys := make([]uint64, len(st.OverflowPCs))
+		for i, pc := range st.OverflowPCs {
+			if uint64(pc) != overflowKey(pc) {
+				return fmt.Errorf("airbtb: overflow snapshot PC %#x is not instruction-aligned", pc)
+			}
+			keys[i] = uint64(pc)
+		}
+		vs := cache.VictimState{Cap: a.cfg.OverflowEntries, Keys: keys, Stamp: st.OverflowStamp, Clock: st.OverflowClock}
+		if err := a.overflow.RestoreState(vs, st.OverflowEnts); err != nil {
+			return fmt.Errorf("airbtb: overflow: %w", err)
+		}
 	}
-	o := a.overflow
-	if len(st.OverflowPCs) > o.cap || len(st.OverflowEnts) != len(st.OverflowPCs) || len(st.OverflowStamp) != len(st.OverflowPCs) {
-		return fmt.Errorf("airbtb: overflow snapshot malformed for capacity %d", o.cap)
-	}
-	o.pcs = append(o.pcs[:0], st.OverflowPCs...)
-	o.ents = append(o.ents[:0], st.OverflowEnts...)
-	o.stamp = append(o.stamp[:0], st.OverflowStamp...)
-	o.clock = st.OverflowClock
-	return nil
+	return a.bundles.RestoreState(st.Bundles, st.BundleVals)
 }

@@ -39,12 +39,38 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateRestoreRejectsMalformedOverflow: an overflow snapshot no live
+// run leaves — arrays of different lengths, a PC held twice or off an
+// instruction boundary, stamps that repeat or run past the clock, or
+// entries for a configuration without a buffer — fails restore.
 func TestStateRestoreRejectsMalformedOverflow(t *testing.T) {
 	a := New(DefaultConfig())
-	fillBlock(a, 0x4000, isa.PredecodedBranch{Offset: 1, Kind: isa.BrCond, Target: 0x5000})
-	st := a.ExportState()
-	st.OverflowEnts = append(st.OverflowEnts, Entry{})
-	if err := New(DefaultConfig()).RestoreState(st); err == nil {
-		t.Error("restore with mismatched overflow arrays succeeded")
+	var brs []isa.PredecodedBranch
+	for o := uint8(0); o < 6; o++ {
+		brs = append(brs, isa.PredecodedBranch{Offset: o, Kind: isa.BrCond, Target: 0x5000})
+	}
+	fillBlock(a, 0x4000, brs...)
+	if n := len(a.ExportState().OverflowPCs); n < 2 {
+		t.Fatalf("training left %d overflow entries, want at least 2", n)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*State)
+	}{
+		{"mismatched arrays", func(st *State) { st.OverflowEnts = append(st.OverflowEnts, Entry{}) }},
+		{"duplicate PC", func(st *State) { st.OverflowPCs[1] = st.OverflowPCs[0] }},
+		{"unaligned PC", func(st *State) { st.OverflowPCs[0]++ }},
+		{"duplicate stamp", func(st *State) { st.OverflowStamp[1] = st.OverflowStamp[0] }},
+		{"stamp past clock", func(st *State) { st.OverflowClock = 0 }},
+	} {
+		st := a.ExportState()
+		tc.edit(&st)
+		if err := New(DefaultConfig()).RestoreState(st); err == nil {
+			t.Errorf("%s: restore succeeded", tc.name)
+		}
+	}
+	noOverflow := Config{Bundles: 512, EntriesPerBundle: 3}
+	if err := New(noOverflow).RestoreState(a.ExportState()); err == nil {
+		t.Error("overflow entries restored into a configuration without an overflow buffer")
 	}
 }

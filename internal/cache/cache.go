@@ -1,6 +1,8 @@
 // Package cache provides the set-associative cache model used for the L1-I
-// and the LLC, plus the small fully-associative victim buffer used by the
-// baseline BTB and an in-flight fill table for prefetch timeliness tracking.
+// and the LLC, the small fully-associative LRU buffer (Victim) behind the
+// baseline BTB's victim buffer, PhantomBTB's prefetch buffer and AirBTB's
+// overflow buffer, and an in-flight fill table for prefetch timeliness
+// tracking.
 //
 // Caches here track only presence (tags), not data: the simulator reads
 // instruction bytes straight from the program image, so content correctness

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Warm-up snapshot support: the raw-array state of each structure is
 // exported and restored verbatim — keys, use-stamps, per-set occupancy,
@@ -152,7 +156,11 @@ func (v *Victim[V]) ExportState() (VictimState, []V) {
 	}, append([]V(nil), v.vals...)
 }
 
-// RestoreState overwrites the buffer's contents from a snapshot.
+// RestoreState overwrites the buffer's contents from a snapshot and
+// rebuilds its index and recency list from the keys and stamps. It fails
+// closed, leaving the buffer as it was, on a snapshot no live buffer can
+// produce: a repeated key, or stamps that repeat or run past the clock
+// (the most recent entry's stamp equals the clock).
 func (v *Victim[V]) RestoreState(st VictimState, vals []V) error {
 	if st.Cap != v.cap {
 		return fmt.Errorf("cache: victim snapshot capacity %d does not match buffer %d", st.Cap, v.cap)
@@ -160,9 +168,37 @@ func (v *Victim[V]) RestoreState(st VictimState, vals []V) error {
 	if len(st.Keys) > st.Cap || len(vals) != len(st.Keys) || len(st.Stamp) != len(st.Keys) {
 		return fmt.Errorf("cache: victim snapshot arrays malformed")
 	}
+	keys := slices.Clone(st.Keys)
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return fmt.Errorf("cache: victim snapshot repeats key %#x", keys[i])
+		}
+	}
+	// order lists the slots from least to most recently used.
+	order := make([]int32, len(st.Keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(st.Stamp[a], st.Stamp[b]) })
+	for i, s := range order {
+		if i > 0 && st.Stamp[s] == st.Stamp[order[i-1]] {
+			return fmt.Errorf("cache: victim snapshot repeats stamp %d", st.Stamp[s])
+		}
+		if st.Stamp[s] > st.Clock {
+			return fmt.Errorf("cache: victim snapshot stamp %d past clock %d", st.Stamp[s], st.Clock)
+		}
+	}
 	v.keys = append(v.keys[:0], st.Keys...)
 	v.vals = append(v.vals[:0], vals...)
 	v.stamp = append(v.stamp[:0], st.Stamp...)
 	v.clock = st.Clock
+	clear(v.idx)
+	v.head, v.tail = noSlot, noSlot
+	for _, s := range order {
+		i, home, _ := v.find(v.keys[s])
+		v.index(i, home, v.keys[s], s)
+		v.pushFront(s)
+	}
 	return nil
 }

@@ -1,35 +1,81 @@
 package cache
 
+import "confluence/internal/flatmap"
+
 // Victim is a small fully-associative LRU buffer, used as the 64-entry
-// victim buffer backing the baseline conventional BTB and as PhantomBTB's
-// prefetch buffer. It is generic over the stored value so entries live
-// inline — putting a value never boxes it into an interface, which kept an
-// allocation on the BTB-eviction path when values were `any`.
+// victim buffer backing the baseline conventional BTB, as PhantomBTB's
+// prefetch buffer and as AirBTB's overflow buffer. It is generic over the
+// stored value so entries live inline — putting a value never boxes it
+// into an interface, which kept an allocation on the BTB-eviction path
+// when values were `any`.
 //
-// Entries are unordered: recency is a strictly increasing use-stamp and the
-// eviction victim is the minimum stamp. That is the same true-LRU policy as
-// an ordered list (stamps are unique, so the minimum is the unique
-// least-recently-used entry) without shifting the whole buffer on every
-// insert — Put on the BTB-eviction path was one large memmove per call in
-// the ordered layout.
+// Entries sit unordered in parallel keys/vals/stamp arrays (removal swaps
+// the last entry into the hole). Recency is a strictly increasing
+// use-stamp, and the eviction victim is the minimum stamp: the same true
+// LRU policy as an ordered list, since stamps are unique. Two structures
+// over the slots make every operation O(1), with no scan of the buffer:
+//
+//   - a key→slot index, open-addressed with linear probing over a
+//     power-of-two table at least four times the capacity (a quarter
+//     full at most, which keeps probe chains and deletion's backward
+//     shift short), so it never fills and never leaves tombstones;
+//   - a doubly-linked recency list, most recently stamped first, so the
+//     list's tail is always the entry with the minimum stamp.
+//
+// Both are allocated once at construction; no operation allocates. They
+// are derived from the arrays (RestoreState rebuilds them from a
+// snapshot's keys and stamps), so snapshots carry only the arrays.
 type Victim[V any] struct {
 	cap   int
 	keys  []uint64
 	vals  []V
 	stamp []uint64
 	clock uint64
+
+	// idx is the key index and pos[s] the position of slot s's entry in
+	// it.
+	idx  []victimIdx
+	pos  []uint32
+	mask uint64
+
+	// prev and next link the occupied slots, head the most recently
+	// stamped and tail the least; noSlot ends the list.
+	prev, next []int32
+	head, tail int32
 }
+
+// victimIdx is one index entry: key lives in slot ref-1, and ref 0 marks
+// an empty entry. home caches the key's hashed position, so deletion
+// never rehashes.
+type victimIdx struct {
+	key  uint64
+	ref  uint32
+	home uint32
+}
+
+const noSlot = -1
 
 // NewVictim creates a victim buffer holding up to capacity entries.
 func NewVictim[V any](capacity int) *Victim[V] {
 	if capacity <= 0 {
 		panic("cache: victim capacity must be positive")
 	}
+	slots := 4
+	for slots < 4*capacity {
+		slots *= 2
+	}
 	return &Victim[V]{
 		cap:   capacity,
 		keys:  make([]uint64, 0, capacity),
 		vals:  make([]V, 0, capacity),
 		stamp: make([]uint64, 0, capacity),
+		idx:   make([]victimIdx, slots),
+		pos:   make([]uint32, capacity),
+		mask:  uint64(slots - 1),
+		prev:  make([]int32, capacity),
+		next:  make([]int32, capacity),
+		head:  noSlot,
+		tail:  noSlot,
 	}
 }
 
@@ -42,10 +88,106 @@ func (v *Victim[V]) tick() uint64 {
 	return v.clock
 }
 
-// removeAt drops the entry at index i (order is not meaningful).
-func (v *Victim[V]) removeAt(i int) {
-	last := len(v.keys) - 1
-	v.keys[i], v.vals[i], v.stamp[i] = v.keys[last], v.vals[last], v.stamp[last]
+// find returns the index position holding key, or the empty position
+// where it would be inserted, with key's home position and whether it
+// was found.
+func (v *Victim[V]) find(key uint64) (i, home uint64, ok bool) {
+	home = flatmap.Hash(key) & v.mask
+	for i = home; v.idx[i].ref != 0; i = (i + 1) & v.mask {
+		if v.idx[i].key == key {
+			return i, home, true
+		}
+	}
+	return i, home, false
+}
+
+// index records key, whose home is home, at the empty position i as the
+// key of slot s.
+func (v *Victim[V]) index(i, home, key uint64, s int32) {
+	v.idx[i] = victimIdx{key: key, ref: uint32(s) + 1, home: uint32(home)}
+	v.pos[s] = uint32(i)
+}
+
+// unindex empties index position i by backward shift: entries later in
+// its probe chain slide back, so every key stays reachable from its home.
+func (v *Victim[V]) unindex(i uint64) {
+	for {
+		v.idx[i].ref = 0
+		j := i
+		for {
+			j = (j + 1) & v.mask
+			e := &v.idx[j]
+			if e.ref == 0 {
+				return
+			}
+			// The entry at j may fill the hole at i iff its home position
+			// is cyclically outside (i, j].
+			if (j-uint64(e.home))&v.mask >= (j-i)&v.mask {
+				break
+			}
+		}
+		v.idx[i] = v.idx[j]
+		v.pos[v.idx[i].ref-1] = uint32(i)
+		i = j
+	}
+}
+
+func (v *Victim[V]) unlink(s int32) {
+	p, n := v.prev[s], v.next[s]
+	if p == noSlot {
+		v.head = n
+	} else {
+		v.next[p] = n
+	}
+	if n == noSlot {
+		v.tail = p
+	} else {
+		v.prev[n] = p
+	}
+}
+
+func (v *Victim[V]) pushFront(s int32) {
+	v.prev[s], v.next[s] = noSlot, v.head
+	if v.head == noSlot {
+		v.tail = s
+	} else {
+		v.prev[v.head] = s
+	}
+	v.head = s
+}
+
+// touch stamps slot s as the most recently used.
+func (v *Victim[V]) touch(s int32) {
+	v.stamp[s] = v.tick()
+	if v.head != s {
+		v.unlink(s)
+		v.pushFront(s)
+	}
+}
+
+// removeAt drops the entry at slot s, moving the last entry into the
+// hole (order is not meaningful).
+func (v *Victim[V]) removeAt(s int32) {
+	v.unindex(uint64(v.pos[s]))
+	v.unlink(s)
+	last := int32(len(v.keys) - 1)
+	if s != last {
+		v.keys[s], v.vals[s], v.stamp[s] = v.keys[last], v.vals[last], v.stamp[last]
+		p, n := v.prev[last], v.next[last]
+		v.prev[s], v.next[s] = p, n
+		if p == noSlot {
+			v.head = s
+		} else {
+			v.next[p] = s
+		}
+		if n == noSlot {
+			v.tail = s
+		} else {
+			v.prev[n] = s
+		}
+		v.pos[s] = v.pos[last]
+		v.idx[v.pos[s]].ref = uint32(s) + 1
+	}
 	var zero V
 	v.vals[last] = zero
 	v.keys = v.keys[:last]
@@ -56,60 +198,66 @@ func (v *Victim[V]) removeAt(i int) {
 // Take returns the value for key and removes it (entries migrate back to
 // the main structure on hit, the usual victim-buffer contract).
 func (v *Victim[V]) Take(key uint64) (V, bool) {
-	for i, k := range v.keys {
-		if k == key {
-			val := v.vals[i]
-			v.removeAt(i)
-			return val, true
-		}
+	i, _, ok := v.find(key)
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	var zero V
-	return zero, false
+	s := int32(v.idx[i].ref - 1)
+	val := v.vals[s]
+	v.removeAt(s)
+	return val, true
 }
 
 // Peek returns the value for key without removing it, refreshing recency.
 func (v *Victim[V]) Peek(key uint64) (V, bool) {
-	for i, k := range v.keys {
-		if k == key {
-			v.stamp[i] = v.tick()
-			return v.vals[i], true
-		}
+	i, _, ok := v.find(key)
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	var zero V
-	return zero, false
+	s := int32(v.idx[i].ref - 1)
+	v.touch(s)
+	return v.vals[s], true
 }
 
 // Put inserts (key, val) at MRU, evicting the LRU entry when full. A present
 // key is refreshed/overwritten.
 func (v *Victim[V]) Put(key uint64, val V) {
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for i, k := range v.keys {
-		if k == key {
-			v.vals[i] = val
-			v.stamp[i] = v.tick()
-			return
-		}
-		if v.stamp[i] < oldest {
-			oldest, victim = v.stamp[i], i
-		}
+	i, home, ok := v.find(key)
+	if ok {
+		s := int32(v.idx[i].ref - 1)
+		v.vals[s] = val
+		v.touch(s)
+		return
 	}
-	if len(v.keys) < v.cap {
+	if n := len(v.keys); n < v.cap {
+		s := int32(n)
 		v.keys = append(v.keys, key)
 		v.vals = append(v.vals, val)
 		v.stamp = append(v.stamp, v.tick())
+		v.index(i, home, key, s)
+		v.pushFront(s)
 		return
 	}
-	v.keys[victim], v.vals[victim], v.stamp[victim] = key, val, v.tick()
+	// The LRU entry's slot takes the new entry in place. The index has
+	// room for one entry beyond capacity, so the new key goes in before
+	// the evicted one leaves; the backward shift keeps pos current.
+	s := v.tail
+	evicted := uint64(v.pos[s])
+	v.keys[s], v.vals[s], v.stamp[s] = key, val, v.tick()
+	v.index(i, home, key, s)
+	v.unindex(evicted)
+	v.unlink(s)
+	v.pushFront(s)
 }
 
 // Remove drops key if present.
 func (v *Victim[V]) Remove(key uint64) bool {
-	for i, k := range v.keys {
-		if k == key {
-			v.removeAt(i)
-			return true
-		}
+	i, _, ok := v.find(key)
+	if !ok {
+		return false
 	}
-	return false
+	v.removeAt(int32(v.idx[i].ref - 1))
+	return true
 }

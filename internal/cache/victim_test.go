@@ -144,3 +144,19 @@ func BenchmarkVictimTake(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVictimTakeMiss measures the BTB-miss probe when the victim
+// buffer does not hold the block either, the common case on a
+// miss-heavy workload: every probe of a full 64-entry buffer misses.
+func BenchmarkVictimTakeMiss(b *testing.B) {
+	v := NewVictim[int](64)
+	for i := 0; i < 64; i++ {
+		v.Put(uint64(i), i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if val, ok := v.Take(uint64(64 + i&1023)); ok {
+			victimSink += val
+		}
+	}
+}

@@ -14,9 +14,9 @@
 // provably independent of timing and of other cores runs ahead of it on
 // one stage goroutine per active core: record decode (trace.Source
 // streams take no feedback from the timing model) and the stream half of
-// Core.Step (Core.StreamPredict: the branch predictors, and BTB designs
-// that declare btb.Design.StreamOnly). The weave runs the timing half
-// (Core.StepPredicted). The stages stop at exactly the weave's phase-end
+// a detailed step (Core.StreamPredict: the branch predictors, and BTB
+// designs that declare btb.Design.StreamOnly). The weave runs the timing
+// half (Core.StepPredicted). The stages stop at exactly the weave's phase-end
 // record, so every phase boundary sees the serial state, and results are
 // bit-identical to the serial simulator for any worker count and any
 // GOMAXPROCS.
@@ -249,9 +249,6 @@ func (e *engine) phase(ctx context.Context, n uint64) error {
 	return e.phaseExact(ctx)
 }
 
-// refill tops core c's queue up from its source.
-func (e *engine) refill(c int) { e.q[c].refill(e.s.Sources[c]) }
-
 // refill tops the queue up from src. One NextBatch call suffices: the
 // batch only comes back short on an error, which is deferred in q.err
 // until (unless) the core actually runs dry.
@@ -282,8 +279,8 @@ func (q *coreQ) dryErr(c int) error {
 	return fmt.Errorf("cmp: core %d source: %w", c, err)
 }
 
-// phaseExact is the detailed engine, with the two halves of Core.Step
-// pipelined: each active core's stream stage (runStage, one goroutine
+// phaseExact is the detailed engine, with the two halves of a detailed
+// step pipelined: each active core's stream stage (runStage, one goroutine
 // per core) decodes the core's records and runs Core.StreamPredict on
 // every record the phase will step, while the weave runs
 // Core.StepPredicted on them serially, in canonical round-robin order —

@@ -65,10 +65,11 @@ var ffPipePool = sync.Pool{New: func() any {
 // when its source runs dry — logging its writes to shared state, LLC
 // warm touches and history records, with their round. FastStep reads
 // nothing another core writes, nor anything the replay writes. So the
-// phase goroutine replays chunk k of every core in (round, core) order,
-// exactly how the serial round-robin loop would have interleaved those
-// writes, while the cores step on into later chunks, ffLead at most:
-// the result is bit-identical for any worker count and any scheduling.
+// phase goroutine replays chunk k of every core in (round, core) order
+// (replayChunk), exactly how the serial round-robin loop would have
+// interleaved those writes, while the cores step on into later chunks,
+// ffLead at most: the result is bit-identical for any worker count and
+// any scheduling.
 // The worker count bounds how many cores step at once.
 //
 // The replay polls ctx after each chunk, before handing its logs back,
@@ -100,24 +101,18 @@ func (e *engine) phaseFF(ctx context.Context) error {
 		// A core that stepped fewer rounds than the chunk below its
 		// target ran dry; the serial loop fails at the first such round,
 		// on the lowest such core.
-		rounds, dry := 0, -1
+		dry := -1
 		for _, c := range e.active {
 			b := <-pipes[c].full
 			cur[c] = b
-			n := int(b.log.Rounds())
-			rounds = max(rounds, n)
-			if b.err != nil && (dry < 0 || n < int(cur[dry].log.Rounds())) {
+			if b.err != nil && (dry < 0 || b.log.Rounds() < cur[dry].log.Rounds()) {
 				dry = c
 			}
 		}
 		if dry >= 0 {
 			return cur[dry].err
 		}
-		for r := 0; r < rounds; r++ {
-			for _, c := range e.active {
-				cores[c].ReplayFF(&cur[c].log, uint32(r))
-			}
-		}
+		replayChunk(cores, cur, e.active)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -134,6 +129,27 @@ func (e *engine) phaseFF(ctx context.Context) error {
 		e.active = e.active[:w]
 	}
 	return nil
+}
+
+// replayChunk applies the writes in the logs cur[c] of the active
+// cores, which are in core order, in (round, core) order: the serial
+// round-robin interleaving. It merges the logs rather than walking every
+// round of the chunk, replaying at each step the round of the lowest
+// (next logged round, core) pair, ties going to the lower core, so it
+// visits only the rounds that logged writes; most log none.
+func replayChunk(cores []*frontend.Core, cur []*ffChunk, active []int) {
+	for {
+		next, round := -1, uint32(0)
+		for _, c := range active {
+			if r, ok := cur[c].log.NextRound(); ok && (next < 0 || r < round) {
+				next, round = c, r
+			}
+		}
+		if next < 0 {
+			return
+		}
+		cores[next].ReplayFF(&cur[next].log, round)
+	}
 }
 
 // startFF starts a stepping goroutine per active core for a

@@ -179,7 +179,7 @@ func serialFastForward(t *testing.T, s *System, n uint64) {
 				continue
 			}
 			if q.n == 0 {
-				if e.refill(c); q.n == 0 {
+				if q.refill(s.Sources[c]); q.n == 0 {
 					t.Fatal(e.dryErr(c))
 				}
 			}

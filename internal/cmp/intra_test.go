@@ -143,7 +143,8 @@ func BenchmarkFastForward(b *testing.B) {
 }
 
 // BenchmarkDetailed measures an exact detailed phase of a 4-core system,
-// Step's stream half pipelined on stage goroutines ahead of the weave.
+// the detailed step's stream half pipelined on stage goroutines ahead of
+// the weave.
 func BenchmarkDetailed(b *testing.B) {
 	sys := testSystem(b, 4)
 	defer sys.Close()

@@ -19,7 +19,7 @@ const stageBatchRecs = 1024
 const stageBatches = 3
 
 // stageBatch is the next records of one core's stream, in order, each
-// with the Outcome of Core.StreamPredict — the stream half of Core.Step,
+// with the Outcome of Core.StreamPredict — the stream half of a detailed step,
 // already run — for the weave to step the timing half of.
 type stageBatch struct {
 	recs [stageBatchRecs]trace.Record

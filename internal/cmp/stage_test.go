@@ -5,11 +5,21 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"confluence/internal/frontend"
+	"confluence/internal/trace"
 )
 
+// step is one detailed step of core on rec: the stream half, then the
+// timing half, on the calling goroutine.
+func step(core *frontend.Core, rec *trace.Record) {
+	o := core.StreamPredict(rec)
+	core.StepPredicted(rec, &o)
+}
+
 // serialDetailed is the reference schedule the pipelined detailed phase
-// must reproduce: every core below target takes one full Core.Step per
-// round, in core order, from its decode queue.
+// must reproduce: every core below target takes one full detailed step
+// per round, in core order, from its decode queue.
 func serialDetailed(t *testing.T, s *System, n uint64) {
 	t.Helper()
 	if s.eng == nil {
@@ -28,12 +38,12 @@ func serialDetailed(t *testing.T, s *System, n uint64) {
 				continue
 			}
 			if q.n == 0 {
-				if e.refill(c); q.n == 0 {
+				if q.refill(s.Sources[c]); q.n == 0 {
 					t.Fatal(e.dryErr(c))
 				}
 			}
 			rec := &q.buf[q.head]
-			core.Step(rec)
+			step(core, rec)
 			q.head++
 			q.n--
 			pg.instr += uint64(rec.N)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"testing"
 
+	"confluence/internal/airbtb"
 	"confluence/internal/trace"
 )
 
@@ -46,6 +49,26 @@ func FuzzRestoreWarmSnapshot(f *testing.F) {
 		for _, n := range []int{len(snap), len(snap) - 1, len(snap) / 2, 64, 0} {
 			f.Add(snap[:n], uint8(i))
 		}
+		if dp != Confluence {
+			continue
+		}
+		// Overflow buffers no live run leaves — a PC held twice, a stamp
+		// used twice — decode cleanly, so only restore can reject them.
+		for _, edit := range []func(*airbtb.State){
+			func(st *airbtb.State) { st.OverflowPCs[1] = st.OverflowPCs[0] },
+			func(st *airbtb.State) { st.OverflowStamp[1] = st.OverflowStamp[0] },
+		} {
+			bad := editAirBTB(f, snap, edit)
+			sys, err := NewSystem(w, dp, opt)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if sys.RestoreWarmSnapshot(ctx, bad) == nil {
+				f.Fatal("a snapshot with an inconsistent AirBTB overflow buffer restored")
+			}
+			sys.Close()
+			f.Add(bad, uint8(i))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, design uint8) {
 		sys, err := NewSystem(w, designs[int(design)%len(designs)], opt)
@@ -63,4 +86,24 @@ func FuzzRestoreWarmSnapshot(f *testing.F) {
 		// finite stream too short.
 		_, _ = sys.RunCtx(ctx, 0, 2_000)
 	})
+}
+
+// editAirBTB re-encodes snap with edit applied to core 0's AirBTB state,
+// whose overflow buffer must hold at least two entries.
+func editAirBTB(f *testing.F, snap []byte, edit func(*airbtb.State)) []byte {
+	var ws warmSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&ws); err != nil {
+		f.Fatal(err)
+	}
+	st, ok := ws.Cores[0].BTB.(airbtb.State)
+	if !ok || len(st.OverflowPCs) < 2 {
+		f.Fatalf("core 0 carries BTB state %T with too few overflow entries to corrupt", ws.Cores[0].BTB)
+	}
+	edit(&st)
+	ws.Cores[0].BTB = st
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ws); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }

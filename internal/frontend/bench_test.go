@@ -55,7 +55,7 @@ func benchCore(b *testing.B, nBlocks int) (*Core, *trace.MemSource) {
 }
 
 // BenchmarkCoreStep measures the per-basic-block cost of the frontend hot
-// path — Core.Step and everything it calls — for a single core driven from
+// path — StreamPredict + StepPredicted and everything they call — for a single core driven from
 // a MemSource, with SHIFT and AirBTB wired the way the Confluence design
 // point wires them. The resident case stays within the L1-I (all hits);
 // the streaming case loops a footprint several times the L1-I, so every
@@ -75,13 +75,13 @@ func BenchmarkCoreStep(b *testing.B) {
 			// Warm caches, history, and predictors into steady state.
 			for i := 0; i < 1<<15; i++ {
 				src.Next(&rec)
-				c.Step(&rec)
+				step(c, &rec)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src.Next(&rec)
-				c.Step(&rec)
+				step(c, &rec)
 			}
 			st := c.Stats()
 			b.ReportMetric(float64(st.Instructions)/float64(st.Records), "instr/block")
@@ -116,7 +116,7 @@ func halfCore(b *testing.B, nBlocks int, conv bool) (*Core, *trace.MemSource) {
 
 var outcomeSink Outcome
 
-// BenchmarkCoreStreamPredict measures the stream half of Core.Step — what
+// BenchmarkCoreStreamPredict measures the stream half of a detailed step — what
 // the CMP engine's stage goroutines run ahead of the weave — per basic
 // block, after the BenchmarkCoreStep warm-up.
 func BenchmarkCoreStreamPredict(b *testing.B) {
@@ -126,7 +126,7 @@ func BenchmarkCoreStreamPredict(b *testing.B) {
 			var rec trace.Record
 			for i := 0; i < 1<<15; i++ {
 				src.Next(&rec)
-				c.Step(&rec)
+				step(c, &rec)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -138,7 +138,7 @@ func BenchmarkCoreStreamPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreStepPredicted measures the timing half of Core.Step — the
+// BenchmarkCoreStepPredicted measures the timing half of a detailed step — the
 // weave's share — per basic block. One lap of the looping stream is
 // predicted up front and replayed, records with their outcomes, so only
 // StepPredicted is timed.
@@ -149,7 +149,7 @@ func BenchmarkCoreStepPredicted(b *testing.B) {
 			var rec trace.Record
 			for i := 0; i < 1<<15; i++ {
 				src.Next(&rec)
-				c.Step(&rec)
+				step(c, &rec)
 			}
 			lap := 2 * bc.nBlocks // benchRecords' records per lap
 			recs := make([]trace.Record, lap)
@@ -214,7 +214,7 @@ func BenchmarkCoreFastStep(b *testing.B) {
 }
 
 // TestCoreStepSteadyStateZeroAllocs pins the tentpole property: after
-// warmup, the per-instruction path — Core.Step with SHIFT, AirBTB, the
+// warmup, the per-instruction path — a detailed step with SHIFT, AirBTB, the
 // in-flight fill table, and the shared history all active — performs zero
 // heap allocations, so the flat-structure rewrite cannot silently rot back
 // into per-step garbage.
@@ -236,18 +236,18 @@ func TestCoreStepSteadyStateZeroAllocs(t *testing.T) {
 	var rec trace.Record
 	for i := 0; i < 1<<15; i++ {
 		src.Next(&rec)
-		c.Step(&rec)
+		step(c, &rec)
 	}
 	// Cover several scrub periods (1<<14 steps each) so the periodic Expire
 	// sweep is included in the allocation budget.
 	allocs := testing.AllocsPerRun(4, func() {
 		for i := 0; i < 1<<14; i++ {
 			src.Next(&rec)
-			c.Step(&rec)
+			step(c, &rec)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Core.Step allocated %v times per 2^14 steps, want 0", allocs)
+		t.Fatalf("steady-state detailed step allocated %v times per 2^14 steps, want 0", allocs)
 	}
 }
 
@@ -266,15 +266,15 @@ func TestCoreStepZeroAllocsFDP(t *testing.T) {
 	var rec trace.Record
 	for i := 0; i < 1<<15; i++ {
 		src.Next(&rec)
-		c.Step(&rec)
+		step(c, &rec)
 	}
 	allocs := testing.AllocsPerRun(4, func() {
 		for i := 0; i < 1<<14; i++ {
 			src.Next(&rec)
-			c.Step(&rec)
+			step(c, &rec)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state FDP Core.Step allocated %v times per 2^14 steps, want 0", allocs)
+		t.Fatalf("steady-state FDP detailed step allocated %v times per 2^14 steps, want 0", allocs)
 	}
 }

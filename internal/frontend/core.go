@@ -136,7 +136,7 @@ type Core struct {
 
 	// ffLog, when attached, receives FastStep's shared-state writes
 	// instead of the LLC and the history (DeferFF). It sits last so
-	// Step's fields keep their layout.
+	// the detailed step's fields keep their layout.
 	ffLog *FFLog
 }
 
@@ -197,15 +197,6 @@ func (c *Core) fillLatency(b isa.Addr) int {
 
 func blockKey(b isa.Addr) uint64 { return uint64(b) >> isa.BlockShift }
 
-// Step processes one executed basic block: the stream half, then the
-// timing half. It is the reference composition of the two halves that
-// tests and benchmarks call; the CMP engine calls StreamPredict and
-// StepPredicted itself, on different goroutines.
-func (c *Core) Step(rec *trace.Record) {
-	o := c.StreamPredict(rec)
-	c.StepPredicted(rec, &o)
-}
-
 // Outcome is the stream half's verdict on one basic block's terminating
 // branch, produced by StreamPredict and consumed by StepPredicted.
 type Outcome struct {
@@ -223,7 +214,7 @@ const (
 	outITCOK                      // indirect: ITC predicted the target
 )
 
-// StreamPredict is the stream half of Step: everything determined by the
+// StreamPredict is the stream half of a detailed step: everything determined by the
 // record stream alone — hybrid direction prediction and training, RAS
 // push/pop, ITC predict/update, and, when the BTB design is StreamOnly (or
 // the BTB is perfect), the BTB lookup and resolve. It reads no clock, no
@@ -283,7 +274,7 @@ func (c *Core) probeBTB(now float64, rec *trace.Record, o *Outcome) (hit bool, b
 	return res.Hit, res.Bubble
 }
 
-// StepPredicted is the timing half of Step: given the record's Outcome
+// StepPredicted is the timing half of a detailed step: given the record's Outcome
 // from StreamPredict, it materializes completed fills, probes a BTB the
 // stream half could not, charges penalties, drives the prefetcher, the
 // L1-I and the shared hierarchy, records history, and advances the clock

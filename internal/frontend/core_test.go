@@ -12,6 +12,13 @@ import (
 	"confluence/internal/trace"
 )
 
+// step processes one executed basic block the way the detailed engine
+// does: the stream half, then the timing half.
+func step(c *Core, rec *trace.Record) {
+	o := c.StreamPredict(rec)
+	c.StepPredicted(rec, &o)
+}
+
 // testHier builds a single-bank hierarchy with zero network latency so
 // LLC hits cost exactly LLCHitCycles and misses add MemCycles.
 func testHier() *mem.Hierarchy {
@@ -55,11 +62,11 @@ func TestIssueCycleFloor(t *testing.T) {
 	c := NewCore(cfg)
 	// A 2-instruction block takes one full cycle (1 region/cycle BPU),
 	// a 9-instruction block takes 3 (3-wide issue).
-	c.Step(&trace.Record{Start: 0x1000, N: 2, Next: 0x1008})
+	step(c, &trace.Record{Start: 0x1000, N: 2, Next: 0x1008})
 	if c.Stats().Cycles != 1 {
 		t.Errorf("2-instr block took %v cycles, want 1", c.Stats().Cycles)
 	}
-	c.Step(&trace.Record{Start: 0x1008, N: 9, Next: 0x102C})
+	step(c, &trace.Record{Start: 0x1008, N: 9, Next: 0x102C})
 	if got := c.Stats().Cycles; got != 4 {
 		t.Errorf("after 9-instr block: %v cycles, want 4", got)
 	}
@@ -70,7 +77,7 @@ func TestBackendCPICharged(t *testing.T) {
 	cfg.PerfectL1I = true
 	cfg.BackendCPI = 0.5
 	c := NewCore(cfg)
-	c.Step(&trace.Record{Start: 0x1000, N: 6, Next: 0x1018})
+	step(c, &trace.Record{Start: 0x1000, N: 6, Next: 0x1018})
 	want := 2.0 + 3.0 // issue 6/3 + backend 6*0.5
 	if got := c.Stats().Cycles; got != want {
 		t.Errorf("cycles = %v, want %v", got, want)
@@ -82,7 +89,7 @@ func TestMisfetchPenaltyOnBTBMiss(t *testing.T) {
 	cfg.PerfectL1I = true
 	c := NewCore(cfg)
 	rec := uncondRec(0x1000, 3, 0x2000)
-	c.Step(&rec)
+	step(c, &rec)
 	st := c.Stats()
 	if st.BTBMisses != 1 {
 		t.Fatalf("BTBMisses = %d", st.BTBMisses)
@@ -94,7 +101,7 @@ func TestMisfetchPenaltyOnBTBMiss(t *testing.T) {
 		t.Errorf("Cycles = %v, want %v", st.Cycles, 1+cfg.MisfetchPenalty)
 	}
 	// The resolve allocated the entry; repeating the block is penalty-free.
-	c.Step(&rec)
+	step(c, &rec)
 	if st.BTBMisses != 1 || st.Cycles != 2+cfg.MisfetchPenalty {
 		t.Errorf("second pass: misses=%d cycles=%v", st.BTBMisses, st.Cycles)
 	}
@@ -108,7 +115,7 @@ func TestCondNotTakenMissIsFree(t *testing.T) {
 		Start: 0x1000, N: 3,
 		Br: trace.BranchInfo{PC: 0x1008, Kind: isa.BrCond, Taken: false, Target: 0x2000},
 	}
-	c.Step(&rec)
+	step(c, &rec)
 	st := c.Stats()
 	// BTB missed, but the implicit sequential prediction was correct and
 	// the hybrid starts weakly-not-taken: no penalties of any kind.
@@ -133,16 +140,16 @@ func TestReturnUsesRAS(t *testing.T) {
 	ret := trace.Record{Start: 0x2000, N: 2,
 		Br: trace.BranchInfo{PC: 0x2004, Kind: isa.BrRet, Taken: true, Target: 0x100C}}
 	// Warm the BTB for both blocks.
-	c.Step(&call)
-	c.Step(&ret)
+	step(c, &call)
+	step(c, &ret)
 	before := c.Stats().RASMispredicts
-	c.Step(&call)
-	c.Step(&ret)
+	step(c, &call)
+	step(c, &ret)
 	if c.Stats().RASMispredicts != before {
 		t.Error("matched call/ret mispredicted")
 	}
 	// A return with no matching call mispredicts.
-	c.Step(&ret)
+	step(c, &ret)
 	if c.Stats().RASMispredicts == before {
 		t.Error("unmatched return predicted correctly")
 	}
@@ -154,17 +161,17 @@ func TestIndirectUsesITC(t *testing.T) {
 	c := NewCore(cfg)
 	rec := trace.Record{Start: 0x1000, N: 3,
 		Br: trace.BranchInfo{PC: 0x1008, Kind: isa.BrIndirect, Taken: true, Target: 0x3000}}
-	c.Step(&rec) // cold: BTB miss + ITC miss
+	step(c, &rec) // cold: BTB miss + ITC miss
 	first := c.Stats().ITCMispredicts
 	if first == 0 {
 		t.Fatal("cold indirect predicted")
 	}
-	c.Step(&rec) // warm: both hit, stable target
+	step(c, &rec) // warm: both hit, stable target
 	if c.Stats().ITCMispredicts != first {
 		t.Error("stable indirect mispredicted when warm")
 	}
 	rec.Br.Target = 0x4000
-	c.Step(&rec)
+	step(c, &rec)
 	if c.Stats().ITCMispredicts != first+1 {
 		t.Error("target change not counted as ITC mispredict")
 	}
@@ -175,7 +182,7 @@ func TestL1IMissStall(t *testing.T) {
 	cfg.PerfectBTB = true
 	c := NewCore(cfg)
 	rec := fallRec(0x1000, 3)
-	c.Step(&rec)
+	step(c, &rec)
 	st := c.Stats()
 	// Cold: LLC miss -> 6 + 100 cycles, exposure 1.
 	if st.L1IStallCycles != 106 {
@@ -185,17 +192,17 @@ func TestL1IMissStall(t *testing.T) {
 		t.Errorf("misses=%d fills=%d", st.L1IMisses, st.DemandFills)
 	}
 	// Resident now: no further stall.
-	c.Step(&rec)
+	step(c, &rec)
 	if st.L1IStallCycles != 106 {
 		t.Errorf("hit stalled: %v", st.L1IStallCycles)
 	}
 	// A different block in the LLC costs only the hit latency.
 	rec2 := fallRec(0x1040, 3)
-	c.Step(&rec2) // LLC miss again (cold LLC)
+	step(c, &rec2) // LLC miss again (cold LLC)
 	rec3 := fallRec(0x1080, 3)
-	c.Step(&rec3)
+	step(c, &rec3)
 	c.l1i.Invalidate(uint64(0x1040) >> isa.BlockShift)
-	c.Step(&rec2) // now an LLC hit: 6 cycles only
+	step(c, &rec2) // now an LLC hit: 6 cycles only
 	if got := st.L1IStallCycles - 106 - 106 - 106; got != 6 {
 		t.Errorf("LLC-hit stall = %v, want 6", got)
 	}
@@ -207,7 +214,7 @@ func TestExposureScalesStalls(t *testing.T) {
 	cfg.Exposure = 0.5
 	c := NewCore(cfg)
 	rec := fallRec(0x1000, 3)
-	c.Step(&rec)
+	step(c, &rec)
 	if got := c.Stats().L1IStallCycles; got != 53 {
 		t.Errorf("scaled stall = %v, want 53", got)
 	}
@@ -219,7 +226,7 @@ func TestRegionSpanningTwoBlocks(t *testing.T) {
 	c := NewCore(cfg)
 	// 6 instructions starting 3 before a block boundary.
 	rec := fallRec(0x1034, 6)
-	c.Step(&rec)
+	step(c, &rec)
 	if got := c.Stats().L1IAccesses; got != 2 {
 		t.Errorf("block accesses = %d, want 2", got)
 	}
@@ -253,7 +260,7 @@ func TestPrefetchHidesLatency(t *testing.T) {
 	c := NewCore(cfg)
 
 	// Step 1 fires the prefetch for 0x2000 (LLC miss: ready at 106).
-	c.Step(&trace.Record{Start: 0x1000, N: 3})
+	step(c, &trace.Record{Start: 0x1000, N: 3})
 	if c.Stats().PrefIssued != 1 {
 		t.Fatalf("PrefIssued = %d", c.Stats().PrefIssued)
 	}
@@ -261,10 +268,10 @@ func TestPrefetchHidesLatency(t *testing.T) {
 
 	// Burn cycles until the fill completes.
 	for c.Cycle() < 110 {
-		c.Step(&trace.Record{Start: 0x1004, N: 3})
+		step(c, &trace.Record{Start: 0x1004, N: 3})
 	}
 	// Accessing the prefetched block is now free and counted useful.
-	c.Step(&trace.Record{Start: 0x2000, N: 3})
+	step(c, &trace.Record{Start: 0x2000, N: 3})
 	st := c.Stats()
 	if st.PrefUseful != 1 {
 		t.Errorf("PrefUseful = %d", st.PrefUseful)
@@ -286,10 +293,10 @@ func TestLatePrefetchPartialStall(t *testing.T) {
 	stub := &stubPrefetcher{block: 0x2000, delay: 50}
 	cfg.Prefetcher = stub
 	c := NewCore(cfg)
-	c.Step(&trace.Record{Start: 0x1000, N: 3})
+	step(c, &trace.Record{Start: 0x1000, N: 3})
 	st := c.Stats()
 	before := st.L1IStallCycles
-	c.Step(&trace.Record{Start: 0x2000, N: 3})
+	step(c, &trace.Record{Start: 0x2000, N: 3})
 	resid := st.L1IStallCycles - before
 	if resid <= 0 || resid >= 106 {
 		t.Errorf("residual stall = %v, want in (0, 106)", resid)
@@ -305,7 +312,7 @@ func TestPenaltyOverlapsStall(t *testing.T) {
 	// Cold block AND taken-branch BTB miss in the same step: the 4-cycle
 	// misfetch overlaps the 106-cycle fill; total extra is max, not sum.
 	rec := uncondRec(0x1000, 3, 0x2000)
-	c.Step(&rec)
+	step(c, &rec)
 	st := c.Stats()
 	if st.Cycles != 1+106 {
 		t.Errorf("Cycles = %v, want 107 (misfetch hidden under fill)", st.Cycles)
@@ -323,7 +330,7 @@ func TestPerfectFrontendHasNoStalls(t *testing.T) {
 	c := NewCore(cfg)
 	for i := 0; i < 100; i++ {
 		rec := uncondRec(isa.Addr(0x1000+i*64), 3, isa.Addr(0x1000+(i+1)*64))
-		c.Step(&rec)
+		step(c, &rec)
 	}
 	st := c.Stats()
 	if st.MisfetchCycles != 0 || st.L1IStallCycles != 0 || st.BubbleCycles != 0 {
@@ -338,13 +345,13 @@ func TestResetStatsPreservesState(t *testing.T) {
 	cfg := testConfig()
 	c := NewCore(cfg)
 	rec := uncondRec(0x1000, 3, 0x2000)
-	c.Step(&rec)
+	step(c, &rec)
 	c.ResetStats()
 	if c.Stats().Cycles != 0 || c.Stats().Instructions != 0 {
 		t.Error("stats not reset")
 	}
 	// Warm state survives: no new misfetch or L1-I miss.
-	c.Step(&rec)
+	step(c, &rec)
 	st := c.Stats()
 	if st.BTBMisses != 0 || st.L1IMisses != 0 {
 		t.Errorf("warm state lost: btb=%d l1i=%d", st.BTBMisses, st.L1IMisses)

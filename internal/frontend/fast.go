@@ -67,6 +67,15 @@ type FFLog struct {
 // Rounds returns the rounds logged since the log was attached.
 func (l *FFLog) Rounds() uint32 { return l.rounds }
 
+// NextRound returns the round of the next logged write ReplayFF has yet
+// to apply, and false once every logged write has been replayed.
+func (l *FFLog) NextRound() (uint32, bool) {
+	if l.next < len(l.ops) {
+		return l.ops[l.next].round, true
+	}
+	return 0, false
+}
+
 // DeferFF attaches l, emptied, as the log FastStep appends its
 // shared-state writes to instead of applying them; nil detaches the log,
 // and FastStep applies them directly again (the default). Logging lets
@@ -109,13 +118,13 @@ func (c *Core) ReplayFF(l *FFLog, round uint32) {
 // progress itself. Under DeferFF the LLC and history writes are logged
 // instead of applied.
 //
-// Predictor and BTB training is Step's own: the same StreamPredict, and
+// Predictor and BTB training is the detailed step's own: the same StreamPredict, and
 // the same probeBTB for designs the stream half cannot probe; only the
 // penalty accounting is skipped. The rest mirrors StepPredicted stage for
 // stage (materialize ready fills, branch, per-block access, cycle
 // advance) so the two walk identical state-update sequences; when its
 // order changes, change this in lockstep. The cycle clock still advances
-// by the issue + backend component of Step's charge — structures coupled
+// by the issue + backend component of StepPredicted's charge — structures coupled
 // to time (PhantomBTB's in-flight group fills) must keep maturing at a
 // rate comparable to detailed simulation, and the backend component is
 // pure workload calibration, so the clock stays design-independent

@@ -71,7 +71,7 @@ func TestFastStepMatchesStepEvents(t *testing.T) {
 	var rd, rf trace.Record
 	for i := 0; i < 30_000; i++ {
 		srcD.Next(&rd)
-		det.Step(&rd)
+		step(det, &rd)
 		srcF.Next(&rf)
 		fast.FastStep(&rf)
 	}

@@ -17,12 +17,12 @@ func TestTwoLevelBubbleAccounting(t *testing.T) {
 	c := NewCore(cfg)
 	a := uncondRec(0x1000, 3, 0x2000)
 	bb := uncondRec(0x2000, 3, 0x1000)
-	c.Step(&a) // cold miss: misfetch
-	c.Step(&bb)
+	step(c, &a) // cold miss: misfetch
+	step(c, &bb)
 	base := c.Stats().BubbleCycles
 	// `a` was evicted from the 1-entry L1-BTB by `b`; re-fetching it hits
 	// the L2 and exposes the bubble — the paper's central criticism.
-	c.Step(&a)
+	step(c, &a)
 	if got := c.Stats().BubbleCycles - base; got != 3 {
 		t.Errorf("L2-BTB bubble = %v cycles, want 3", got)
 	}
@@ -39,13 +39,13 @@ func TestHistoryRecorderDedupsConsecutive(t *testing.T) {
 	cfg.Recorder = recorderFunc(func(b uint64) { recorded = append(recorded, b) })
 	c := NewCore(cfg)
 	// Three basic blocks in the same 64B cache block: one history record.
-	c.Step(&trace.Record{Start: 0x1000, N: 3})
-	c.Step(&trace.Record{Start: 0x100C, N: 3})
-	c.Step(&trace.Record{Start: 0x1018, N: 3})
+	step(c, &trace.Record{Start: 0x1000, N: 3})
+	step(c, &trace.Record{Start: 0x100C, N: 3})
+	step(c, &trace.Record{Start: 0x1018, N: 3})
 	// A different block, then back: two more records (only *consecutive*
 	// duplicates collapse at the recorder level).
-	c.Step(&trace.Record{Start: 0x2000, N: 3})
-	c.Step(&trace.Record{Start: 0x1000, N: 3})
+	step(c, &trace.Record{Start: 0x2000, N: 3})
+	step(c, &trace.Record{Start: 0x1000, N: 3})
 	want := []uint64{0x1000 >> 6, 0x2000 >> 6, 0x1000 >> 6}
 	if len(recorded) != len(want) {
 		t.Fatalf("recorded %v, want %v", recorded, want)
@@ -68,7 +68,7 @@ func TestAirBTBSyncThroughFrontend(t *testing.T) {
 	air := airbtb.New(airbtb.DefaultConfig())
 	cfg.BTB = air
 	c := NewCore(cfg)
-	c.Step(&trace.Record{Start: 0x40_0000, N: 3})
+	step(c, &trace.Record{Start: 0x40_0000, N: 3})
 	if air.Fills != 1 {
 		t.Fatalf("Fills = %d after one block fetch", air.Fills)
 	}
@@ -87,7 +87,7 @@ func TestPredecodePenaltyChargedOnDemandOnly(t *testing.T) {
 	cfg.PerfectBTB = true
 	cfg.PredecodePenalty = 2
 	c := NewCore(cfg)
-	c.Step(&trace.Record{Start: 0x1000, N: 3})
+	step(c, &trace.Record{Start: 0x1000, N: 3})
 	st := c.Stats()
 	if st.PredecodeCycles != 2 { // exposure 1
 		t.Errorf("PredecodeCycles = %v, want 2", st.PredecodeCycles)
@@ -109,7 +109,7 @@ func TestFDPIntegrationCoversSequentialMisses(t *testing.T) {
 	walk := func() {
 		for i := 0; i < 64; i++ {
 			rec := trace.Record{Start: isa.Addr(0x40_0000 + i*64), N: 16}
-			c.Step(&rec)
+			step(c, &rec)
 		}
 	}
 	walk()
@@ -130,7 +130,7 @@ func TestRedirectResetsFDP(t *testing.T) {
 	c := NewCore(cfg)
 	// A misfetch (BTB-missed taken branch) must reset FDP's run-ahead.
 	rec := uncondRec(0x1000, 3, 0x2000)
-	c.Step(&rec)
+	step(c, &rec)
 	if f.Redirects != 1 {
 		t.Errorf("Redirects = %d after misfetch", f.Redirects)
 	}
@@ -142,10 +142,10 @@ func TestScrubDiscardsStalePrefetches(t *testing.T) {
 	stub := &stubPrefetcher{block: 0x9_0000, delay: 0}
 	cfg.Prefetcher = stub
 	c := NewCore(cfg)
-	c.Step(&trace.Record{Start: 0x1000, N: 3}) // fires a never-used prefetch
+	step(c, &trace.Record{Start: 0x1000, N: 3}) // fires a never-used prefetch
 	// Drive enough steps for the periodic scrub to age the entry out.
 	for i := 0; i < (1<<14)+8; i++ {
-		c.Step(&trace.Record{Start: 0x1004, N: 3})
+		step(c, &trace.Record{Start: 0x1004, N: 3})
 	}
 	if c.inflight.Len() != 0 {
 		t.Errorf("stale prefetch never scrubbed (len=%d)", c.inflight.Len())
@@ -159,11 +159,11 @@ func TestBTBTakenLookupCounting(t *testing.T) {
 	cfg := testConfig()
 	cfg.PerfectL1I = true
 	c := NewCore(cfg)
-	c.Step(&trace.Record{Start: 0x1000, N: 3,
+	step(c, &trace.Record{Start: 0x1000, N: 3,
 		Br: trace.BranchInfo{PC: 0x1008, Kind: isa.BrCond, Taken: true, Target: 0x2000}})
-	c.Step(&trace.Record{Start: 0x3000, N: 3,
+	step(c, &trace.Record{Start: 0x3000, N: 3,
 		Br: trace.BranchInfo{PC: 0x3008, Kind: isa.BrCond, Taken: false, Target: 0x2000}})
-	c.Step(&trace.Record{Start: 0x4000, N: 3}) // no branch
+	step(c, &trace.Record{Start: 0x4000, N: 3}) // no branch
 	st := c.Stats()
 	if st.BTBTakenLookups != 1 {
 		t.Errorf("BTBTakenLookups = %d, want 1", st.BTBTakenLookups)
