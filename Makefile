@@ -54,14 +54,13 @@ bench-json:
 # bench-micro records the per-structure micro-benchmarks — the caches and
 # LRU buffers, AirBTB, the frontend step paths, the branch predictor, the
 # flat map, trace decode, and cmp's fast-forward phase — at a real
-# -benchtime (MICRO_BENCHTIME per run, five runs, median kept) into
+# -benchtime (one second per run, five runs, median kept) into
 # MICRO_OUT. bench-json's one-iteration runs time a single ~100ns call,
 # which says nothing about these layers; see BENCH_pr23_micro_*.json.
 MICRO_OUT ?= bench_micro.json
-MICRO_BENCHTIME ?= 1s
 bench-micro:
-	{ go test -run '^$$' -bench=. -benchtime=$(MICRO_BENCHTIME) -count=5 -benchmem ./internal/cache ./internal/airbtb ./internal/frontend ./internal/bpu ./internal/flatmap ./internal/trace; \
-	  go test -run '^$$' -bench='^BenchmarkFastForward$$' -benchtime=$(MICRO_BENCHTIME) -count=5 -benchmem ./internal/cmp; } | go run ./cmd/benchjson > $(MICRO_OUT)
+	{ go test -run '^$$' -bench=. -benchtime=1s -count=5 -benchmem ./internal/cache ./internal/airbtb ./internal/frontend ./internal/bpu ./internal/flatmap ./internal/trace; \
+	  go test -run '^$$' -bench='^BenchmarkFastForward$$' -benchtime=1s -count=5 -benchmem ./internal/cmp; } | go run ./cmd/benchjson > $(MICRO_OUT)
 
 # bench-compare gates the committed perf trajectory: per-benchmark ns/op
 # deltas between the PR's before/after snapshots, failing on >10%

@@ -97,7 +97,9 @@ func New(cfg Config) *AirBTB {
 
 // overflowKey keys a branch's overflow entry by its instruction slot:
 // the PC with the bits below an instruction cleared, so the bundle's
-// bitmap slot alone names the entry to drop when the block leaves.
+// bitmap slot alone names the entry to drop when the block leaves. Branch
+// PCs are instruction-aligned (the trace reader rejects a record that is
+// not), so the key is the PC itself.
 func overflowKey(pc isa.Addr) uint64 { return uint64(pc &^ (isa.InstrBytes - 1)) }
 
 // Name implements the frontend BTB interface.

@@ -193,11 +193,10 @@ func (v *Victim[V]) RestoreState(st VictimState, vals []V) error {
 	v.vals = append(v.vals[:0], vals...)
 	v.stamp = append(v.stamp[:0], st.Stamp...)
 	v.clock = st.Clock
-	clear(v.idx)
+	v.idx.Clear()
 	v.head, v.tail = noSlot, noSlot
 	for _, s := range order {
-		i, home, _ := v.find(v.keys[s])
-		v.index(i, home, v.keys[s], s)
+		v.idx.Put(v.keys[s], s)
 		v.pushFront(s)
 	}
 	return nil

@@ -15,10 +15,8 @@ import "confluence/internal/flatmap"
 // LRU policy as an ordered list, since stamps are unique. Two structures
 // over the slots make every operation O(1), with no scan of the buffer:
 //
-//   - a key→slot index, open-addressed with linear probing over a
-//     power-of-two table at least four times the capacity (a quarter
-//     full at most, which keeps probe chains and deletion's backward
-//     shift short), so it never fills and never leaves tombstones;
+//   - a key→slot index, a flatmap.Map presized for three times the
+//     capacity, so it never grows and stays about a quarter full;
 //   - a doubly-linked recency list, most recently stamped first, so the
 //     list's tail is always the entry with the minimum stamp.
 //
@@ -32,25 +30,12 @@ type Victim[V any] struct {
 	stamp []uint64
 	clock uint64
 
-	// idx is the key index and pos[s] the position of slot s's entry in
-	// it.
-	idx  []victimIdx
-	pos  []uint32
-	mask uint64
+	idx *flatmap.Map[int32] // key → slot
 
 	// prev and next link the occupied slots, head the most recently
 	// stamped and tail the least; noSlot ends the list.
 	prev, next []int32
 	head, tail int32
-}
-
-// victimIdx is one index entry: key lives in slot ref-1, and ref 0 marks
-// an empty entry. home caches the key's hashed position, so deletion
-// never rehashes.
-type victimIdx struct {
-	key  uint64
-	ref  uint32
-	home uint32
 }
 
 const noSlot = -1
@@ -60,18 +45,12 @@ func NewVictim[V any](capacity int) *Victim[V] {
 	if capacity <= 0 {
 		panic("cache: victim capacity must be positive")
 	}
-	slots := 4
-	for slots < 4*capacity {
-		slots *= 2
-	}
 	return &Victim[V]{
 		cap:   capacity,
 		keys:  make([]uint64, 0, capacity),
 		vals:  make([]V, 0, capacity),
 		stamp: make([]uint64, 0, capacity),
-		idx:   make([]victimIdx, slots),
-		pos:   make([]uint32, capacity),
-		mask:  uint64(slots - 1),
+		idx:   flatmap.New[int32](3 * capacity),
 		prev:  make([]int32, capacity),
 		next:  make([]int32, capacity),
 		head:  noSlot,
@@ -86,50 +65,6 @@ func (v *Victim[V]) Len() int      { return len(v.keys) }
 func (v *Victim[V]) tick() uint64 {
 	v.clock++
 	return v.clock
-}
-
-// find returns the index position holding key, or the empty position
-// where it would be inserted, with key's home position and whether it
-// was found.
-func (v *Victim[V]) find(key uint64) (i, home uint64, ok bool) {
-	home = flatmap.Hash(key) & v.mask
-	for i = home; v.idx[i].ref != 0; i = (i + 1) & v.mask {
-		if v.idx[i].key == key {
-			return i, home, true
-		}
-	}
-	return i, home, false
-}
-
-// index records key, whose home is home, at the empty position i as the
-// key of slot s.
-func (v *Victim[V]) index(i, home, key uint64, s int32) {
-	v.idx[i] = victimIdx{key: key, ref: uint32(s) + 1, home: uint32(home)}
-	v.pos[s] = uint32(i)
-}
-
-// unindex empties index position i by backward shift: entries later in
-// its probe chain slide back, so every key stays reachable from its home.
-func (v *Victim[V]) unindex(i uint64) {
-	for {
-		v.idx[i].ref = 0
-		j := i
-		for {
-			j = (j + 1) & v.mask
-			e := &v.idx[j]
-			if e.ref == 0 {
-				return
-			}
-			// The entry at j may fill the hole at i iff its home position
-			// is cyclically outside (i, j].
-			if (j-uint64(e.home))&v.mask >= (j-i)&v.mask {
-				break
-			}
-		}
-		v.idx[i] = v.idx[j]
-		v.pos[v.idx[i].ref-1] = uint32(i)
-		i = j
-	}
 }
 
 func (v *Victim[V]) unlink(s int32) {
@@ -168,7 +103,7 @@ func (v *Victim[V]) touch(s int32) {
 // removeAt drops the entry at slot s, moving the last entry into the
 // hole (order is not meaningful).
 func (v *Victim[V]) removeAt(s int32) {
-	v.unindex(uint64(v.pos[s]))
+	v.idx.Delete(v.keys[s])
 	v.unlink(s)
 	last := int32(len(v.keys) - 1)
 	if s != last {
@@ -185,8 +120,7 @@ func (v *Victim[V]) removeAt(s int32) {
 		} else {
 			v.prev[n] = s
 		}
-		v.pos[s] = v.pos[last]
-		v.idx[v.pos[s]].ref = uint32(s) + 1
+		*v.idx.Ptr(v.keys[s]) = s
 	}
 	var zero V
 	v.vals[last] = zero
@@ -198,12 +132,11 @@ func (v *Victim[V]) removeAt(s int32) {
 // Take returns the value for key and removes it (entries migrate back to
 // the main structure on hit, the usual victim-buffer contract).
 func (v *Victim[V]) Take(key uint64) (V, bool) {
-	i, _, ok := v.find(key)
+	s, ok := v.idx.Get(key)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	s := int32(v.idx[i].ref - 1)
 	val := v.vals[s]
 	v.removeAt(s)
 	return val, true
@@ -211,12 +144,11 @@ func (v *Victim[V]) Take(key uint64) (V, bool) {
 
 // Peek returns the value for key without removing it, refreshing recency.
 func (v *Victim[V]) Peek(key uint64) (V, bool) {
-	i, _, ok := v.find(key)
+	s, ok := v.idx.Get(key)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	s := int32(v.idx[i].ref - 1)
 	v.touch(s)
 	return v.vals[s], true
 }
@@ -224,40 +156,37 @@ func (v *Victim[V]) Peek(key uint64) (V, bool) {
 // Put inserts (key, val) at MRU, evicting the LRU entry when full. A present
 // key is refreshed/overwritten.
 func (v *Victim[V]) Put(key uint64, val V) {
-	i, home, ok := v.find(key)
+	p, ok := v.idx.Upsert(key)
 	if ok {
-		s := int32(v.idx[i].ref - 1)
-		v.vals[s] = val
-		v.touch(s)
+		v.vals[*p] = val
+		v.touch(*p)
 		return
 	}
-	if n := len(v.keys); n < v.cap {
-		s := int32(n)
+	s := int32(len(v.keys))
+	if int(s) < v.cap {
+		*p = s
 		v.keys = append(v.keys, key)
 		v.vals = append(v.vals, val)
 		v.stamp = append(v.stamp, v.tick())
-		v.index(i, home, key, s)
-		v.pushFront(s)
-		return
+	} else {
+		// The LRU entry's slot takes the new entry in place. The index
+		// has room for one key beyond capacity, so the new key goes in
+		// before the evicted one leaves.
+		s = v.tail
+		*p = s
+		v.idx.Delete(v.keys[s])
+		v.unlink(s)
+		v.keys[s], v.vals[s], v.stamp[s] = key, val, v.tick()
 	}
-	// The LRU entry's slot takes the new entry in place. The index has
-	// room for one entry beyond capacity, so the new key goes in before
-	// the evicted one leaves; the backward shift keeps pos current.
-	s := v.tail
-	evicted := uint64(v.pos[s])
-	v.keys[s], v.vals[s], v.stamp[s] = key, val, v.tick()
-	v.index(i, home, key, s)
-	v.unindex(evicted)
-	v.unlink(s)
 	v.pushFront(s)
 }
 
 // Remove drops key if present.
 func (v *Victim[V]) Remove(key uint64) bool {
-	i, _, ok := v.find(key)
+	s, ok := v.idx.Get(key)
 	if !ok {
 		return false
 	}
-	v.removeAt(int32(v.idx[i].ref - 1))
+	v.removeAt(s)
 	return true
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"confluence/internal/frontend"
-	"confluence/internal/parallel"
 	"confluence/internal/prefetch"
 )
 
@@ -338,11 +337,6 @@ func (s *System) ConsumedRecords() []uint64 {
 // bit-identical to the one a live warm-up run would step next (the
 // decode-ahead queues make the skip invisible, exactly as they make
 // phase boundaries invisible).
-//
-// Each core's skip touches only its own queue, source and progress, so
-// the cores skip concurrently, on at most the fast-forward worker count
-// of goroutines. The error is the lowest failing core's, as a skip of
-// one core after another would return, and otherwise ctx's.
 func (s *System) SkipRecords(ctx context.Context, counts []uint64) error {
 	if len(counts) != len(s.Cores) {
 		return fmt.Errorf("cmp: SkipRecords got %d counts for %d cores", len(counts), len(s.Cores))
@@ -351,38 +345,24 @@ func (s *System) SkipRecords(ctx context.Context, counts []uint64) error {
 		s.eng = newEngine(s)
 	}
 	e := s.eng
-	errs := make([]error, len(s.Cores))
-	err := parallel.ForEach(ctx, e.ffWorkers, len(s.Cores), func(ctx context.Context, c int) error {
-		errs[c] = e.skip(ctx, c, counts[c])
-		return nil
-	})
-	for _, cerr := range errs {
-		if cerr != nil {
-			return cerr
-		}
-	}
-	return err
-}
-
-// skip advances core c's stream past need records, working on the
-// core's queue and progress in locals (see ffRun).
-func (e *engine) skip(ctx context.Context, c int, need uint64) error {
-	q, recs, src := e.q[c], e.prog[c].recs, e.s.Sources[c]
-	defer func() { e.q[c], e.prog[c].recs = q, recs }()
-	for need > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if q.n == 0 {
-			if q.refill(src); q.n == 0 {
-				return q.dryErr(c)
+	for c := range s.Cores {
+		need := counts[c]
+		q := &e.q[c]
+		for need > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			if q.n == 0 {
+				if q.refill(s.Sources[c]); q.n == 0 {
+					return q.dryErr(c)
+				}
+			}
+			drop := min(uint64(q.n), need)
+			q.head += int(drop)
+			q.n -= int(drop)
+			e.prog[c].recs += drop
+			need -= drop
 		}
-		drop := min(uint64(q.n), need)
-		q.head += int(drop)
-		q.n -= int(drop)
-		recs += drop
-		need -= drop
 	}
 	return nil
 }

@@ -50,6 +50,9 @@ func (t *Writer) Write(rec *Record) error {
 	if rec.ReqType < 0 || rec.ReqType > 0xFFFF {
 		return fmt.Errorf("trace: record request type %d out of range", rec.ReqType)
 	}
+	if !isa.Aligned(rec.Start) {
+		return fmt.Errorf("trace: record start %#x is not instruction-aligned", uint64(rec.Start))
+	}
 	b := t.buf[:]
 	binary.LittleEndian.PutUint64(b[0:], uint64(rec.Start))
 	binary.LittleEndian.PutUint16(b[8:], uint16(rec.N))
@@ -167,6 +170,11 @@ func (t *Reader) ReadBatch(dst []Record) (int, error) {
 // the same corruptions.
 func decodeRecord(b []byte, rec *Record) error {
 	rec.Start = isa.Addr(binary.LittleEndian.Uint64(b[0:]))
+	if !isa.Aligned(rec.Start) {
+		// Every instruction, and so every branch PC, sits on an
+		// instruction boundary; the structures keyed by PC rely on it.
+		return fmt.Errorf("trace: corrupt record: start %#x is not instruction-aligned", uint64(rec.Start))
+	}
 	rec.N = int(binary.LittleEndian.Uint16(b[8:]))
 	if rec.N == 0 {
 		return errors.New("trace: corrupt record: zero instruction count")

@@ -28,6 +28,7 @@ func canonical(rec Record) Record {
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(uint64(0x40_0000), uint16(4), byte(isa.BrCond), true, false, uint64(0x40_0040), uint64(0x40_0040), uint16(3))
 	f.Add(uint64(0x40_1000), uint16(1), byte(isa.BrNone), false, true, uint64(0), uint64(0x40_1004), uint16(0))
+	f.Add(uint64(0x7FFF_FFFF_FFFC), uint16(15), byte(isa.BrRet), true, false, uint64(0x1234), uint64(0x1234), uint16(0xFFFF))
 	f.Add(uint64(0x7FFF_FFFF_FFFF), uint16(15), byte(isa.BrRet), true, false, uint64(0x1234), uint64(0x1234), uint16(0xFFFF))
 	f.Add(uint64(1), uint16(0), byte(200), true, true, ^uint64(0), ^uint64(0), uint16(1))
 
@@ -51,7 +52,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		err = w.Write(&rec)
-		if !rec.Br.Kind.Valid() || rec.N < 1 {
+		if !rec.Br.Kind.Valid() || rec.N < 1 || !isa.Aligned(rec.Start) {
 			if err == nil {
 				t.Fatalf("Writer accepted invalid record %+v", rec)
 			}
@@ -123,6 +124,7 @@ func corruptedCorpus(tb testing.TB) [][]byte {
 		mutate(hdr+8, 0), mutate(hdr+9, 0), // zero instruction count
 		mutate(hdr+recordBytes+11, 0x01), // taken flag on a fall-through record
 		mutate(hdr+recordBytes+12, 0xDE), // branch target on a fall-through record
+		mutate(hdr, 0x02),                // start not instruction-aligned
 	}
 }
 
@@ -152,6 +154,9 @@ func FuzzReaderCorrupt(f *testing.F) {
 			}
 			if rec.N < 1 {
 				t.Fatalf("record %d decoded with instruction count %d", i, rec.N)
+			}
+			if !isa.Aligned(rec.Start) {
+				t.Fatalf("record %d decoded with unaligned start %#x", i, uint64(rec.Start))
 			}
 			if !rec.Br.Kind.IsBranch() && (rec.Br.Taken || rec.Br.PC != 0 || rec.Br.Target != 0) {
 				t.Fatalf("record %d: fall-through decoded with branch state %+v", i, rec.Br)
@@ -201,5 +206,15 @@ func TestReaderRejectsCorruptedCorpus(t *testing.T) {
 	}
 	if err := r.Read(&rec); err == nil {
 		t.Error("unknown flag bits decoded without error")
+	}
+	// An unaligned start would give the branch an unaligned PC, which the
+	// PC-keyed structures (AirBTB's overflow buffer) cannot represent.
+	unaligned := corpus[len(corpus)-1]
+	r, err = NewReader(bytes.NewReader(unaligned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Read(&rec); err == nil {
+		t.Error("unaligned record start decoded without error")
 	}
 }
