@@ -113,8 +113,9 @@ fleet-smoke:
 # where sampled full-coverage MPKI is event-exact) run exact and with
 # -sample must agree within 1% on every cell while the sampled plan
 # details at least 10x fewer instructions; the sampled sweep's stdout must
-# also be byte-identical with four fast-forward workers at GOMAXPROCS=4
-# and fully serial at GOMAXPROCS=1.
+# also be byte-identical run one cell at a time at GOMAXPROCS=4 (-workers
+# 1, so each cell steps four cores at once) and fully serial at
+# GOMAXPROCS=1.
 sample-smoke:
 	SAMPLE_SMOKE=1 go test ./cmd/confluence-sim -run TestSampleSmoke -count=1 -v -timeout 15m
 

@@ -15,7 +15,7 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"run", "sample", "scale", "store", "v", "workers", "workload"}, ""},
-		{[]string{"intra-workers", "sample", "scale", "store", "trace", "v", "workers", "workload"}, ""},
+		{[]string{"sample", "scale", "store", "trace", "v", "workers", "workload"}, ""},
 		{[]string{"mix", "sample", "scale", "store", "v", "workers"}, ""},
 		{[]string{"job", "store", "v"}, ""},
 		{[]string{"fleet-coordinator", "fleet-lease-ttl", "job", "store", "v"}, ""},

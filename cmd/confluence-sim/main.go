@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	confluence-sim [-scale small|default|paper] [-workers N] [-intra-workers N] [-run fig1,table2,fig6,probe,...] [-workload NAME] [-store DIR] [-sample] [-v]
+//	confluence-sim [-scale small|default|paper] [-workers N] [-run fig1,table2,fig6,probe,...] [-workload NAME] [-store DIR] [-sample] [-v]
 //	confluence-sim -trace CAPTURE_DIR [-workload NAME] [-scale ...]
 //	confluence-sim -mix OLTP-DB2,Web-Frontend [-scale ...]
 //	confluence-sim -job job.json [-store DIR] [-v]
@@ -29,11 +29,12 @@
 // The default runs everything at the "default" scale (8 cores, 3M
 // instructions per core), fanning independent simulation cells out across
 // all CPUs. REPRO_SCALE overrides the default scale; REPRO_WORKERS (or
-// -workers) bounds the worker pool. -intra-workers additionally fast-forwards
-// the cores of each sampled simulation in parallel (the -workers budget is
-// split between the two levels). -workload limits the suite to one
-// workload for every experiment but mixstudy, which needs several: -run
-// all then leaves it out, and -run mixstudy exits 2 (use -mix). Results
+// -workers) bounds the worker pool. In sampled mode each simulation
+// fast-forwards at most max(1, GOMAXPROCS/workers) of its cores at once,
+// so the pool and the cores stepping inside it share the machine.
+// -workload limits the suite to one workload for every experiment but
+// mixstudy, which needs several: -run all then leaves it out, and -run
+// mixstudy exits 2 (use -mix). Results
 // are bit-identical for any worker count. Ctrl-C cancels cleanly between
 // cells.
 //
@@ -99,16 +100,15 @@ import (
 
 // simFlags are the flags shared by every mode that builds a Runner.
 type simFlags struct {
-	workers, intraWorkers int
-	storeDir              string
-	sample, verbose       bool
+	workers         int
+	storeDir        string
+	sample, verbose bool
 }
 
 func main() {
 	scaleFlag := flag.String("scale", "", "simulation scale: small, default, or paper")
 	runFlag := flag.String("run", "all", "comma-separated experiments: "+experimentNames())
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = REPRO_WORKERS or GOMAXPROCS)")
-	intraWorkers := flag.Int("intra-workers", 0, "cores stepping fast-forward at once inside each simulation, the replay of their writes running beside them (0/1 = one at a time for grid cells; the -workers budget is split between levels)")
 	verbose := flag.Bool("v", false, "print per-run progress")
 	traceDir := flag.String("trace", "", "run the probe over a capture directory replayed through the timing model instead of the synthetic suite")
 	workload := flag.String("workload", "", "limit the suite to this workload; with -trace, the capture's source workload (restores program image + calibration)")
@@ -138,7 +138,7 @@ func main() {
 			usage(fmt.Errorf("unknown scale %q", *scaleFlag))
 		}
 	}
-	sf := simFlags{workers: *workers, intraWorkers: *intraWorkers, storeDir: *storeDir, sample: *sample, verbose: *verbose}
+	sf := simFlags{workers: *workers, storeDir: *storeDir, sample: *sample, verbose: *verbose}
 
 	ctx, stop := cliutil.InterruptContext()
 	defer stop()
@@ -169,9 +169,9 @@ func main() {
 // modeFlags lists the flags each mode reads, keyed by the flag that
 // selects the mode ("" runs the -run experiments).
 var modeFlags = map[string][]string{
-	"":                  {"scale", "run", "workers", "intra-workers", "v", "workload", "store", "sample"},
-	"trace":             {"scale", "workers", "intra-workers", "v", "workload", "store", "sample"},
-	"mix":               {"scale", "workers", "intra-workers", "v", "store", "sample"},
+	"":                  {"scale", "run", "workers", "v", "workload", "store", "sample"},
+	"trace":             {"scale", "workers", "v", "workload", "store", "sample"},
+	"mix":               {"scale", "workers", "v", "store", "sample"},
 	"job":               {"store", "v"},
 	"fleet-coordinator": {"job", "store", "fleet-lease-ttl", "v"},
 	"fleet-worker":      {"fleet-lease-ttl", "v"},
@@ -219,7 +219,6 @@ func (f simFlags) runner(sc experiments.Scale, ws []*confluence.Workload) (*expe
 		r = experiments.NewRunnerFor(sc, ws)
 		r.Workers = f.workers
 	}
-	r.IntraWorkers = f.intraWorkers
 	if f.storeDir != "" {
 		r.Store = store.Open(f.storeDir)
 	}

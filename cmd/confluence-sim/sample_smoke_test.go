@@ -11,9 +11,10 @@ package main
 // disagreed on the miss stream.
 //
 // The sampled sweep also runs twice more to gate parallel fast-forward's
-// determinism end to end: with four fast-forward workers per cell at
-// GOMAXPROCS=4, and fully serial at GOMAXPROCS=1. Their stdout must be
-// byte-identical but for the elapsed-time line.
+// determinism end to end: with one cell at a time at GOMAXPROCS=4, so
+// each cell's share of the machine steps four cores at once, and fully
+// serial at GOMAXPROCS=1. Their stdout must be byte-identical but for
+// the elapsed-time line.
 
 import (
 	"bytes"
@@ -55,9 +56,9 @@ func TestSampleSmoke(t *testing.T) {
 	}
 
 	exact := run("")
-	sampled := run("GOMAXPROCS=4", "-sample", "-intra-workers", "4")
+	sampled := run("GOMAXPROCS=4", "-sample", "-workers", "1")
 	if serial := run("GOMAXPROCS=1", "-sample"); stripElapsed(serial) != stripElapsed(sampled) {
-		t.Errorf("sampled Figure 1 differs between 4 fast-forward workers at GOMAXPROCS=4 and serial at GOMAXPROCS=1:\n--- GOMAXPROCS=4\n%s\n--- GOMAXPROCS=1\n%s", sampled, serial)
+		t.Errorf("sampled Figure 1 differs between 4 stepping cores per cell at GOMAXPROCS=4 and serial at GOMAXPROCS=1:\n--- GOMAXPROCS=4\n%s\n--- GOMAXPROCS=1\n%s", sampled, serial)
 	}
 
 	// The banner pins the plan; recompute the detail reduction from it.

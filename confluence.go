@@ -279,25 +279,6 @@ type Config struct {
 	Sampling Sampling
 	// Tuning, optional: zero value uses the paper's configuration.
 	Options Options
-	// Parallelism bounds concurrent simulations when this Config seeds a
-	// multi-cell API (CompareWith, or RunMany when its explicit parallelism
-	// parameter is zero — RunMany reads the first config's value). Zero
-	// resolves through the REPRO_WORKERS environment variable, then
-	// GOMAXPROCS. A single Run is one simulation and ignores it.
-	Parallelism int
-	// IntraParallelism bounds how many cores step at once inside this
-	// single simulation in sampled mode's fast-forward phases (see
-	// internal/cmp). Each core steps on a goroutine of its own, and the
-	// replay of their logged LLC and history writes runs on the calling
-	// goroutine beside them, outside the bound. Zero lets
-	// min(GOMAXPROCS, cores) cores step at once; 1 steps one core at a
-	// time. Detailed phases do not use it: each core's record decode and
-	// branch prediction always run on a stage goroutine of their own
-	// ahead of the timing model, so a cell uses cores+1 goroutines there
-	// whatever the value. Results are
-	// bit-identical to serial for any IntraParallelism, so the knob is
-	// pure wall-clock.
-	IntraParallelism int
 }
 
 // Result is a completed simulation.
@@ -349,10 +330,6 @@ func resolveConfig(cfg Config) (experiments.CellSpec, Config, error) {
 	cfg.WarmupInstr, cfg.MeasureInstr = sc.Warmup, sc.Measure
 	opt := cfg.Options
 	opt.Cores = sc.Cores
-	// Like Cores, the Config knobs win over Options when both are set.
-	if cfg.IntraParallelism > 0 {
-		opt.IntraWorkers = cfg.IntraParallelism
-	}
 	return experiments.CellSpec{
 		Mix: mix, TraceDir: cfg.TraceDir, Design: cfg.Design, Opt: opt,
 		Warmup: sc.Warmup, Measure: sc.Measure, Sampling: cfg.Sampling,
@@ -417,10 +394,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return runCtx(ctx, cfg, 0)
 }
 
-// runCtx is RunCtx with intraShare, when non-zero, standing in for an
-// unset in-run worker count: RunMany's share of the goroutine budget for
+// runCtx is RunCtx with intraShare bounding the cores that step
+// fast-forward at once (experiments.Simulate's workers; 0 means
+// min(GOMAXPROCS, cores)): RunMany's share of the goroutine budget for
 // each of its concurrent cells. Like every worker count it changes
-// nothing but wall-clock, so Result.Config keeps the caller's value.
+// nothing but wall-clock.
 func runCtx(ctx context.Context, cfg Config, intraShare int) (*Result, error) {
 	cell, cfg, err := resolveConfig(cfg)
 	if err != nil {
@@ -472,29 +450,16 @@ func WeightedSpeedup(mix, alone []*Stats) (float64, error) {
 	return stats.WeightedSpeedup(m, a), nil
 }
 
-// DefaultParallelism returns the simulation fan-out used when a Config's
-// Parallelism is zero: REPRO_WORKERS if set, otherwise GOMAXPROCS.
-func DefaultParallelism() int { return parallel.Workers(0) }
-
 // RunMany executes the configs concurrently on a bounded worker pool and
 // returns results in input order — never completion order, so output is
-// deterministic for any worker count. A zero parallelism falls back to the
-// first config's Parallelism, then REPRO_WORKERS, then GOMAXPROCS. The
-// first error cancels the remaining runs, including simulations already
-// in flight (RunCtx polls the context mid-run). Cells that run
-// concurrently split the goroutine budget: a config with no in-run worker
-// count of its own gets its experiments.SplitWorkers share, as a Runner's
-// cells do, rather than every cell sizing itself to the whole machine.
-// The share sizes fast-forward; detailed phases run cores+1 goroutines
-// per cell whatever it is (see IntraParallelism).
+// deterministic for any worker count. A zero parallelism falls back to
+// REPRO_WORKERS, then GOMAXPROCS. The first error cancels the remaining
+// runs, including simulations already in flight (RunCtx polls the context
+// mid-run). Cells that run concurrently split the goroutine budget: each
+// fast-forwards on its experiments.CellShare, as a Runner's cells do,
+// rather than every cell sizing itself to the whole machine.
 func RunMany(ctx context.Context, parallelism int, cfgs []Config) ([]*Result, error) {
-	if parallelism <= 0 && len(cfgs) > 0 {
-		parallelism = cfgs[0].Parallelism
-	}
-	share := 0
-	if n := min(parallel.Workers(parallelism), len(cfgs)); n > 1 {
-		share = experiments.SplitWorkers(0, n)
-	}
+	share := experiments.CellShare(min(parallel.Workers(parallelism), len(cfgs)))
 	res := make([]*Result, len(cfgs))
 	err := parallel.ForEach(ctx, parallelism, len(cfgs),
 		func(ctx context.Context, i int) error {
@@ -511,7 +476,7 @@ func RunMany(ctx context.Context, parallelism int, cfgs []Config) ([]*Result, er
 // CompareWith runs several design points under one base configuration
 // and returns speedups relative to the first design in the list: every
 // design is simulated under base (Design ignored), fanning out across
-// base.Parallelism workers.
+// REPRO_WORKERS, else GOMAXPROCS, workers.
 func CompareWith(ctx context.Context, base Config, designs []DesignPoint) (map[DesignPoint]float64, error) {
 	if len(designs) == 0 {
 		return nil, fmt.Errorf("confluence: no designs to compare")
@@ -521,7 +486,7 @@ func CompareWith(ctx context.Context, base Config, designs []DesignPoint) (map[D
 		cfgs[i] = base
 		cfgs[i].Design = dp
 	}
-	res, err := RunMany(ctx, base.Parallelism, cfgs)
+	res, err := RunMany(ctx, 0, cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -536,8 +501,8 @@ func CompareWith(ctx context.Context, base Config, designs []DesignPoint) (map[D
 // Experiments exposes the paper's table/figure runners at a given scale
 // name ("small", "default", "paper"); see package
 // confluence/internal/experiments for the individual runners. The runner's
-// grid scheduler fans simulations out across DefaultParallelism workers;
-// set Runner.Workers to override.
+// grid scheduler fans simulations out across REPRO_WORKERS, else
+// GOMAXPROCS, workers; set Runner.Workers to override.
 func Experiments(scale string) (*experiments.Runner, error) {
 	sc, ok := experiments.ScaleByName(scale)
 	if !ok {

@@ -148,10 +148,9 @@ func TestRunMany(t *testing.T) {
 }
 
 // TestRunManySplitsWorkersUnchangedResults: RunMany's concurrent cells
-// take their share of the goroutine budget in place of an unset in-run
-// worker count — an explicit one is kept — and neither the share nor the
-// degree of concurrency moves a result: every cell equals a lone RunCtx of
-// its config, Config included, sampled cells too.
+// fast-forward on their share of the goroutine budget, and neither the
+// share nor the degree of concurrency moves a result: every cell equals a
+// lone RunCtx of its config, Config included, sampled cells too.
 func TestRunManySplitsWorkersUnchangedResults(t *testing.T) {
 	w, err := BuildWorkload("DSS-Qrys")
 	if err != nil {
@@ -161,7 +160,6 @@ func TestRunManySplitsWorkersUnchangedResults(t *testing.T) {
 	for _, dp := range []DesignPoint{Base1K, FDP1K, Confluence} {
 		cfgs = append(cfgs, Config{Workload: w, Design: dp, Cores: 2, WarmupInstr: 20_000, MeasureInstr: 40_000})
 	}
-	cfgs[1].IntraParallelism = 2
 	cfgs = append(cfgs, Config{Workload: w, Design: Base1K, Cores: 2, WarmupInstr: 20_000, MeasureInstr: 40_000,
 		Sampling: Sampling{WindowInstr: 2000, PeriodInstr: 10_000, Windows: 3}})
 	want := make([]*Result, len(cfgs))
@@ -194,33 +192,5 @@ func TestRunManyPropagatesError(t *testing.T) {
 	}
 	if _, err := RunMany(t.Context(), 2, cfgs); err == nil {
 		t.Error("nil workload accepted by RunMany")
-	}
-}
-
-func TestCompareWithParallelism(t *testing.T) {
-	w, err := BuildWorkload("DSS-Qrys")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{
-		Workload: w, Cores: 2, Parallelism: 4,
-		WarmupInstr: 20_000, MeasureInstr: 50_000,
-	}
-	speedups, err := CompareWith(t.Context(), base, []DesignPoint{Base1K, Ideal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedups[Base1K] != 1.0 {
-		t.Errorf("baseline speedup = %v", speedups[Base1K])
-	}
-	if speedups[Ideal] <= 1.0 {
-		t.Errorf("Ideal speedup = %v", speedups[Ideal])
-	}
-}
-
-func TestDefaultParallelism(t *testing.T) {
-	t.Setenv("REPRO_WORKERS", "5")
-	if got := DefaultParallelism(); got != 5 {
-		t.Errorf("DefaultParallelism with REPRO_WORKERS=5 = %d", got)
 	}
 }

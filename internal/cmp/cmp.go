@@ -73,7 +73,8 @@ func New(cores []*frontend.Core, srcs []trace.Source, hier *mem.Hierarchy) (*Sys
 // the calling goroutine. Every setting is bit-identical to the serial
 // simulator.
 // SetIntra must be called before the first Run; once the engine exists
-// the configuration is frozen and later calls are ignored.
+// the configuration is frozen and later calls are ignored. Cells set it
+// in experiments.Simulate, to their caller's share of the machine.
 func (s *System) SetIntra(workers int) {
 	if s.eng != nil {
 		return
@@ -186,8 +187,8 @@ type engine struct {
 	wg     sync.WaitGroup
 
 	// ff switches phases to the functional fast-forward path: cores
-	// advance through Core.FastStep instead of Core.Step, each on a
-	// goroutine of its own, at most ffWorkers stepping at once (ffSem's
+	// advance through Core.FastStep instead of Core.StepPredicted, each on
+	// a goroutine of its own, at most ffWorkers stepping at once (ffSem's
 	// slots). Their shared-state writes are logged in chunks and replayed
 	// in canonical (round, core) order, so fast-forward is bit-identical
 	// to the serial round-robin schedule for any worker count. ffSerial

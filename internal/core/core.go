@@ -158,14 +158,6 @@ type Options struct {
 	// HistoryPerCore gives every core a private SHIFT history instead of
 	// the shared one (ablation; the paper shares).
 	HistoryPerCore bool
-	// IntraWorkers bounds how many cores step fast-forward chunks at once
-	// inside this one simulation (see internal/cmp.System.SetIntra); the
-	// replay of their logged writes runs beside them, outside the bound.
-	// Zero lets min(GOMAXPROCS, cores) cores step at once. Detailed
-	// phases do not use it: they always run each core's stream half on a
-	// stage goroutine of its own, cores+1 goroutines whatever the value.
-	// Any worker count is bit-identical to serial.
-	IntraWorkers int
 	// Sources overrides where cores' instruction streams come from. Nil
 	// selects the workload's own supply: live synthetic executors, or — for
 	// a workload carrying a TraceDir — file replay of its capture.
@@ -436,7 +428,6 @@ func NewMixSystem(mix []*synth.Workload, dp DesignPoint, opt Options) (*System, 
 		closeAll(srcs)
 		return nil, err
 	}
-	inner.SetIntra(opt.IntraWorkers)
 	sys.System = inner
 	sys.OverheadMM2 = overheadMM2(dp, opt)
 	sys.RelativeArea = area.Relative(sys.OverheadMM2)

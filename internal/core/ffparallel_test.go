@@ -25,12 +25,12 @@ func runSampledCell(t *testing.T, mix []*synth.Workload, dp DesignPoint, workers
 	ctx := context.Background()
 	opt := DefaultOptions()
 	opt.Cores = 4
-	opt.IntraWorkers = workers
 	sys, err := NewMixSystem(mix, dp, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	sys.SetIntra(workers)
 	if err := sys.FastForward(ctx, 40_000); err != nil {
 		t.Fatal(err)
 	}

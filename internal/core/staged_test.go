@@ -31,12 +31,12 @@ func runStagedCell(t *testing.T, mix []*synth.Workload, dp DesignPoint, workers 
 	t.Helper()
 	opt := DefaultOptions()
 	opt.Cores = 4
-	opt.IntraWorkers = workers
 	sys, err := NewMixSystem(mix, dp, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	sys.SetIntra(workers)
 	var c stagedCell
 	// Phases of several pipeline batches per core, so batch boundaries,
 	// phase boundaries and records decoded past a target all occur.
@@ -51,8 +51,8 @@ func runStagedCell(t *testing.T, mix []*synth.Workload, dp DesignPoint, workers 
 // TestStagedMatchesAcrossSchedules: how the stage goroutines that run
 // Step's stream half are scheduled against the weave is invisible in
 // every result — exact stats and per-core stats, sampled windows,
-// coverage and warm-snapshot bytes — at GOMAXPROCS 1, 2 and 4 and in-run
-// worker counts 0 and 1. (TestGoldenStats pins the results themselves to
+// coverage and warm-snapshot bytes — at GOMAXPROCS 1, 2 and 4 and SetIntra
+// bounds 0 and 1. (TestGoldenStats pins the results themselves to
 // the serial simulator's.) The designs cover BTBs the stream half probes
 // (conventional, two-level) and BTBs it must leave to the timing half
 // (AirBTB, eager insertion, PhantomBTB's shared store), with and without

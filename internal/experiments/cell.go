@@ -53,9 +53,9 @@ type CellSpec struct {
 // cellKeyMaterial is the canonical serialization a cell's key is hashed
 // from: everything that determines the cell's result, and nothing that
 // cannot change it. In particular worker counts (Runner.Workers,
-// Options.IntraWorkers) are absent — the determinism contract guarantees
-// they never change results. optionsKey.EpochBlocks is always 1: it
-// keeps the keys of the exact mode every cell runs in stable.
+// Simulate's fast-forward bound) are absent — the determinism contract
+// guarantees they never change results. optionsKey.EpochBlocks is always
+// 1: it keeps the keys of the exact mode every cell runs in stable.
 //
 // Workloads appear as their full synth.Profile: generation is deterministic
 // in the profile (synth.Build), so the profile is the workload's complete
@@ -98,8 +98,8 @@ type traceFileKey struct {
 }
 
 // optionsKey is core.Options restricted to the result-determining fields
-// (no IntraWorkers, no Sources), normalized so explicit defaults and
-// zero-value sentinels hash identically.
+// (no Sources), normalized so explicit defaults and zero-value sentinels
+// hash identically.
 type optionsKey struct {
 	Cores           int           `json:"cores"`
 	Air             airbtb.Config `json:"air"`
@@ -300,9 +300,10 @@ func Execute(ctx context.Context, c CellSpec, workers int, st *store.Store) (Sto
 // Simulate runs one cell without consulting st for its result: it
 // assembles the system, simulates it exactly or sampled (restoring and
 // capturing the warm snapshot under WarmKey in st), and writes the entry
-// to st under the cell's Key. A nil st runs with no store. workers stands
-// in for an unset Options.IntraWorkers — a caller's share of the
-// goroutine budget; like every worker count it changes only wall-clock. A
+// to st under the cell's Key. A nil st runs with no store. workers bounds
+// how many cores step fast-forward at once (cmp.System.SetIntra; 0 means
+// min(GOMAXPROCS, cores)) — a caller's share of the goroutine budget
+// (CellShare); like every worker count it changes only wall-clock. A
 // running cell polls ctx at every detailed batch and fast-forward chunk.
 // Callers that looked the cell up themselves (Stored) call it on a miss.
 func Simulate(ctx context.Context, c CellSpec, workers int, st *store.Store) (StoreEntry, error) {
@@ -314,9 +315,6 @@ func Simulate(ctx context.Context, c CellSpec, workers int, st *store.Store) (St
 		key, keyed = c.Key()
 	}
 	opt := c.Opt
-	if opt.IntraWorkers == 0 {
-		opt.IntraWorkers = workers
-	}
 	// Options.Sources is the most specific override and wins everywhere
 	// (core.NewMixSystem resolves it first too); TraceDir then beats the
 	// workloads' own supply.
@@ -332,6 +330,7 @@ func Simulate(ctx context.Context, c CellSpec, workers int, st *store.Store) (St
 	// path, success and error alike (the assembly above closes its own
 	// partial opens).
 	defer sys.Close()
+	sys.SetIntra(workers)
 	e := StoreEntry{OverheadMM2: sys.OverheadMM2, RelativeArea: sys.RelativeArea}
 	if c.Sampling.Enabled() {
 		var snapKey string

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -72,20 +73,10 @@ func ScaleFromEnv() Scale {
 type Runner struct {
 	Scale     Scale
 	Workloads []*synth.Workload
-	// Workers bounds concurrent simulations when a Plan executes. Zero
+	// Workers bounds concurrent simulations when a Plan executes, and each
+	// of them fast-forwards on CellShare(Workers) cores at once. Zero
 	// resolves through REPRO_WORKERS, then GOMAXPROCS (see parallel.Workers).
 	Workers int
-	// IntraWorkers enables parallelism inside each simulation
-	// (core.Options.IntraWorkers). The runner's goroutine budget is shared:
-	// with IntraWorkers > 1 the grid fan-out shrinks to
-	// max(1, Workers/IntraWorkers), so grid-level times in-run parallelism
-	// stays bounded by the configured worker count in fast-forward.
-	// Detailed phases are the exception: they always run one stage
-	// goroutine per core beside the weave, so there a cell runs cores+1
-	// goroutines whatever the count. Zero gives the whole budget to the
-	// grid and lets one core of each cell step fast-forward at a time
-	// (the replay of its writes runs beside it).
-	IntraWorkers int
 	// Sampling, when enabled, runs every cell in SMARTS-style sampled
 	// mode: warm-up by functional fast-forward (reusing durable warm
 	// snapshots when Store is set), then windowed detailed measurement
@@ -161,25 +152,16 @@ func MixName(mix []*synth.Workload) string {
 	return strings.Join(names, "+")
 }
 
-// SplitWorkers resolves a goroutine budget shared between grid-level and
-// in-run parallelism: workers (0 = REPRO_WORKERS, then GOMAXPROCS) divided
-// by the per-simulation stepping workers, floor 1 — so grid fan-out times
-// intra workers stays ≈ the budget. It is the single definition behind
-// Runner.workers() and confluence.RunMany.
-func SplitWorkers(workers, intraWorkers int) int {
-	g := parallel.Workers(workers)
-	if intraWorkers > 1 {
-		g /= intraWorkers
-		if g < 1 {
-			g = 1
-		}
-	}
-	return g
-}
+// CellShare returns the fast-forward bound (cmp.System.SetIntra) for each
+// of cells simulations that run at once: max(1, GOMAXPROCS/cells), so
+// their stepping goroutines together stay ≈ the machine. It is the single
+// definition behind Runner cells and confluence.RunMany. Detailed phases
+// do not use it: they always run one stage goroutine per core beside the
+// weave, cores+1 goroutines per cell.
+func CellShare(cells int) int { return max(1, runtime.GOMAXPROCS(0)/max(1, cells)) }
 
-// workers resolves the runner's effective grid-level worker count (see
-// SplitWorkers).
-func (r *Runner) workers() int { return SplitWorkers(r.Workers, r.IntraWorkers) }
+// workers resolves the runner's grid-level worker count.
+func (r *Runner) workers() int { return parallel.Workers(r.Workers) }
 
 // RunCtx simulates one cell, memoizing by cell key. Concurrent calls for
 // the same key simulate once and share the result (singleflight); a failed
@@ -270,12 +252,11 @@ func (e ProgressEvent) String() string {
 // runner's store, and reports it — a store hit emits the same progress
 // event a live run would, and a live run's event follows its store write,
 // so an observer that has seen a cell reported knows the cell is durable.
-// The grid already spends the goroutine budget on concurrent cells
-// (SplitWorkers), so an unset in-run count takes the runner's share —
-// IntraWorkers, floor 1 — instead of every concurrent cell fast-forwarding
-// on GOMAXPROCS workers of its own.
+// The grid already spends the goroutine budget on concurrent cells, so a
+// cell fast-forwards on its CellShare of it — 1 at the default worker
+// count — instead of on GOMAXPROCS workers of its own.
 func (r *Runner) simulate(ctx context.Context, cell CellSpec) (StoreEntry, error) {
-	e, err := Execute(ctx, cell, max(1, r.IntraWorkers), r.Store)
+	e, err := Execute(ctx, cell, CellShare(r.workers()), r.Store)
 	if err != nil {
 		return StoreEntry{}, err
 	}
@@ -291,6 +272,5 @@ func (r *Runner) simulate(ctx context.Context, cell CellSpec) (StoreEntry, error
 func (r *Runner) options() core.Options {
 	opt := core.DefaultOptions()
 	opt.Cores = r.Scale.Cores
-	opt.IntraWorkers = r.IntraWorkers
 	return opt
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -53,10 +54,9 @@ var detDesigns = []core.DesignPoint{
 func TestParallelDeterminism(t *testing.T) {
 	sc := Scale{Name: "tiny", Cores: 2, Warmup: 100_000, Measure: 150_000}
 	wB := detWorkloadB(t)
-	runGrid := func(workers, intraWorkers int) []*frontend.Stats {
+	runGrid := func(workers int) []*frontend.Stats {
 		r := NewRunnerFor(sc, []*synth.Workload{detWorkload(t)})
 		r.Workers = workers
-		r.IntraWorkers = intraWorkers
 		r.OnProgress = func(ProgressEvent) {} // exercise the serialized callback path
 		plan := r.Grid(detDesigns)
 		// A non-default-options cell too, so option-keyed memo slots are covered.
@@ -75,47 +75,39 @@ func TestParallelDeterminism(t *testing.T) {
 		return stats
 	}
 
-	serial := runGrid(1, 0)
-	for _, mode := range []struct {
-		name                  string
-		workers, intraWorkers int
-	}{
-		// Grid-level fan-out alone, in-run fast-forward workers alone, and
-		// both at once: every combination must reproduce the serial grid
-		// bit-exactly (the runner splits its goroutine budget between the
-		// two levels, so 8×2 runs ~4 concurrent cells of 2 stepping workers).
-		{"Workers=8", 8, 0},
-		{"IntraWorkers=2", 1, 2},
-		{"Workers=8+IntraWorkers=2", 8, 2},
-	} {
-		got := runGrid(mode.workers, mode.intraWorkers)
-		if len(serial) != len(got) {
-			t.Fatalf("%s: cell counts differ: %d vs %d", mode.name, len(serial), len(got))
-		}
-		for i := range serial {
-			if *serial[i] != *got[i] {
-				t.Errorf("cell %d diverged between Workers=1 and %s:\n  %+v\nvs\n  %+v",
-					i, mode.name, *serial[i], *got[i])
-			}
+	serial := runGrid(1)
+	got := runGrid(8)
+	if len(serial) != len(got) {
+		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(got))
+	}
+	for i := range serial {
+		if *serial[i] != *got[i] {
+			t.Errorf("cell %d diverged between Workers=1 and Workers=8:\n  %+v\nvs\n  %+v",
+				i, *serial[i], *got[i])
 		}
 	}
 }
 
-// TestWorkerBudgetSplit pins the grid/in-run goroutine budget arithmetic:
-// IntraWorkers divides the grid fan-out so total concurrency stays bounded.
+// TestWorkerBudgetSplit pins the fast-forward bound a Runner cell gets,
+// CellShare of the runner's worker count: the default count fills the
+// machine with cells, one stepping core each; one worker gives its cell
+// every CPU; more workers than CPUs still leave each cell one.
 func TestWorkerBudgetSplit(t *testing.T) {
-	r := NewRunnerFor(Small, nil)
-	r.Workers = 8
-	if got := r.workers(); got != 8 {
-		t.Errorf("no intra: grid workers = %d, want 8", got)
-	}
-	r.IntraWorkers = 2
-	if got := r.workers(); got != 4 {
-		t.Errorf("intra=2: grid workers = %d, want 4", got)
-	}
-	r.IntraWorkers = 16
-	if got := r.workers(); got != 1 {
-		t.Errorf("intra=16: grid workers = %d, want 1 (floor)", got)
+	t.Setenv("REPRO_WORKERS", "")
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		name           string
+		workers, share int
+	}{
+		{"default", 0, 1},
+		{"one worker", 1, procs},
+		{"more workers than CPUs", procs + 1, 1},
+	} {
+		r := NewRunnerFor(Small, nil)
+		r.Workers = c.workers
+		if got := CellShare(r.workers()); got != c.share {
+			t.Errorf("%s: Workers=%d gives a share of %d, want %d", c.name, c.workers, got, c.share)
+		}
 	}
 }
 

@@ -156,12 +156,12 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 	run := func(intraWorkers int) any {
 		opt := core.DefaultOptions()
 		opt.Cores = 2
-		opt.IntraWorkers = intraWorkers
 		sys, err := core.NewMixSystem([]*synth.Workload{w}, core.Confluence, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sys.Close()
+		sys.SetIntra(intraWorkers)
 		agg, perCore, rep, err := runSampled(t.Context(), sys, 80_000, sp, nil, "")
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 	}
 	a, b := run(1), run(4)
 	if !reflect.DeepEqual(a, b) {
-		t.Error("sampled run diverged between IntraWorkers=1 and IntraWorkers=4")
+		t.Error("sampled run diverged between SetIntra(1) and SetIntra(4)")
 	}
 }
 

@@ -161,12 +161,6 @@ func TestCellStoreKeyIdentity(t *testing.T) {
 
 	ref := key(base, core.Base1K)
 
-	// Worker counts must not change the key (determinism contract).
-	intra := base
-	intra.IntraWorkers = 8
-	if key(intra, core.Base1K) != ref {
-		t.Error("IntraWorkers changed the store key")
-	}
 	// Zero-valued sentinels and their explicit defaults are one cell.
 	sparse := core.Options{Cores: 2}
 	if key(sparse, core.Base1K) != ref {
@@ -251,8 +245,7 @@ func TestCellKeysPinned(t *testing.T) {
 // slot with the cell it differs from.
 func TestCellKeyCoversEveryField(t *testing.T) {
 	excluded := map[string]string{
-		"Opt.IntraWorkers": "worker counts never change results (the determinism contract)",
-		"Opt.Sources":      "opaque code: a cell with a source override has no key at all",
+		"Opt.Sources": "opaque code: a cell with a source override has no key at all",
 	}
 	cell := CellSpec{
 		Mix:    []*synth.Workload{{Prof: synth.OLTPDB2()}},

@@ -34,6 +34,7 @@ func fleetGrid(spec *confluence.JobSpec) ([]fleet.Cell, error) {
 	}
 	// Scheduling knobs are each worker's own business; a payload carrying
 	// the parent job's fan-out would nest parallelism inside the fleet's.
+	// Every other field of the spec names the cell.
 	payload := *spec
 	payload.Parallelism, payload.Priority = 0, 0
 	data, err := json.Marshal(&payload)

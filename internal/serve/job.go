@@ -209,7 +209,9 @@ func (j *Job) summary(withSpec bool) Summary {
 // workload share one build.
 // Within a job, cells fan out across max(1, spec.Parallelism)
 // goroutines; the default is serial so one job cannot oversubscribe the
-// daemon (the queue's Workers knob governs cross-job concurrency).
+// daemon (the queue's Workers knob governs cross-job concurrency). Each
+// cell fast-forwards min(GOMAXPROCS, cores) cores at once, as a lone
+// RunCtx does.
 func ExecuteSpec(ctx context.Context, spec *confluence.JobSpec, storeDir string, emit func(experiments.ProgressEvent)) (*Result, error) {
 	cells, err := spec.Cells()
 	if err != nil {

@@ -184,10 +184,9 @@ func TestResubmitAnsweredFromCells(t *testing.T) {
 		done bool
 	}{
 		{"priority", variant(func(s *confluence.JobSpec) { s.Priority = 9 }), true},
-		{"parallelism", variant(func(s *confluence.JobSpec) { s.Parallelism, s.IntraParallelism = 8, 4 }), true},
+		{"parallelism", variant(func(s *confluence.JobSpec) { s.Parallelism = 8 }), true},
 		{"kind point", variant(func(s *confluence.JobSpec) { s.Kind = confluence.KindPoint }), true},
 		{"explicit default measure", variant(func(s *confluence.JobSpec) { s.MeasureInstr = 1_500_000 }), true},
-		{"epoch_blocks 1", variant(func(s *confluence.JobSpec) { s.EpochBlocks = 1 }), true},
 		{"other design", variant(func(s *confluence.JobSpec) { s.Design = "Confluence" }), false},
 	} {
 		sum := submitted(t, ts, tc.spec)

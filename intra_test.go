@@ -1,9 +1,8 @@
 package confluence
 
 import (
+	"runtime"
 	"testing"
-
-	"confluence/internal/core"
 )
 
 // intraDesigns covers every shared-structure flavor the engine must
@@ -30,9 +29,11 @@ func statsEqual(t *testing.T, label string, a, b *Result) {
 }
 
 // TestIntraK1BitIdentity is the worker-count determinism anchor: the
-// weave order is the serial round-robin, so any in-run worker count must
-// be bit-identical to the serial engine — per design, homogeneous and
-// consolidated alike.
+// weave order is the serial round-robin, so however many cores a run
+// steps at once — min(GOMAXPROCS, cores) for a lone Run, one at
+// GOMAXPROCS 1 — it must be bit-identical to the serial engine, per
+// design, homogeneous and consolidated alike. It sets GOMAXPROCS, so it
+// does not run in parallel with other tests.
 func TestIntraK1BitIdentity(t *testing.T) {
 	w, err := BuildWorkload("OLTP-DB2")
 	if err != nil {
@@ -42,11 +43,9 @@ func TestIntraK1BitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(dp DesignPoint, mix []*Workload, intra int) *Result {
-		cfg := Config{
-			Design: dp, Cores: 4, WarmupInstr: 20_000, MeasureInstr: 40_000,
-			IntraParallelism: intra,
-		}
+	run := func(dp DesignPoint, mix []*Workload, sp Sampling, procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := Config{Design: dp, Cores: 4, WarmupInstr: 20_000, MeasureInstr: 40_000, Sampling: sp}
 		if len(mix) == 1 {
 			cfg.Workload = mix[0]
 		} else {
@@ -54,29 +53,34 @@ func TestIntraK1BitIdentity(t *testing.T) {
 		}
 		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%v intra=%d: %v", dp, intra, err)
+			t.Fatalf("%v GOMAXPROCS=%d: %v", dp, procs, err)
 		}
 		return res
 	}
 	for _, dp := range intraDesigns {
-		serial := run(dp, []*Workload{w}, 1)
-		for _, intra := range []int{2, 8} {
-			statsEqual(t, dp.String(), serial, run(dp, []*Workload{w}, intra))
+		serial := run(dp, []*Workload{w}, Sampling{}, 1)
+		for _, procs := range []int{2, 8} {
+			statsEqual(t, dp.String(), serial, run(dp, []*Workload{w}, Sampling{}, procs))
 		}
 	}
 	// A heterogeneous mix: consolidation shares the history across address
-	// spaces and must stay exact too.
-	serialMix := run(Confluence, []*Workload{w, wb}, 1)
-	for _, intra := range []int{2, 8} {
-		statsEqual(t, "Confluence mix", serialMix, run(Confluence, []*Workload{w, wb}, intra))
+	// spaces and must stay exact too, and sampled, where GOMAXPROCS sets
+	// how many cores step fast-forward at once.
+	sampled := Sampling{WindowInstr: 2_000, PeriodInstr: 10_000, Windows: 3, WindowWarmupInstr: 1_000}
+	for _, sp := range []Sampling{{}, sampled} {
+		serialMix := run(Confluence, []*Workload{w, wb}, sp, 1)
+		for _, procs := range []int{2, 8} {
+			statsEqual(t, "Confluence mix", serialMix, run(Confluence, []*Workload{w, wb}, sp, procs))
+		}
 	}
 }
 
 // TestIntraRaceMix is the -race workout: an 8-core heterogeneous
-// consolidation, sampled so that 4 cores step fast-forward chunks
-// concurrently while the generator cores log history records for the
-// shared history, runs under the race detector in CI.
+// consolidation, sampled at GOMAXPROCS 4 so that 4 cores step
+// fast-forward chunks concurrently while the generator cores log history
+// records for the shared history, runs under the race detector in CI.
 func TestIntraRaceMix(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	names := []string{"OLTP-DB2", "Web-Frontend", "DSS-Qrys"}
 	var mix []*Workload
 	for _, n := range names {
@@ -90,7 +94,7 @@ func TestIntraRaceMix(t *testing.T) {
 	res, err := Run(Config{
 		Mix: mix, Design: Confluence, Cores: 8,
 		WarmupInstr: 20_000, MeasureInstr: 40_000,
-		IntraParallelism: 4, Sampling: sp,
+		Sampling: sp,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,19 +102,16 @@ func TestIntraRaceMix(t *testing.T) {
 	if res.Stats.Instructions == 0 || res.Stats.IPC() <= 0 || res.Sampled == nil {
 		t.Fatal("race mix run produced no sampled work")
 	}
-	// And the same mix through Options plumbing (core.Options rather than
-	// Config), as experiments wire it.
-	opt := core.DefaultOptions()
-	opt.Cores = 8
-	opt.IntraWorkers = 4
+	// And PhantomBTB, whose shared group store keeps fast-forward on the
+	// serial schedule.
 	res2, err := Run(Config{
 		Mix: mix, Design: PhantomSHIFT, Cores: 8,
-		WarmupInstr: 20_000, MeasureInstr: 40_000, Options: opt, Sampling: sp,
+		WarmupInstr: 20_000, MeasureInstr: 40_000, Sampling: sp,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Stats.Instructions == 0 {
-		t.Fatal("options-plumbed race run produced no work")
+		t.Fatal("PhantomBTB race run produced no work")
 	}
 }

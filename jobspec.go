@@ -66,13 +66,9 @@ type JobSpec struct {
 	MeasureInstr uint64 `json:"measure_instr,omitempty"`
 	NoWarmup     bool   `json:"no_warmup,omitempty"`
 
-	// Parallelism knobs (Config semantics).
-	Parallelism      int `json:"parallelism,omitempty"`
-	IntraParallelism int `json:"intra_parallelism,omitempty"`
-	// EpochBlocks is accepted for compatibility and has no effect: 0 and
-	// 1 name the exact mode every job runs in, and larger values (the
-	// removed bound-weave approximation) are rejected.
-	EpochBlocks int `json:"epoch_blocks,omitempty"`
+	// Parallelism bounds how many of the job's cells the serving layer
+	// simulates at once (serve.ExecuteSpec; zero means one at a time).
+	Parallelism int `json:"parallelism,omitempty"`
 
 	// Sampled execution (Config.Sampling semantics): the fields map
 	// onto the Sampling plan field for field; all zero runs exact.
@@ -163,11 +159,8 @@ func (s *JobSpec) Validate() error {
 	if name, ok := repeated(s.Designs); ok {
 		return bad("designs names %q more than once", name)
 	}
-	if s.Cores < 0 || s.Parallelism < 0 || s.IntraParallelism < 0 || s.EpochBlocks < 0 {
-		return bad("cores/parallelism/intra_parallelism/epoch_blocks must be non-negative")
-	}
-	if s.EpochBlocks > 1 {
-		return bad("epoch_blocks > 1 (bound-weave K>1) was removed; omit the field")
+	if s.Cores < 0 || s.Parallelism < 0 {
+		return bad("cores/parallelism must be non-negative")
 	}
 	if s.SampleWindows < 0 {
 		return bad("sample_windows must be non-negative")
@@ -312,14 +305,12 @@ func (s *JobSpec) sampling() Sampling {
 // (workloads and design still unset).
 func (s *JobSpec) baseConfig() Config {
 	return Config{
-		Cores:            s.Cores,
-		WarmupInstr:      s.WarmupInstr,
-		MeasureInstr:     s.MeasureInstr,
-		NoWarmup:         s.NoWarmup,
-		TraceDir:         s.TraceDir,
-		Parallelism:      s.Parallelism,
-		IntraParallelism: s.IntraParallelism,
-		Sampling:         s.sampling(),
+		Cores:        s.Cores,
+		WarmupInstr:  s.WarmupInstr,
+		MeasureInstr: s.MeasureInstr,
+		NoWarmup:     s.NoWarmup,
+		TraceDir:     s.TraceDir,
+		Sampling:     s.sampling(),
 	}
 }
 

@@ -34,25 +34,33 @@ func TestParseJobSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// malformedSpecs are bodies the strict decoder must reject.
-var malformedSpecs = []struct{ name, body string }{
-	{"unknown top-level field", `{"design":"Base1K","workload":"DSS-Qrys","typo_field":1}`},
-	{"unknown profile field", `{"design":"Base1K","workload":"DSS-Qrys","profile":{"seeds":7}}`},
-	{"trailing data", `{"design":"Base1K","workload":"DSS-Qrys"} extra`},
-	{"second JSON object", `{"design":"Base1K","workload":"DSS-Qrys"}{}`},
-	{"not an object", `[1,2,3]`},
-	{"removed bound-weave depth", `{"design":"Base1K","workload":"DSS-Qrys","epoch_blocks":8}`},
-	{"repeated sweep workload", `{"kind":"sweep","workloads":["DSS-Qrys","KeyValue","DSS-Qrys"],"designs":["Base1K"]}`},
-	{"repeated sweep design", `{"kind":"sweep","designs":["Base1K","Ideal","Base1K"]}`},
-	{"repeated mixstudy design", `{"kind":"mixstudy","mix":["DSS-Qrys","KeyValue"],"designs":["Ideal","Ideal"]}`},
-	{"mix wider than the CMP", `{"mix":["DSS-Qrys","KeyValue","OLTP-DB2"],"design":"Base1K","cores":2}`},
-	{"mixstudy wider than the CMP", `{"kind":"mixstudy","mix":["DSS-Qrys","KeyValue","OLTP-DB2"],"cores":2}`},
+// malformedSpecs are bodies the strict decoder must reject; a non-empty
+// field must appear in the error (a removed field is named by it).
+var malformedSpecs = []struct{ name, body, field string }{
+	{"unknown top-level field", `{"design":"Base1K","workload":"DSS-Qrys","typo_field":1}`, "typo_field"},
+	{"unknown profile field", `{"design":"Base1K","workload":"DSS-Qrys","profile":{"seeds":7}}`, "seeds"},
+	{"trailing data", `{"design":"Base1K","workload":"DSS-Qrys"} extra`, ""},
+	{"second JSON object", `{"design":"Base1K","workload":"DSS-Qrys"}{}`, ""},
+	{"not an object", `[1,2,3]`, ""},
+	{"removed bound-weave depth", `{"design":"Base1K","workload":"DSS-Qrys","epoch_blocks":8}`, "epoch_blocks"},
+	{"repeated sweep workload", `{"kind":"sweep","workloads":["DSS-Qrys","KeyValue","DSS-Qrys"],"designs":["Base1K"]}`, ""},
+	{"repeated sweep design", `{"kind":"sweep","designs":["Base1K","Ideal","Base1K"]}`, ""},
+	{"repeated mixstudy design", `{"kind":"mixstudy","mix":["DSS-Qrys","KeyValue"],"designs":["Ideal","Ideal"]}`, ""},
+	{"mix wider than the CMP", `{"mix":["DSS-Qrys","KeyValue","OLTP-DB2"],"design":"Base1K","cores":2}`, ""},
+	{"mixstudy wider than the CMP", `{"kind":"mixstudy","mix":["DSS-Qrys","KeyValue","OLTP-DB2"],"cores":2}`, ""},
+	{"removed epoch_blocks 0", `{"design":"Base1K","workload":"DSS-Qrys","epoch_blocks":0}`, "epoch_blocks"},
+	{"removed epoch_blocks 1", `{"design":"Base1K","workload":"DSS-Qrys","epoch_blocks":1}`, "epoch_blocks"},
+	{"removed in-run worker count", `{"design":"Base1K","workload":"DSS-Qrys","intra_parallelism":2}`, "intra_parallelism"},
 }
 
 func TestParseJobSpecStrictness(t *testing.T) {
 	for _, c := range malformedSpecs {
-		if _, err := ParseJobSpec([]byte(c.body)); err == nil {
+		_, err := ParseJobSpec([]byte(c.body))
+		switch {
+		case err == nil:
 			t.Errorf("%s: accepted %s", c.name, c.body)
+		case !strings.Contains(err.Error(), c.field):
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
 		}
 	}
 }
@@ -66,9 +74,9 @@ func FuzzParseJobSpec(f *testing.F) {
 	for _, s := range []JobSpec{
 		{Kind: KindPoint, Workload: "OLTP-DB2", Design: "Confluence", Cores: 2, WarmupInstr: 30_000, MeasureInstr: 60_000, Parallelism: 2, Priority: 3,
 			Profile: &ProfileTweak{Functions: 520, RequestTypes: 6, Concurrency: 6, Seed: &seed}},
-		{Mix: []string{"DSS-Qrys", "KeyValue"}, Design: "Base1K", NoWarmup: true, EpochBlocks: 1},
+		{Mix: []string{"DSS-Qrys", "KeyValue"}, Design: "Base1K", NoWarmup: true},
 		{Kind: KindSweep, Workloads: []string{"DSS-Qrys", "KeyValue"}, Designs: []string{"Base1K", "Ideal"}},
-		{Kind: KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue"}, IntraParallelism: 2},
+		{Kind: KindMixStudy, Mix: []string{"DSS-Qrys", "KeyValue"}, Parallelism: 2},
 		{Workload: "DSS-Qrys", Design: "Base1K", SampleWindowInstr: 6000, SamplePeriodInstr: 60_000, SampleWindows: 8, SampleWindowWarmupInstr: 3000, SampleJitterSeed: 1},
 		{TraceDir: "capture", Design: "Base1K"},
 		{Workload: "DSS-Qrys", Design: "Base1K", Profile: &ProfileTweak{Functions: -5}},
