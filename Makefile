@@ -26,13 +26,16 @@ test:
 
 # The second command pins the detailed pipeline against testdata/golden.json,
 # the pipelined fast-forward against the serial schedule, the concurrent
-# restore skip, snapshot restore, and the LRU buffers against their
-# linear-scan references, whatever the machine's core count: at -cpu 1 the
-# stage, stepping and skipping goroutines share the weave's or the
-# replay's CPU, at -cpu 4 they run beside it.
+# restore skip, snapshot restore, the LRU buffers against their
+# linear-scan references, AirBTB against its bundle-map reference, the
+# L1-I slot path and the fused BTB Predict against the Lookup/Insert and
+# Lookup-then-Resolve they replace, the resident-block invariant and the
+# stream/weave cache-line split, whatever the machine's core count: at
+# -cpu 1 the stage, stepping and skipping goroutines share the weave's or
+# the replay's CPU, at -cpu 4 they run beside it.
 race:
 	go test -race ./...
-	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged|FastForward|TestIntra|SkipRecords|Restore|Victim' . ./internal/cmp ./internal/core ./internal/cache ./internal/airbtb
+	go test -race -count=1 -cpu 1,4 -run 'TestGoldenStats|TestStaged|FastForward|TestIntra|SkipRecords|Restore|Victim|BundleMapReference|MatchesLookup|ResidentBlockNeverInFlight|AirBTBStepsBitIdentical|StreamFieldsOffWeaveLines' . ./internal/cmp ./internal/core ./internal/cache ./internal/airbtb ./internal/btb ./internal/phantom ./internal/frontend
 
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x ./...

@@ -1,47 +1,50 @@
 // Package airbtb implements AirBTB, the paper's block-based BTB whose
 // contents mirror the L1-I (§3.1–3.3).
 //
-// AirBTB keeps one bundle per L1-I-resident instruction block. A bundle is
-// tagged by the block address (amortizing the tag over all branches in the
-// block), carries a 16-bit branch bitmap marking which instruction slots
-// hold branches, and stores a fixed number of branch entries (offset, type,
-// target). Branches that do not fit overflow into a small fully-associative
-// LRU overflow buffer — cache.Victim, the same buffer the conventional
-// BTB's victim buffer and PhantomBTB's prefetch buffer use, keyed by
-// branch PC. Insertions and evictions are driven by L1-I fills and
-// evictions — Confluence's synchronization — so the bundle store never
-// conflicts between two L1-I-resident blocks, and a bundle's eviction
-// drops its overflowed entries one bitmap slot at a time.
+// AirBTB keeps one bundle per L1-I-resident instruction block, and here
+// the bundles live in the L1-I's own slots: an AirBTB is bound to its
+// core's L1-I (Bind), and bundle i belongs to whichever block occupies
+// L1-I slot i (set*ways + way). A bundle is tagged by its block
+// (amortizing the tag over all branches in the block), carries a 16-bit
+// branch bitmap marking which instruction slots hold branches, and holds
+// a fixed number of branch entries — the block's first EntriesPerBundle
+// branches. Branches that do not fit overflow into a small
+// fully-associative LRU overflow buffer — cache.Victim, the same buffer
+// the conventional BTB's victim buffer and PhantomBTB's prefetch buffer
+// use, keyed by branch PC. A bundle is written only by the fill of its
+// L1-I slot — Confluence's synchronization — so the bundle store never
+// conflicts between two L1-I-resident blocks, and a fill that displaces a
+// block first drops that block's overflowed entries one bitmap slot at a
+// time.
+//
+// The model reads only whether a branch is reachable, never its stored
+// target or type, so a bundle keeps the offsets of its entries and no
+// target fields; the overflow buffer keeps whole entries.
 package airbtb
 
 import (
+	"fmt"
 	"math/bits"
 
-	"confluence/internal/btb"
 	"confluence/internal/cache"
-	"confluence/internal/flatmap"
 	"confluence/internal/isa"
 	"confluence/internal/trace"
 )
 
-// Entry is one branch record inside a bundle.
+// Entry is one overflowed branch record.
 type Entry struct {
 	Target isa.Addr
 	Offset uint8 // instruction slot within the block
 	Kind   isa.BranchKind
 }
 
-// Bundle holds the BTB state of one instruction block.
-type Bundle struct {
-	Bitmap  uint16 // branch positions in the block (all branches, incl. overflowed)
-	N       uint8  // entries used
-	Entries [4]Entry
-}
+// maxEntries bounds EntriesPerBundle: the paper evaluates 3 and 4.
+const maxEntries = 4
 
 // Config sizes AirBTB. The paper's final design: 512 bundles (as many as
 // L1-I blocks), 3 entries per bundle, a 32-entry overflow buffer.
 type Config struct {
-	Bundles          int // must equal the L1-I block count for strict sync
+	Bundles          int // must equal the L1-I block count (Bind checks)
 	EntriesPerBundle int // 3 or 4
 	OverflowEntries  int // 0 disables the overflow buffer
 }
@@ -63,18 +66,23 @@ func (c Config) StorageBits() int {
 	return c.Bundles*perBundle + c.OverflowEntries*perOverflow
 }
 
-// AirBTB is one core's instance. Its content is maintained exclusively via
-// BlockFilled/BlockEvicted, which Confluence drives from L1-I fills.
+// noOwner marks a bundle slot no fill has written yet; no block key
+// (an address shifted right by isa.BlockShift) reaches it.
+const noOwner = ^uint64(0)
+
+// AirBTB is one core's instance. Its bundles are written exclusively by
+// BlockFilled, which the frontend calls on every fill of the bound L1-I.
 //
-// Bundles live inline in an open-addressed table keyed by block address,
-// sized once to the configured bundle count (L1-I synchronization bounds
-// residency at cfg.Bundles): fills store a bundle by value and evictions
-// use backward-shift deletion, so no per-fill allocation and no Go-map
-// hashing on the lookup path. The overflow buffer is nil when the
-// configuration has none.
+// owner and mask are indexed by L1-I slot. owner[s] is the block key of
+// the bundle in slot s, or noOwner; mask[s] holds that block's branch
+// bitmap in its low 16 bits and, in its high 16, the offsets of the
+// branches the bundle holds itself — its first EntriesPerBundle. The
+// overflow buffer is nil when the configuration has none.
 type AirBTB struct {
 	cfg      Config
-	bundles  *flatmap.Map[Bundle]
+	l1i      *cache.Cache
+	owner    []uint64
+	mask     []uint32
 	overflow *cache.Victim[Entry]
 
 	// Stats.
@@ -83,16 +91,34 @@ type AirBTB struct {
 	OverflowMissedSlots uint64 // branch marked in bitmap but entry lost
 }
 
-// New creates an AirBTB.
+// New creates an AirBTB; Bind must attach it to its L1-I before use.
 func New(cfg Config) *AirBTB {
-	if cfg.EntriesPerBundle < 1 || cfg.EntriesPerBundle > len(Bundle{}.Entries) {
+	if cfg.EntriesPerBundle < 1 || cfg.EntriesPerBundle > maxEntries {
 		panic("airbtb: entries per bundle out of range")
 	}
-	a := &AirBTB{cfg: cfg, bundles: flatmap.New[Bundle](cfg.Bundles)}
+	if cfg.Bundles <= 0 {
+		panic("airbtb: bundle count must be positive")
+	}
+	a := &AirBTB{cfg: cfg, owner: make([]uint64, cfg.Bundles), mask: make([]uint32, cfg.Bundles)}
+	for i := range a.owner {
+		a.owner[i] = noOwner
+	}
 	if cfg.OverflowEntries > 0 {
 		a.overflow = cache.NewVictim[Entry](cfg.OverflowEntries)
 	}
 	return a
+}
+
+// Bind attaches the L1-I whose slots hold the bundles. The L1-I must be
+// empty and hold exactly Config.Bundles blocks.
+func (a *AirBTB) Bind(l1i *cache.Cache) {
+	if l1i.Capacity() != a.cfg.Bundles {
+		panic(fmt.Sprintf("airbtb: %d bundles bound to a %d-block L1-I", a.cfg.Bundles, l1i.Capacity()))
+	}
+	if l1i.Len() != 0 {
+		panic("airbtb: bound to a non-empty L1-I")
+	}
+	a.l1i = l1i
 }
 
 // overflowKey keys a branch's overflow entry by its instruction slot:
@@ -109,136 +135,119 @@ func (a *AirBTB) Name() string { return "AirBTB" }
 func (a *AirBTB) Config() Config { return a.cfg }
 
 // Resident returns the number of bundles currently installed.
-func (a *AirBTB) Resident() int { return a.bundles.Len() }
+func (a *AirBTB) Resident() int {
+	n := 0
+	for _, o := range a.owner {
+		if o != noOwner {
+			n++
+		}
+	}
+	return n
+}
 
 // HasBundle reports whether a bundle exists for the given block address
 // (used by the L1-I/AirBTB synchronization invariant checks).
 func (a *AirBTB) HasBundle(block isa.Addr) bool {
-	return a.bundles.Contains(uint64(block))
+	key := uint64(block) >> isa.BlockShift
+	for _, o := range a.owner {
+		if o == key {
+			return true
+		}
+	}
+	return false
 }
 
-// Lookup implements the frontend BTB interface: the prediction for the
-// basic block starting at bb succeeds when the bundle for the branch's
-// block is present and the branch's entry is reachable (bundle or overflow
-// buffer). A missing bundle or a lost overflowed entry is a miss, in which
-// case the BPU falls back to a speculative sequential fetch region (§3.3).
-func (a *AirBTB) Lookup(now float64, bb, brPC isa.Addr) btb.Result {
-	block := isa.BlockOf(brPC)
-	b := a.bundles.Ptr(uint64(block))
-	if b == nil {
-		return btb.Result{}
+// Predict implements the frontend BTB interface by finding the branch's
+// block in the bound L1-I and taking PredictSlot's verdict.
+func (a *AirBTB) Predict(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) (bool, float64) {
+	slot, resident := a.l1i.Find(uint64(br.PC) >> isa.BlockShift)
+	return a.PredictSlot(slot, resident, br), 0
+}
+
+// PredictSlot predicts br, whose block the caller found at slot of the
+// bound L1-I (resident false: not in the L1-I), and trains on it; the
+// slot must still hold that block, so that its bundle is the block's. The
+// prediction hits when the block's bundle holds the branch, or its
+// bitmap marks the branch and the overflow buffer holds it; a missing
+// bundle or a lost overflowed entry is a miss, in which case the BPU
+// falls back to a speculative sequential fetch region (§3.3). A taken
+// branch whose entry belongs to the overflow buffer is then installed or
+// refreshed there — the buffer caches the *executed* overflow set rather
+// than the fill-order one.
+func (a *AirBTB) PredictSlot(slot int, resident bool, br trace.BranchInfo) bool {
+	if !resident {
+		return false
 	}
-	off := uint8(isa.BlockIndex(brPC))
-	if b.Bitmap&(1<<off) == 0 {
+	off := uint8(isa.BlockIndex(br.PC))
+	bit := uint32(1) << off
+	m := a.mask[slot]
+	if m&bit == 0 {
 		// Bitmap says "no branch here": sync guarantees bitmaps reflect the
 		// block's true static branches, so this cannot happen for executed
 		// branches; treat defensively as a miss.
-		return btb.Result{}
+		return false
 	}
-	for i := uint8(0); i < b.N; i++ {
-		if b.Entries[i].Offset == off {
-			e := b.Entries[i]
-			return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
-		}
+	if m&(bit<<16) != 0 {
+		return true
 	}
-	if a.overflow != nil {
-		if e, ok := a.overflow.Peek(overflowKey(brPC)); ok {
-			return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
-		}
+	if a.overflow == nil {
+		a.OverflowMissedSlots++
+		return false
 	}
-	a.OverflowMissedSlots++
-	return btb.Result{}
+	key := overflowKey(br.PC)
+	_, hit := a.overflow.Peek(key)
+	if !hit {
+		a.OverflowMissedSlots++
+	}
+	if br.Taken && br.Kind.IsBranch() {
+		a.overflow.Put(key, Entry{Offset: off, Kind: br.Kind, Target: br.Target})
+	}
+	return hit
 }
 
-// Resolve implements the frontend BTB interface. AirBTB allocates bundles
-// only in sync with L1-I fills, but resolved branches keep the structure
-// warm in two ways: indirect targets refresh the stored target field, and a
-// taken branch whose entry was lost from the overflow buffer (bitmap bit
-// set, no entry reachable) is re-installed there — the overflow buffer
-// caches the *executed* overflow set rather than the fill-order one.
-func (a *AirBTB) Resolve(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) {
-	if !br.Taken || !br.Kind.IsBranch() {
-		return
-	}
-	block := isa.BlockOf(br.PC)
-	b := a.bundles.Ptr(uint64(block))
-	if b == nil {
-		return
-	}
-	off := uint8(isa.BlockIndex(br.PC))
-	for i := uint8(0); i < b.N; i++ {
-		if b.Entries[i].Offset == off {
-			if !br.Kind.IsDirect() {
-				b.Entries[i].Target = br.Target
-			}
-			return
+// BlockFilled implements the frontend BTB interface: block has just been
+// filled into L1-I slot slot. The bundle the slot held leaves first,
+// taking its overflowed entries along; then the new block's predecoded
+// branches are installed eagerly — the first EntriesPerBundle into the
+// bundle, the rest into the overflow buffer (§3.2).
+func (a *AirBTB) BlockFilled(now float64, slot int, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
+	key := uint64(block) >> isa.BlockShift
+	if old := a.owner[slot]; old != noOwner {
+		a.dropOverflowed(old, a.mask[slot])
+		if old != key {
+			a.Evictions++
 		}
 	}
-	if b.Bitmap&(1<<off) == 0 {
-		return
-	}
-	// The entry belongs to the overflow buffer; insert or refresh it.
-	if a.overflow != nil {
-		a.overflow.Put(overflowKey(br.PC), Entry{Offset: off, Kind: br.Kind, Target: br.Target})
-	}
-}
-
-// BlockFilled implements the frontend BTB interface: predecoded branches of
-// the newly L1-I-resident block are installed eagerly — the first
-// EntriesPerBundle into the bundle, the rest into the overflow buffer
-// (§3.2).
-func (a *AirBTB) BlockFilled(now float64, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
-	if old := a.bundles.Ptr(uint64(block)); old != nil {
-		// Refill of a resident block (shouldn't happen under strict sync);
-		// drop the old state first.
-		a.dropOverflowed(block, old)
-	}
-	var b Bundle
-	for _, pb := range branches {
-		b.Bitmap |= 1 << pb.Offset
-		e := Entry{Offset: pb.Offset, Kind: pb.Kind, Target: pb.Target}
-		if int(b.N) < a.cfg.EntriesPerBundle {
-			b.Entries[b.N] = e
-			b.N++
-		} else {
-			if a.overflow != nil {
-				a.overflow.Put(overflowKey(pb.PC(block)), e)
-			}
-			a.OverflowInserts++
+	var bitmap, held uint32
+	for i, pb := range branches {
+		bitmap |= 1 << pb.Offset
+		if i < a.cfg.EntriesPerBundle {
+			held |= 1 << pb.Offset
+			continue
 		}
+		if a.overflow != nil {
+			a.overflow.Put(overflowKey(pb.PC(block)), Entry{Offset: pb.Offset, Kind: pb.Kind, Target: pb.Target})
+		}
+		a.OverflowInserts++
 	}
-	a.bundles.Put(uint64(block), b)
+	a.owner[slot], a.mask[slot] = key, bitmap|held<<16
 	a.Fills++
 }
 
-// BlockEvicted implements the frontend BTB interface: the bundle leaves
-// with its block, taking its overflowed entries along.
-func (a *AirBTB) BlockEvicted(block isa.Addr) {
-	b := a.bundles.Ptr(uint64(block))
-	if b == nil {
-		return
-	}
-	a.dropOverflowed(block, b)
-	a.bundles.Delete(uint64(block))
-	a.Evictions++
-}
-
 // StreamOnly implements the frontend BTB interface: false, because the
-// bundles are filled and evicted with their L1-I blocks.
+// bundles are filled with their L1-I blocks.
 func (a *AirBTB) StreamOnly() bool { return false }
 
-// dropOverflowed removes from the overflow buffer the entries of the
-// branches in b's bitmap that the bundle does not hold itself.
-func (a *AirBTB) dropOverflowed(block isa.Addr, b *Bundle) {
+// dropOverflowed removes from the overflow buffer, in ascending offset
+// order, the entries of the branches in block key's bitmap that its
+// bundle (mask) does not hold itself.
+func (a *AirBTB) dropOverflowed(key uint64, mask uint32) {
 	if a.overflow == nil {
 		return
 	}
-	inBundle := uint16(0)
-	for i := uint8(0); i < b.N; i++ {
-		inBundle |= 1 << b.Entries[i].Offset
-	}
-	for over := b.Bitmap &^ inBundle; over != 0; over &= over - 1 {
+	block := key << isa.BlockShift
+	for over := uint16(mask) &^ uint16(mask>>16); over != 0; over &= over - 1 {
 		off := bits.TrailingZeros16(over)
-		a.overflow.Remove(uint64(block) + uint64(off*isa.InstrBytes))
+		a.overflow.Remove(block + uint64(off*isa.InstrBytes))
 	}
 }

@@ -6,18 +6,19 @@ import (
 	"slices"
 	"testing"
 
-	"confluence/internal/btb"
 	"confluence/internal/isa"
 	"confluence/internal/trace"
 )
 
-// refAirBTB is AirBTB as it was before its overflow buffer became a
-// cache.Victim: bundles in a Go map and a private linear-scan stamp-LRU
-// overflow buffer that a bundle's eviction sweeps whole for the block's
-// entries. TestOverflowMatchesBlockSweep holds AirBTB to it.
+// refAirBTB is AirBTB as it was before its bundles moved into the
+// L1-I's slots: bundles in a Go map keyed by block, filled and evicted by
+// separate hooks, answering Lookup and then training in Resolve, with a
+// private linear-scan stamp-LRU overflow buffer that a bundle's eviction
+// sweeps whole for the block's entries. TestMatchesBundleMapReference
+// holds AirBTB to it.
 type refAirBTB struct {
 	cfg     Config
-	bundles map[isa.Addr]Bundle
+	bundles map[isa.Addr]refBundle
 
 	cap   int
 	pcs   []isa.Addr
@@ -28,8 +29,16 @@ type refAirBTB struct {
 	fills, evictions, inserts, missed uint64
 }
 
+// refBundle is one block's bundle: its bitmap and its first
+// EntriesPerBundle branch entries.
+type refBundle struct {
+	Bitmap  uint16
+	N       uint8
+	Entries [maxEntries]Entry
+}
+
 func newRef(cfg Config) *refAirBTB {
-	return &refAirBTB{cfg: cfg, bundles: map[isa.Addr]Bundle{}, cap: cfg.OverflowEntries}
+	return &refAirBTB{cfg: cfg, bundles: map[isa.Addr]refBundle{}, cap: cfg.OverflowEntries}
 }
 
 func (o *refAirBTB) tick() uint64 {
@@ -85,26 +94,25 @@ func (o *refAirBTB) removeBlock(block isa.Addr, over uint16) {
 	}
 }
 
-func (o *refAirBTB) Lookup(brPC isa.Addr) btb.Result {
+func (o *refAirBTB) Lookup(brPC isa.Addr) bool {
 	b, ok := o.bundles[isa.BlockOf(brPC)]
 	if !ok {
-		return btb.Result{}
+		return false
 	}
 	off := uint8(isa.BlockIndex(brPC))
 	if b.Bitmap&(1<<off) == 0 {
-		return btb.Result{}
+		return false
 	}
 	for i := uint8(0); i < b.N; i++ {
 		if b.Entries[i].Offset == off {
-			e := b.Entries[i]
-			return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
+			return true
 		}
 	}
-	if e, ok := o.lookupOverflow(brPC); ok {
-		return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
+	if _, ok := o.lookupOverflow(brPC); ok {
+		return true
 	}
 	o.missed++
-	return btb.Result{}
+	return false
 }
 
 func (o *refAirBTB) Resolve(br trace.BranchInfo) {
@@ -132,7 +140,7 @@ func (o *refAirBTB) Resolve(br trace.BranchInfo) {
 	o.insert(br.PC, Entry{Offset: off, Kind: br.Kind, Target: br.Target})
 }
 
-func (o *refAirBTB) dropOverflowed(block isa.Addr, b Bundle) {
+func (o *refAirBTB) dropOverflowed(block isa.Addr, b refBundle) {
 	inBundle := uint16(0)
 	for i := uint8(0); i < b.N; i++ {
 		inBundle |= 1 << b.Entries[i].Offset
@@ -146,7 +154,7 @@ func (o *refAirBTB) BlockFilled(block isa.Addr, branches []isa.PredecodedBranch)
 	if old, ok := o.bundles[block]; ok {
 		o.dropOverflowed(block, old)
 	}
-	var b Bundle
+	var b refBundle
 	for _, pb := range branches {
 		b.Bitmap |= 1 << pb.Offset
 		e := Entry{Offset: pb.Offset, Kind: pb.Kind, Target: pb.Target}
@@ -184,73 +192,101 @@ func overflowSet(pcs []isa.Addr, ents []Entry, stamp []uint64, clock uint64) str
 	return fmt.Sprintf("%v clock %d", rows, clock)
 }
 
-// TestOverflowMatchesBlockSweep drives AirBTB and the block-sweep
-// reference through the same random fills, evictions, lookups and
-// resolves over blocks with more branches than a bundle holds: every
-// lookup, every counter, bundle residency and the overflow contents (as
-// a set, stamps included) must agree after every operation.
-func TestOverflowMatchesBlockSweep(t *testing.T) {
-	for _, over := range []int{0, 1, 4, 32} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewPCG(seed, uint64(over)))
-			cfg := Config{Bundles: 64, EntriesPerBundle: 2, OverflowEntries: over}
-			a, ref := New(cfg), newRef(cfg)
+// TestMatchesBundleMapReference drives AirBTB, bound to a real L1-I, and
+// the bundle-map reference through the same random sequence of fills
+// (each L1-I eviction becoming the reference's BlockEvicted), demand
+// touches that reorder the L1-I's LRU, and predictions of executed
+// branches (the reference's Lookup then Resolve), over blocks with more
+// branches than a bundle holds, for 2, 3 and 4 entries per bundle, with
+// and without an overflow buffer. After every operation the verdicts, the
+// counters, bundle residency and contents, and the overflow buffer (as a
+// set, stamps included) agree.
+func TestMatchesBundleMapReference(t *testing.T) {
+	for _, entries := range []int{2, 3, 4} {
+		for _, over := range []int{0, 1, 4, 32} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("B:%d OB:%d seed %d", entries, over, seed)
+				rng := rand.New(rand.NewPCG(seed, uint64(over*8+entries)))
+				// A 16-block L1-I (4 sets of 4 ways) under a pool of 40
+				// blocks: fills keep evicting.
+				cfg := Config{Bundles: 16, EntriesPerBundle: entries, OverflowEntries: over}
+				a, l1 := newBound(cfg)
+				ref := newRef(cfg)
 
-			// A pool of blocks, each with a fixed static branch set of up
-			// to 8 branches in offset order, as predecode reports them.
-			blocks := make([]isa.Addr, 24)
-			brs := make([][]isa.PredecodedBranch, len(blocks))
-			kinds := []isa.BranchKind{isa.BrCond, isa.BrUncond, isa.BrCall, isa.BrRet, isa.BrIndirect, isa.BrIndCall}
-			for i := range blocks {
-				blocks[i] = isa.Addr(0x10000 + i*isa.BlockBytes)
-				for _, off := range rng.Perm(isa.InstrPerBlock)[:rng.IntN(9)] {
-					brs[i] = append(brs[i], isa.PredecodedBranch{
-						Offset: uint8(off), Kind: kinds[rng.IntN(len(kinds))], Target: isa.Addr(0x80000 + rng.IntN(1<<12)*4),
-					})
-				}
-				slices.SortFunc(brs[i], func(x, y isa.PredecodedBranch) int { return int(x.Offset) - int(y.Offset) })
-			}
-			for step := 0; step < 3000; step++ {
-				i := rng.IntN(len(blocks))
-				block := blocks[i]
-				switch op := rng.IntN(10); {
-				case op < 3:
-					a.BlockFilled(0, block, brs[i], false)
-					ref.BlockFilled(block, brs[i])
-				case op < 5:
-					a.BlockEvicted(block)
-					ref.BlockEvicted(block)
-				case op < 8:
-					if len(brs[i]) == 0 {
-						continue
+				// Each block has a fixed static branch set of up to 9
+				// branches in offset order, as predecode reports them.
+				blocks := make([]isa.Addr, 40)
+				brs := make([][]isa.PredecodedBranch, len(blocks))
+				kinds := []isa.BranchKind{isa.BrCond, isa.BrUncond, isa.BrCall, isa.BrRet, isa.BrIndirect, isa.BrIndCall}
+				for i := range blocks {
+					blocks[i] = isa.Addr(0x10000 + i*isa.BlockBytes)
+					for _, off := range rng.Perm(isa.InstrPerBlock)[:rng.IntN(10)] {
+						brs[i] = append(brs[i], isa.PredecodedBranch{
+							Offset: uint8(off), Kind: kinds[rng.IntN(len(kinds))], Target: isa.Addr(0x80000 + rng.IntN(1<<12)*4),
+						})
 					}
-					pc := brs[i][rng.IntN(len(brs[i]))].PC(block)
-					if g, w := a.Lookup(0, block, pc), ref.Lookup(pc); g != w {
-						t.Fatalf("over %d seed %d step %d: Lookup(%#x) = %+v, reference %+v", over, seed, step, pc, g, w)
+					slices.SortFunc(brs[i], func(x, y isa.PredecodedBranch) int { return int(x.Offset) - int(y.Offset) })
+				}
+				for step := 0; step < 2000; step++ {
+					i := rng.IntN(len(blocks))
+					block := blocks[i]
+					key := uint64(block) >> isa.BlockShift
+					switch op := rng.IntN(10); {
+					case op < 3:
+						slot, evicted, was := l1.InsertSlot(key)
+						a.BlockFilled(0, slot, block, brs[i], false)
+						if was {
+							ref.BlockEvicted(isa.Addr(evicted << isa.BlockShift))
+						}
+						ref.BlockFilled(block, brs[i])
+					case op < 5:
+						l1.Lookup(key)
+					default:
+						if len(brs[i]) == 0 {
+							continue
+						}
+						pb := brs[i][rng.IntN(len(brs[i]))]
+						br := trace.BranchInfo{PC: pb.PC(block), Kind: pb.Kind, Taken: rng.IntN(4) > 0, Target: isa.Addr(0x90000 + rng.IntN(64)*4)}
+						var got bool
+						if op < 8 {
+							got, _ = a.Predict(0, block, 1, br)
+						} else {
+							// The frontend's path: the slot found beforehand.
+							slot, ok := l1.Find(key)
+							got = a.PredictSlot(slot, ok, br)
+						}
+						want := ref.Lookup(br.PC)
+						ref.Resolve(br)
+						if got != want {
+							t.Fatalf("%s step %d: predict(%#x) = %v, reference %v", name, step, br.PC, got, want)
+						}
 					}
-				default:
-					if len(brs[i]) == 0 {
-						continue
+					st := a.ExportState()
+					if g, w := overflowSet(st.OverflowPCs, st.OverflowEnts, st.OverflowStamp, st.OverflowClock), overflowSet(ref.pcs, ref.ents, ref.stamp, ref.clock); g != w {
+						t.Fatalf("%s step %d: overflow\n%s\nreference\n%s", name, step, g, w)
 					}
-					pb := brs[i][rng.IntN(len(brs[i]))]
-					br := trace.BranchInfo{PC: pb.PC(block), Kind: pb.Kind, Taken: rng.IntN(4) > 0, Target: isa.Addr(0x90000 + rng.IntN(64)*4)}
-					a.Resolve(0, block, 1, br)
-					ref.Resolve(br)
-				}
-				got, want := a.ExportState(), overflowSet(ref.pcs, ref.ents, ref.stamp, ref.clock)
-				if g := overflowSet(got.OverflowPCs, got.OverflowEnts, got.OverflowStamp, got.OverflowClock); g != want {
-					t.Fatalf("over %d seed %d step %d: overflow\n%s\nreference\n%s", over, seed, step, g, want)
-				}
-				if a.Fills != ref.fills || a.Evictions != ref.evictions || a.OverflowInserts != ref.inserts || a.OverflowMissedSlots != ref.missed {
-					t.Fatalf("over %d seed %d step %d: counters diverged", over, seed, step)
-				}
-				if a.Resident() != len(ref.bundles) {
-					t.Fatalf("over %d seed %d step %d: %d bundles resident, reference %d", over, seed, step, a.Resident(), len(ref.bundles))
-				}
-				for j, bl := range blocks {
-					g := a.bundles.Ptr(uint64(bl))
-					if w, ok := ref.bundles[bl]; (g != nil) != ok || ok && *g != w {
-						t.Fatalf("over %d seed %d step %d: bundle %d diverged", over, seed, step, j)
+					if a.Fills != ref.fills || a.Evictions != ref.evictions || a.OverflowInserts != ref.inserts || a.OverflowMissedSlots != ref.missed {
+						t.Fatalf("%s step %d: counters diverged", name, step)
+					}
+					if a.Resident() != len(ref.bundles) {
+						t.Fatalf("%s step %d: %d bundles resident, reference %d", name, step, a.Resident(), len(ref.bundles))
+					}
+					for j, bl := range blocks {
+						w, ok := ref.bundles[bl]
+						slot, resident := l1.Find(uint64(bl) >> isa.BlockShift)
+						if resident != ok || a.HasBundle(bl) != ok {
+							t.Fatalf("%s step %d: block %d residency diverged", name, step, j)
+						}
+						if !ok {
+							continue
+						}
+						var held uint32
+						for _, e := range w.Entries[:w.N] {
+							held |= 1 << e.Offset
+						}
+						if m := a.mask[slot]; m != uint32(w.Bitmap)|held<<16 {
+							t.Fatalf("%s step %d: block %d mask %#x, reference bitmap %#x holding %#x", name, step, j, m, w.Bitmap, held)
+						}
 					}
 				}
 			}

@@ -21,35 +21,28 @@ type Entry struct {
 	FallN  uint8 // basic-block length in instructions
 }
 
-// Result is the outcome of a BTB probe.
-type Result struct {
-	Hit    bool
-	Entry  Entry
-	Bubble float64 // fetch-bubble cycles exposed by this lookup (L2 access)
-}
-
 // Design is the method set the frontend drives. Implementations outside
 // this package (PhantomBTB, AirBTB) satisfy it structurally.
 type Design interface {
 	Name() string
-	// Lookup probes for the basic block starting at bb whose terminating
-	// branch is at brPC (block-based designs key on brPC's block).
-	Lookup(now float64, bb, brPC isa.Addr) Result
-	// Resolve is called after every executed basic block so the design can
-	// allocate/train; designs allocate on taken branches.
-	Resolve(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo)
-	// BlockFilled/BlockEvicted mirror L1-I content changes (used by AirBTB
-	// and the eager-insertion intermediate design points; others ignore).
-	BlockFilled(now float64, block isa.Addr, branches []isa.PredecodedBranch, demand bool)
-	BlockEvicted(block isa.Addr)
-	// StreamOnly reports that the design's state and every Lookup result
-	// are a pure function of the Lookup/Resolve sequence: independent of
-	// now, of BlockFilled/BlockEvicted, and of any other core. The
-	// frontend then drives Lookup and Resolve from its stream half
-	// (frontend.Core.StreamPredict, passing now = 0), which may run ahead
-	// of the timing half on another goroutine. Designs coupled to the
-	// L1-I, the clock, or shared state return false and are probed from
-	// the timing half in program order.
+	// Predict is one executed basic block's visit: it probes for the block
+	// starting at bb, of nInstr instructions, whose terminating branch is
+	// br (block-based designs key on br.PC's block), then trains on br —
+	// designs allocate on taken branches. It returns whether the probe hit
+	// and the fetch-bubble cycles it exposed (an L2 access, say).
+	Predict(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) (hit bool, bubble float64)
+	// BlockFilled mirrors an L1-I fill of block into slot, the L1-I's
+	// flat index (set*ways + way) the block now occupies, which also says
+	// which block it displaced. AirBTB and the eager-insertion
+	// intermediate design points react; others ignore it.
+	BlockFilled(now float64, slot int, block isa.Addr, branches []isa.PredecodedBranch, demand bool)
+	// StreamOnly reports that the design's state and every Predict result
+	// are a pure function of the Predict sequence: independent of now, of
+	// BlockFilled, and of any other core. The frontend then calls Predict
+	// from its stream half (frontend.Core.StreamPredict, passing now = 0),
+	// which may run ahead of the timing half on another goroutine. Designs
+	// coupled to the L1-I, the clock, or shared state return false and are
+	// probed from the timing half in program order.
 	StreamOnly() bool
 }
 
@@ -113,19 +106,33 @@ func (c *Conventional) key(bb, brPC isa.Addr) uint64 {
 	return uint64(bb) >> 2
 }
 
-// Lookup implements Design.
-func (c *Conventional) Lookup(now float64, bb, brPC isa.Addr) Result {
-	k := c.key(bb, brPC)
-	if e, ok := c.main.Lookup(k); ok {
-		return Result{Hit: true, Entry: e}
-	}
-	if c.victim != nil {
+// Predict implements Design. One probe of the main set serves both
+// steps: a taken branch rewrites the way the probe hit, or the way a
+// victim-buffer promotion filled, or allocates the way the probe picked
+// as the miss's victim — the stamps and evictions of a separate lookup
+// and insert.
+func (c *Conventional) Predict(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) (bool, float64) {
+	k := c.key(bb, br.PC)
+	i, hit := c.main.Probe(k)
+	if !hit && c.victim != nil {
 		if e, ok := c.victim.Take(k); ok {
-			c.insert(k, e) // promote
-			return Result{Hit: true, Entry: e}
+			c.put(i, k, e) // promote
+			hit = true
 		}
 	}
-	return Result{}
+	if br.Taken && br.Kind.IsBranch() {
+		c.put(i, k, Entry{Kind: br.Kind, Target: br.Target, FallN: uint8(nInstr)})
+	}
+	return hit, 0
+}
+
+// put stores (k, e) at main-store index i (see cache.Assoc.Put), spilling
+// a displaced entry into the victim buffer.
+func (c *Conventional) put(i int, k uint64, e Entry) {
+	evKey, evVal, ev := c.main.Put(i, k, e)
+	if ev && c.victim != nil {
+		c.victim.Put(evKey, evVal)
+	}
 }
 
 func (c *Conventional) insert(k uint64, e Entry) {
@@ -135,16 +142,8 @@ func (c *Conventional) insert(k uint64, e Entry) {
 	}
 }
 
-// Resolve implements Design: allocate/update on taken branches.
-func (c *Conventional) Resolve(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) {
-	if !br.Kind.IsBranch() || !br.Taken {
-		return
-	}
-	c.insert(c.key(bb, br.PC), Entry{Kind: br.Kind, Target: br.Target, FallN: uint8(nInstr)})
-}
-
 // BlockFilled implements Design; only the eager variant reacts.
-func (c *Conventional) BlockFilled(now float64, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
+func (c *Conventional) BlockFilled(now float64, slot int, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
 	if !c.eager {
 		return
 	}
@@ -152,10 +151,6 @@ func (c *Conventional) BlockFilled(now float64, block isa.Addr, branches []isa.P
 		c.insert(uint64(b.PC(block))>>2, Entry{Kind: b.Kind, Target: b.Target})
 	}
 }
-
-// BlockEvicted implements Design (no-op: conventional BTBs are decoupled
-// from L1-I content).
-func (c *Conventional) BlockEvicted(block isa.Addr) {}
 
 // StreamOnly implements Design: only the eager variant reacts to L1-I
 // fills.
@@ -188,20 +183,27 @@ func NewTwoLevel(name string, l1Sets, l1Ways, l2Sets, l2Ways int, l2Bubble float
 // Name implements Design.
 func (t *TwoLevel) Name() string { return t.name }
 
-// Lookup implements Design: L1 hit is free; an L2 hit exposes the bubble and
-// promotes the entry.
-func (t *TwoLevel) Lookup(now float64, bb, brPC isa.Addr) Result {
+// Predict implements Design: an L1 hit is free; an L2 hit exposes the
+// bubble and promotes the entry. A taken branch then installs its entry
+// in both levels.
+func (t *TwoLevel) Predict(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) (hit bool, bubble float64) {
 	k := uint64(bb) >> 2
-	if e, ok := t.l1.Lookup(k); ok {
-		return Result{Hit: true, Entry: e}
+	if _, hit = t.l1.Lookup(k); !hit {
+		var e Entry
+		if e, hit = t.l2.Lookup(k); hit {
+			t.L2Hits++
+			t.promote(k, e)
+			bubble = t.l2Bubble
+		} else {
+			t.L2Misses++
+		}
 	}
-	if e, ok := t.l2.Lookup(k); ok {
-		t.L2Hits++
+	if br.Taken && br.Kind.IsBranch() {
+		e := Entry{Kind: br.Kind, Target: br.Target, FallN: uint8(nInstr)}
 		t.promote(k, e)
-		return Result{Hit: true, Entry: e, Bubble: t.l2Bubble}
+		t.l2.Insert(k, e)
 	}
-	t.L2Misses++
-	return Result{}
+	return hit, bubble
 }
 
 func (t *TwoLevel) promote(k uint64, e Entry) {
@@ -211,24 +213,10 @@ func (t *TwoLevel) promote(k uint64, e Entry) {
 	}
 }
 
-// Resolve implements Design.
-func (t *TwoLevel) Resolve(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) {
-	if !br.Kind.IsBranch() || !br.Taken {
-		return
-	}
-	e := Entry{Kind: br.Kind, Target: br.Target, FallN: uint8(nInstr)}
-	k := uint64(bb) >> 2
-	t.promote(k, e)
-	t.l2.Insert(k, e)
-}
-
 // BlockFilled implements Design (no-op).
-func (t *TwoLevel) BlockFilled(now float64, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
+func (t *TwoLevel) BlockFilled(now float64, slot int, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
 }
 
-// BlockEvicted implements Design (no-op).
-func (t *TwoLevel) BlockEvicted(block isa.Addr) {}
-
-// StreamOnly implements Design: both levels evolve from Lookup/Resolve
-// alone (the L2Hits/L2Misses diagnostics count along).
+// StreamOnly implements Design: both levels evolve from Predict alone
+// (the L2Hits/L2Misses diagnostics count along).
 func (t *TwoLevel) StreamOnly() bool { return true }

@@ -10,7 +10,7 @@ import (
 func trainSeq(d Design, n int) {
 	for i := 0; i < n; i++ {
 		bb := isa.Addr(0x1000 + i*64)
-		d.Resolve(float64(i), bb, 4, takenBranch(bb+12, isa.BrUncond, bb+0x8000))
+		d.Predict(float64(i), bb, 4, takenBranch(bb+12, isa.BrUncond, bb+0x8000))
 	}
 }
 
@@ -31,9 +31,10 @@ func TestConventionalStateRoundTrip(t *testing.T) {
 	}
 	// Bit-identical future decisions on both copies.
 	bb := isa.Addr(0x1000 + 63*64)
-	r1, r2 := c.Lookup(100, bb, bb+12), fresh.Lookup(100, bb, bb+12)
-	if r1 != r2 {
-		t.Errorf("post-restore lookup diverged: %+v vs %+v", r1, r2)
+	h1, _ := probe(c, 100, bb, bb+12)
+	h2, _ := probe(fresh, 100, bb, bb+12)
+	if h1 != h2 || !reflect.DeepEqual(c.ExportState(), fresh.ExportState()) {
+		t.Errorf("post-restore lookup diverged: hit %v vs %v", h1, h2)
 	}
 }
 
@@ -73,9 +74,10 @@ func TestTwoLevelStateRoundTrip(t *testing.T) {
 		t.Error("re-exported state differs from the snapshot")
 	}
 	bb := isa.Addr(0x1000)
-	r1, r2 := d.Lookup(100, bb, bb+12), fresh.Lookup(100, bb, bb+12)
-	if r1 != r2 {
-		t.Errorf("post-restore lookup diverged: %+v vs %+v", r1, r2)
+	h1, b1 := probe(d, 100, bb, bb+12)
+	h2, b2 := probe(fresh, 100, bb, bb+12)
+	if h1 != h2 || b1 != b2 || !reflect.DeepEqual(d.ExportState(), fresh.ExportState()) {
+		t.Errorf("post-restore lookup diverged: hit %v/%v bubble %v/%v", h1, h2, b1, b2)
 	}
 
 	if err := NewTwoLevel("t2", 2, 2, 32, 4, 2).RestoreState(st); err == nil {

@@ -99,37 +99,80 @@ func (a *Assoc[V]) Contains(key uint64) bool {
 	return false
 }
 
-// Insert puts (key, val) at MRU, overwriting a present key in place, and
-// returns any displaced entry. Presence and the LRU victim are resolved in
-// one scan over the set's valid prefix.
-func (a *Assoc[V]) Insert(key uint64, val V) (evKey uint64, evVal V, evicted bool) {
+// Probe is Lookup returning an index instead of the value: on a hit,
+// the index of key's way; on a miss, the index Insert(key) would fill —
+// the set's first free way, else its LRU way, which a plain Lookup miss
+// does not spend a scan on. The index stays valid for Put until the next
+// Put, Insert or Invalidate.
+func (a *Assoc[V]) Probe(key uint64) (int, bool) {
+	if a.mruOK && key == a.mru {
+		a.stats.Hits++
+		return a.mruWay, true
+	}
+	i, ok := a.find(key)
+	if ok {
+		a.stamp[i] = a.tick()
+		a.mru, a.mruWay, a.mruOK = key, i, true
+		a.stats.Hits++
+	} else {
+		a.stats.Misses++
+	}
+	return i, ok
+}
+
+// find returns the index of key's way and true, or the index Insert
+// would fill and false, without updating LRU or counters.
+func (a *Assoc[V]) find(key uint64) (int, bool) {
 	s := a.set(key)
 	base := s * a.ways
 	n := int(a.occ[s])
-	victim, oldest := 0, ^uint64(0)
-	for i := 0; i < n; i++ {
-		if a.keys[base+i] == key {
-			a.vals[base+i] = val
-			a.stamp[base+i] = a.tick()
-			a.mru, a.mruWay, a.mruOK = key, base+i, true
-			return 0, evVal, false
+	for i := base; i < base+n; i++ {
+		if a.keys[i] == key {
+			return i, true
 		}
-		if a.stamp[base+i] < oldest {
-			oldest, victim = a.stamp[base+i], i
+	}
+	if n < a.ways {
+		return base + n, false
+	}
+	victim := base
+	for i := base + 1; i < base+n; i++ {
+		if a.stamp[i] < a.stamp[victim] {
+			victim = i
 		}
+	}
+	return victim, false
+}
+
+// Insert puts (key, val) at MRU, overwriting a present key in place, and
+// returns any displaced entry.
+func (a *Assoc[V]) Insert(key uint64, val V) (evKey uint64, evVal V, evicted bool) {
+	i, _ := a.find(key)
+	return a.Put(i, key, val)
+}
+
+// Put is Insert(key, val) at the index a Probe of key returned: it
+// overwrites key's way in place when i holds key, and otherwise fills i,
+// displacing its entry when the set is full.
+func (a *Assoc[V]) Put(i int, key uint64, val V) (evKey uint64, evVal V, evicted bool) {
+	s := a.set(key)
+	n := int(a.occ[s])
+	if i < s*a.ways+n && a.keys[i] == key {
+		a.vals[i] = val
+		a.stamp[i] = a.tick()
+		a.mru, a.mruWay, a.mruOK = key, i, true
+		return 0, evVal, false
 	}
 	a.stats.Insertions++
 	a.mruOK = false
 	if n < a.ways {
-		victim = n
 		a.occ[s]++
 		a.n++
 	} else {
-		evKey, evVal, evicted = a.keys[base+victim], a.vals[base+victim], true
+		evKey, evVal, evicted = a.keys[i], a.vals[i], true
 		a.stats.Evictions++
 	}
-	a.keys[base+victim], a.vals[base+victim] = key, val
-	a.stamp[base+victim] = a.tick()
+	a.keys[i], a.vals[i] = key, val
+	a.stamp[i] = a.tick()
 	return evKey, evVal, evicted
 }
 

@@ -43,14 +43,15 @@ type Cache struct {
 	clock uint64
 	n     int // total valid entries
 
-	// mru/mruOK cache the key of the most recent Lookup hit. While mruOK
-	// holds, that key carries the cache-wide maximum stamp (no other hit or
-	// insert has happened since), so a repeated Lookup can skip both the
-	// scan and the re-stamp — re-stamping the freshest entry is a no-op for
-	// the LRU order. Inserts and invalidations clear it; hits on other
-	// keys retarget it.
-	mru   uint64
-	mruOK bool
+	// mru/mruSlot/mruOK cache the key and slot of the most recent Lookup
+	// hit. While mruOK holds, that key carries the cache-wide maximum stamp
+	// (no other hit or insert has happened since), so a repeated Lookup can
+	// skip both the scan and the re-stamp — re-stamping the freshest entry
+	// is a no-op for the LRU order. Inserts and invalidations clear it;
+	// hits on other keys retarget it.
+	mru     uint64
+	mruSlot int
+	mruOK   bool
 
 	stats Stats
 }
@@ -94,7 +95,8 @@ func (c *Cache) tick() uint64 {
 	return c.clock
 }
 
-// Lookup probes for key, updating LRU and counters on the access.
+// Lookup probes for key, updating LRU and counters on the access (Find
+// then Access, in one call).
 func (c *Cache) Lookup(key uint64) bool {
 	if c.mruOK && key == c.mru {
 		c.stats.Hits++
@@ -106,7 +108,7 @@ func (c *Cache) Lookup(key uint64) bool {
 	for i := 0; i < n; i++ {
 		if c.keys[base+i] == key {
 			c.stamp[base+i] = c.tick()
-			c.mru, c.mruOK = key, true
+			c.mru, c.mruSlot, c.mruOK = key, base+i, true
 			c.stats.Hits++
 			return true
 		}
@@ -115,23 +117,65 @@ func (c *Cache) Lookup(key uint64) bool {
 	return false
 }
 
-// Contains probes without updating LRU or counters.
-func (c *Cache) Contains(key uint64) bool {
+// Find returns the slot (set*ways + way) holding key, without updating
+// LRU or counters; ok is false when key is absent. A slot stays key's
+// until an Insert into its set evicts it or an Invalidate in its set
+// moves or drops it; Holds tells whether it still is.
+func (c *Cache) Find(key uint64) (slot int, ok bool) {
+	if c.mruOK && key == c.mru {
+		return c.mruSlot, true
+	}
 	s := c.set(key)
 	base := s * c.ways
 	n := int(c.occ[s])
-	for i := 0; i < n; i++ {
-		if c.keys[base+i] == key {
-			return true
+	for i := base; i < base+n; i++ {
+		if c.keys[i] == key {
+			return i, true
 		}
 	}
-	return false
+	return 0, false
+}
+
+// Access applies a Lookup's effects to a Find result: on a hit, the
+// LRU touch of slot and a hit count; otherwise a miss count. Find then
+// Access is exactly Lookup, so the two calls may sit apart as long as
+// hit is rechecked with Holds and key itself is not inserted in between.
+func (c *Cache) Access(slot int, hit bool) {
+	if !hit {
+		c.stats.Misses++
+		return
+	}
+	c.stats.Hits++
+	if key := c.keys[slot]; !c.mruOK || key != c.mru {
+		c.stamp[slot] = c.tick()
+		c.mru, c.mruSlot, c.mruOK = key, slot, true
+	}
+}
+
+// Holds reports whether slot currently holds key.
+func (c *Cache) Holds(slot int, key uint64) bool {
+	s := c.set(key)
+	base := s * c.ways
+	return slot >= base && slot < base+int(c.occ[s]) && c.keys[slot] == key
+}
+
+// Contains probes without updating LRU or counters.
+func (c *Cache) Contains(key uint64) bool {
+	_, ok := c.Find(key)
+	return ok
 }
 
 // Insert places key at MRU, returning the evicted key if a valid entry was
-// displaced. Inserting a present key refreshes its LRU position. Presence
-// and the LRU victim are resolved in one scan over the set's valid prefix.
+// displaced. Inserting a present key refreshes its LRU position.
 func (c *Cache) Insert(key uint64) (evicted uint64, wasEvicted bool) {
+	_, evicted, wasEvicted = c.InsertSlot(key)
+	return evicted, wasEvicted
+}
+
+// InsertSlot is Insert that also returns the slot key now occupies.
+// Presence and the LRU victim are resolved in one scan over the set's
+// valid prefix.
+func (c *Cache) InsertSlot(key uint64) (slot int, evicted uint64, wasEvicted bool) {
 	s := c.set(key)
 	base := s * c.ways
 	n := int(c.occ[s])
@@ -139,8 +183,8 @@ func (c *Cache) Insert(key uint64) (evicted uint64, wasEvicted bool) {
 	for i := 0; i < n; i++ {
 		if c.keys[base+i] == key {
 			c.stamp[base+i] = c.tick()
-			c.mru, c.mruOK = key, true
-			return 0, false
+			c.mru, c.mruSlot, c.mruOK = key, base+i, true
+			return base + i, 0, false
 		}
 		if c.stamp[base+i] < oldest {
 			oldest, victim = c.stamp[base+i], i
@@ -159,7 +203,7 @@ func (c *Cache) Insert(key uint64) (evicted uint64, wasEvicted bool) {
 	}
 	c.keys[base+victim] = key
 	c.stamp[base+victim] = c.tick()
-	return evicted, wasEvicted
+	return base + victim, evicted, wasEvicted
 }
 
 // Invalidate removes key if present, returning whether it was. The last

@@ -371,6 +371,10 @@ func NewMixSystem(mix []*synth.Workload, dp DesignPoint, opt Options) (*System, 
 		case IdealBTBSHIFT:
 			cfg.BTB = btb.NewConventional("IdealBTB16K", 2048, 8, 0)
 		case Confluence:
+			// The bundles live in the L1-I's slots, one per block.
+			if blocks := cfg.L1ISets * cfg.L1IWays; opt.Air.Bundles != blocks {
+				return fail(i, fmt.Errorf("core: AirBTB has %d bundles, the L1-I holds %d blocks", opt.Air.Bundles, blocks))
+			}
 			air := airbtb.New(opt.Air)
 			sys.AirBTBs = append(sys.AirBTBs, air)
 			cfg.BTB = air

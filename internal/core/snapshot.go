@@ -39,7 +39,7 @@ func AutoSampling(measure uint64) Sampling { return cmp.AutoSampling(measure) }
 
 // warmSnapshotVersion invalidates stored snapshots when the encoded
 // layout or the set of captured state changes.
-const warmSnapshotVersion = 1
+const warmSnapshotVersion = 2
 
 func init() {
 	// Concrete types carried in CoreWarmState.BTB (declared `any`).

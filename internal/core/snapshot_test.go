@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"confluence/internal/cache"
 )
 
 // snapshotDesigns covers every BTB snapshot form: conventional, two-level
@@ -190,4 +193,99 @@ func TestAutoSamplingReExport(t *testing.T) {
 	if AutoSampling(0).Enabled() {
 		t.Error("AutoSampling(0) returned an enabled plan")
 	}
+}
+
+// TestWarmSnapshotAirBTBStepsBitIdentical: a Confluence snapshot taken
+// after the L1-Is have churned for a while (bundles displaced, overflow
+// entries dropped and refilled) restores every AirBTB bundle into the
+// slot its block holds, and the restored system then steps
+// bit-identically to the live one: after each of several alternating
+// fast-forward and detailed phases, every core's AirBTB state, counters
+// and L1-I agree, and so do the measured stats.
+func TestWarmSnapshotAirBTBStepsBitIdentical(t *testing.T) {
+	w := testWorkload(t)
+	ctx := context.Background()
+	live, err := NewSystem(w, Confluence, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if err := live.FastForward(ctx, 80_000); err != nil {
+		t.Fatal(err)
+	}
+	if live.AirBTBs[0].Evictions == 0 {
+		t.Fatal("the warm-up evicted no bundle")
+	}
+	snap, err := live.WarmSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewSystem(w, Confluence, smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if err := restored.RestoreWarmSnapshot(ctx, snap); err != nil {
+		t.Fatal(err)
+	}
+	// Counters are not snapshot state; line them up to compare them.
+	for i, a := range restored.AirBTBs {
+		l := live.AirBTBs[i]
+		a.Fills, a.Evictions, a.OverflowInserts, a.OverflowMissedSlots = l.Fills, l.Evictions, l.OverflowInserts, l.OverflowMissedSlots
+	}
+	for phase := 0; phase < 6; phase++ {
+		var want, got any
+		if phase%2 == 0 {
+			if err := live.FastForward(ctx, 10_000); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.FastForward(ctx, 10_000); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if want, err = live.RunCtx(ctx, 0, 10_000); err != nil {
+				t.Fatal(err)
+			}
+			if got, err = restored.RunCtx(ctx, 0, 10_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("phase %d: measured stats diverged", phase)
+		}
+		for i, l := range live.AirBTBs {
+			r := restored.AirBTBs[i]
+			if !reflect.DeepEqual(l.ExportState(), r.ExportState()) || l.Fills != r.Fills || l.Evictions != r.Evictions ||
+				l.OverflowInserts != r.OverflowInserts || l.OverflowMissedSlots != r.OverflowMissedSlots {
+				t.Fatalf("phase %d: core %d AirBTB diverged", phase, i)
+			}
+			if !reflect.DeepEqual(lruOrder(live.Cores[i].L1I()), lruOrder(restored.Cores[i].L1I())) {
+				t.Fatalf("phase %d: core %d L1-I diverged", phase, i)
+			}
+		}
+	}
+}
+
+// lruOrder renders a cache as each set's slots, their keys, and the
+// slots in recency order. Stamp values themselves may differ between a
+// live cache and a restored one — restore drops the MRU shortcut, so the
+// first repeat of the most recent key re-stamps it — without changing
+// any replacement decision.
+func lruOrder(c *cache.Cache) [][]uint64 {
+	st := c.ExportState()
+	var out [][]uint64
+	for s := 0; s < st.Sets; s++ {
+		base, n := s*st.Ways, int(st.Occ[s])
+		slots := make([]int, n)
+		for i := range slots {
+			slots[i] = base + i
+		}
+		sort.Slice(slots, func(i, j int) bool { return st.Stamp[slots[i]] < st.Stamp[slots[j]] })
+		row := append([]uint64(nil), st.Keys[base:base+n]...)
+		for _, sl := range slots {
+			row = append(row, uint64(sl))
+		}
+		out = append(out, row)
+	}
+	return out
 }

@@ -118,12 +118,12 @@ func exportBTB(t *testing.T, d btb.Design) any {
 
 // TestStreamOnlyContract pins what btb.Design.StreamOnly promises and
 // the pipelined engine relies on: for every design point whose BTB
-// declares it, the design's state and lookup results evolve from the
-// Lookup/Resolve sequence alone. One instance is driven as the stream
-// half drives it (now = 0, no fill or eviction calls); a twin sees the
-// same sequence at advancing clock values with every block of the stream
-// filled and older blocks evicted between probes, as the timing half
-// does. Their lookups and final exported states must match. The eager
+// declares it, the design's state and prediction results evolve from the
+// Predict sequence alone. One instance is driven as the stream half
+// drives it (now = 0, no fill calls); a twin sees the same sequence at
+// advancing clock values with every block of the stream filled between
+// probes, as the timing half does. Their predictions and final exported
+// states must match. The eager
 // conventional design, which declares false, shows the drive tells the
 // difference.
 func TestStreamOnlyContract(t *testing.T) {
@@ -143,7 +143,6 @@ func TestStreamOnlyContract(t *testing.T) {
 		src := trace.NewExecutor(w, 1)
 		rng := rand.New(rand.NewPCG(3, 5))
 		var now float64
-		var recent []isa.Addr
 		var rec trace.Record
 		for i := 0; i < 20_000; i++ {
 			if err := src.Next(&rec); err != nil {
@@ -152,11 +151,7 @@ func TestStreamOnlyContract(t *testing.T) {
 			if timed {
 				now += 1 + 40*rng.Float64()
 				b := isa.BlockOf(rec.Start)
-				d.BlockFilled(now, b, w.Prog.PredecodeBlock(b), rng.IntN(2) == 0)
-				if recent = append(recent, b); len(recent) > 64 {
-					d.BlockEvicted(recent[0])
-					recent = recent[1:]
-				}
+				d.BlockFilled(now, i%512, b, w.Prog.PredecodeBlock(b), rng.IntN(2) == 0)
 			}
 			if !rec.Br.Kind.IsBranch() {
 				continue
@@ -165,10 +160,9 @@ func TestStreamOnlyContract(t *testing.T) {
 			if timed {
 				at = now
 			}
-			if d.Lookup(at, rec.Start, rec.Br.PC).Hit {
+			if hit, _ := d.Predict(at, rec.Start, rec.N, rec.Br); hit {
 				hits++
 			}
-			d.Resolve(at, rec.Start, rec.N, rec.Br)
 		}
 		return hits, exportBTB(t, d)
 	}
@@ -182,7 +176,7 @@ func TestStreamOnlyContract(t *testing.T) {
 			hitsA, stateA := drive(d, false)
 			hitsB, stateB := drive(designBTB(dp), true)
 			if hitsA != hitsB || !reflect.DeepEqual(stateA, stateB) {
-				t.Errorf("%v declares StreamOnly, but fills, evictions or the clock changed it (hits %d vs %d)", dp, hitsA, hitsB)
+				t.Errorf("%v declares StreamOnly, but fills or the clock changed it (hits %d vs %d)", dp, hitsA, hitsB)
 			}
 		}
 	}

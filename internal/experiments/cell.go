@@ -30,7 +30,7 @@ const ResultVersion = "confluence-results-v1"
 // key; bump it whenever the fast-forward path or the snapshot layout
 // changes. It keys no cell result: a change that moves sampled results
 // bumps ResultVersion too.
-const WarmVersion = "confluence-warm-v1"
+const WarmVersion = "confluence-warm-v2"
 
 // CellSpec is the resolved, canonical description of one simulation cell:
 // the workload mix (core i runs Mix[i mod len(Mix)]), the capture

@@ -231,7 +231,7 @@ func TestCellKeysPinned(t *testing.T) {
 	}{
 		{"exact Base1K", exact.Key, "164658e03281c3470205d6a21d2bddd0b1702a519ed8d5d9849db6ef5022d13a"},
 		{"sampled Confluence", sampled.Key, "1ad526895569c1451aad0f99b65082ff9d6380bae1fe75f5138a6a5971fa5fc8"},
-		{"warm snapshot", sampled.WarmKey, "8065af08142b0ea9e4bf73c356642d173ec08694d372496177224b5add8e19e3"},
+		{"warm snapshot", sampled.WarmKey, "5f71c45eaeb8687782db17add59be5381fb60b6e12ea7a9e289e7da17c76dfff"},
 	} {
 		if got, ok := c.key(); !ok || got != c.want {
 			t.Errorf("%s key = %s (ok %v), pinned %s", c.name, got, ok, c.want)

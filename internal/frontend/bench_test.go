@@ -8,6 +8,7 @@ import (
 	"confluence/internal/fdp"
 	"confluence/internal/isa"
 	"confluence/internal/shift"
+	"confluence/internal/synth"
 	"confluence/internal/trace"
 )
 
@@ -139,33 +140,74 @@ func BenchmarkCoreStreamPredict(b *testing.B) {
 }
 
 // BenchmarkCoreStepPredicted measures the timing half of a detailed step — the
-// weave's share — per basic block. One lap of the looping stream is
-// predicted up front and replayed, records with their outcomes, so only
-// StepPredicted is timed.
+// weave's share — per basic block. One lap of the stream is predicted up
+// front and replayed, records with their outcomes, so only StepPredicted
+// is timed. Besides the synthetic all-hit and all-miss loops, oltp-db2
+// drives a Confluence-wired core from a generated OLTP-DB2 program, the
+// mix of hits, prefetched fills and demand misses a grid cell's core
+// sees.
 func BenchmarkCoreStepPredicted(b *testing.B) {
+	timed := func(b *testing.B, c *Core, src trace.Source, warm, lap int) {
+		var rec trace.Record
+		for i := 0; i < warm; i++ {
+			src.Next(&rec)
+			step(c, &rec)
+		}
+		recs := make([]trace.Record, lap)
+		outs := make([]Outcome, lap)
+		for i := range recs {
+			src.Next(&recs[i])
+			outs[i] = c.StreamPredict(&recs[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % lap
+			c.StepPredicted(&recs[j], &outs[j])
+		}
+		st := c.Stats()
+		b.ReportMetric(float64(st.L1IMisses)/float64(st.Instructions)*1000, "l1i-mpki")
+	}
 	for _, bc := range halfCases {
 		b.Run(bc.name, func(b *testing.B) {
 			c, src := halfCore(b, bc.nBlocks, bc.conv)
-			var rec trace.Record
-			for i := 0; i < 1<<15; i++ {
-				src.Next(&rec)
-				step(c, &rec)
-			}
-			lap := 2 * bc.nBlocks // benchRecords' records per lap
-			recs := make([]trace.Record, lap)
-			outs := make([]Outcome, lap)
-			for i := range recs {
-				src.Next(&recs[i])
-				outs[i] = c.StreamPredict(&recs[i])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := i % lap
-				c.StepPredicted(&recs[j], &outs[j])
-			}
+			timed(b, c, src, 1<<15, 2*bc.nBlocks) // benchRecords' records per lap
 		})
 	}
+	b.Run("oltp-db2", func(b *testing.B) {
+		c, src := oltpCore(b)
+		timed(b, c, src, 1<<18, 1<<16)
+	})
+}
+
+// oltpWorkload is the generated OLTP-DB2 program, built once per process.
+var oltpWorkload *synth.Workload
+
+// oltpCore assembles a core wired as the Confluence design point wires
+// one (AirBTB, SHIFT over a shared history, predecode penalty, the
+// program image for predecode) with its stream: core 0 of the paper's
+// OLTP-DB2 workload.
+func oltpCore(b *testing.B) (*Core, trace.Source) {
+	b.Helper()
+	if oltpWorkload == nil {
+		w, err := synth.Build(synth.OLTPDB2())
+		if err != nil {
+			b.Fatal(err)
+		}
+		oltpWorkload = w
+	}
+	w := oltpWorkload
+	cfg := DefaultConfig()
+	cfg.BackendCPI = w.Prof.BackendCPI
+	cfg.Exposure = w.Prof.Exposure
+	cfg.Hier = testHier()
+	cfg.Prog = w.Prog
+	cfg.PredecodePenalty = 2
+	h := shift.NewHistory(shift.DefaultConfig().HistoryEntries)
+	cfg.Recorder = h
+	cfg.Prefetcher = shift.NewEngine(shift.DefaultConfig(), h, 10)
+	cfg.BTB = airbtb.New(airbtb.DefaultConfig())
+	return NewCore(cfg), trace.NewExecutor(w, trace.CoreSeed(w.Prof.Seed, 0))
 }
 
 // BenchmarkCoreFastStep measures the per-basic-block cost of the

@@ -7,6 +7,7 @@
 package frontend
 
 import (
+	"confluence/internal/airbtb"
 	"confluence/internal/bpu"
 	"confluence/internal/btb"
 	"confluence/internal/cache"
@@ -102,6 +103,9 @@ type Core struct {
 
 	l1i      *cache.Cache
 	inflight *cache.InFlight
+	// air is cfg.BTB when it is an AirBTB, bound to l1i: the timing half
+	// hands it the L1-I slot it already found for the branch's block.
+	air *airbtb.AirBTB
 
 	cycle     float64
 	st        Stats
@@ -156,6 +160,13 @@ func NewCore(cfg Config) *Core {
 		c.l1i = cache.New(cfg.L1ISets, cfg.L1IWays)
 		c.inflight = cache.NewInFlight()
 		c.halfLLCLat = 0.5 * cfg.Hier.AvgLLCLatency(cfg.CoreID)
+	}
+	if a, ok := cfg.BTB.(*airbtb.AirBTB); ok {
+		if c.l1i == nil {
+			panic("frontend: AirBTB needs an L1-I to live in")
+		}
+		a.Bind(c.l1i)
+		c.air = a
 	}
 	for n := range c.issueTab {
 		c.issueTab[n] = float64(n) / cfg.IssueWidth
@@ -217,7 +228,7 @@ const (
 // StreamPredict is the stream half of a detailed step: everything determined by the
 // record stream alone — hybrid direction prediction and training, RAS
 // push/pop, ITC predict/update, and, when the BTB design is StreamOnly (or
-// the BTB is perfect), the BTB lookup and resolve. It reads no clock, no
+// the BTB is perfect), the BTB prediction and training. It reads no clock, no
 // L1-I, and no other core, and touches neither Stats nor anything
 // StepPredicted touches, so the CMP engine may run it ahead of the timing
 // half on another goroutine, as long as each core's records reach it in
@@ -229,13 +240,12 @@ func (c *Core) StreamPredict(rec *trace.Record) Outcome {
 	}
 	var o Outcome
 	if c.streamBTB {
-		res := btb.Result{Hit: true}
+		hit := true
 		if !c.cfg.PerfectBTB {
-			res = c.cfg.BTB.Lookup(0, rec.Start, br.PC)
-			c.cfg.BTB.Resolve(0, rec.Start, rec.N, br)
+			hit, o.bubble = c.cfg.BTB.Predict(0, rec.Start, rec.N, br)
 		}
-		o.bubble, o.flags = res.Bubble, outBTB
-		if res.Hit {
+		o.flags = outBTB
+		if hit {
 			o.flags |= outHit
 		}
 	}
@@ -264,14 +274,39 @@ func (c *Core) StreamPredict(rec *trace.Record) Outcome {
 
 // probeBTB returns the BTB's verdict on the block's terminating branch:
 // from o when the stream half probed it, otherwise by probing and training
-// the design now, in program order against the timing half's state.
-func (c *Core) probeBTB(now float64, rec *trace.Record, o *Outcome) (hit bool, bubble float64) {
+// the design now, in program order against the timing half's state. An
+// AirBTB is handed the L1-I slot of the record's last block, last, found
+// by the caller (resident false: last is not in the L1-I): the branch
+// ends the record, so that is its block for every record a trace source
+// yields.
+func (c *Core) probeBTB(now float64, rec *trace.Record, o *Outcome, last isa.Addr, slot int, resident bool) (hit bool, bubble float64) {
 	if o.flags&outBTB != 0 {
 		return o.flags&outHit != 0, o.bubble
 	}
-	res := c.cfg.BTB.Lookup(now, rec.Start, rec.Br.PC)
-	c.cfg.BTB.Resolve(now, rec.Start, rec.N, rec.Br)
-	return res.Hit, res.Bubble
+	if a := c.air; a != nil {
+		if b := isa.BlockOf(rec.Br.PC); b != last {
+			slot, resident = c.l1i.Find(blockKey(b))
+		}
+		return a.PredictSlot(slot, resident, rec.Br), 0
+	}
+	return c.cfg.BTB.Predict(now, rec.Start, rec.N, rec.Br)
+}
+
+// materialize installs block b, which the L1-I does not hold, if its
+// in-flight fill completed by now (a useful prefetch; count says the
+// detailed step counts it), returning its slot and whether it is now
+// resident. A resident block is never in flight — schedule admits no
+// resident block, and every fill first takes its block out of the table
+// — so only an absent block probes the table.
+func (c *Core) materialize(now float64, b isa.Addr, count bool) (int, bool) {
+	if !c.inflight.TakeIfReady(blockKey(b), now) {
+		return 0, false
+	}
+	if !count {
+		return c.fillQuiet(now, b, false), true
+	}
+	c.st.PrefUseful++
+	return c.fill(now, b, false), true
 }
 
 // StepPredicted is the timing half of a detailed step: given the record's Outcome
@@ -294,13 +329,19 @@ func (c *Core) StepPredicted(rec *trace.Record, o *Outcome) {
 		last = isa.BlockOf(rec.Start + isa.Addr((rec.N-1)*isa.InstrBytes))
 	}
 
-	// Materialize fills that completed before this block's fetch so the
-	// BTB lookup below sees state Confluence would have installed already.
+	// Find each fetched block's L1-I slot once, materializing fills that
+	// completed before this block's fetch so the BTB probe below sees
+	// state Confluence would have installed already. The BTB probe and
+	// the demand accesses reuse the slots.
+	var s0, s1 int
+	var r0, r1 bool
 	if !c.cfg.PerfectL1I {
 		for b := first; b <= last; b += isa.BlockBytes {
-			if c.inflight.TakeIfReady(blockKey(b), now) {
-				st.PrefUseful++
-				c.fill(now, b, false)
+			if s1, r1 = c.l1i.Find(blockKey(b)); !r1 {
+				s1, r1 = c.materialize(now, b, true)
+			}
+			if b == first {
+				s0, r0 = s1, r1
 			}
 		}
 	}
@@ -309,7 +350,7 @@ func (c *Core) StepPredicted(rec *trace.Record, o *Outcome) {
 	redirect := false
 
 	if rec.Br.Kind.IsBranch() {
-		penalty, redirect = c.settle(now, rec, o)
+		penalty, redirect = c.settle(now, rec, o, last, s1, r1)
 	}
 
 	// BPU emits the fetch region; FDP banks its run-ahead from it.
@@ -321,7 +362,17 @@ func (c *Core) StepPredicted(rec *trace.Record, o *Outcome) {
 	var stall float64
 	if !c.cfg.PerfectL1I {
 		for b := first; b <= last; b += isa.BlockBytes {
-			stall += c.access(now, b)
+			// The slots found above for the first and last blocks; a
+			// middle block of a record longer than two blocks is found
+			// again.
+			slot, ok := s0, r0
+			if b != first {
+				slot, ok = s1, r1
+				if b != last {
+					slot, ok = c.l1i.Find(blockKey(b))
+				}
+			}
+			stall += c.access(now, b, slot, ok)
 		}
 	}
 
@@ -363,12 +414,13 @@ func (c *Core) StepPredicted(rec *trace.Record, o *Outcome) {
 
 // settle combines the BTB's verdict with the predictors' outcomes for the
 // block's terminating branch, returning the penalty cycles and whether the
-// pipeline redirected.
-func (c *Core) settle(now float64, rec *trace.Record, o *Outcome) (extra float64, redirect bool) {
+// pipeline redirected. last, slot and resident locate the record's last
+// block in the L1-I (see probeBTB).
+func (c *Core) settle(now float64, rec *trace.Record, o *Outcome, last isa.Addr, slot int, resident bool) (extra float64, redirect bool) {
 	st := &c.st
 	br := rec.Br
 
-	hit, bubble := c.probeBTB(now, rec, o)
+	hit, bubble := c.probeBTB(now, rec, o, last, slot, resident)
 	extra += bubble
 	st.BubbleCycles += bubble
 
@@ -443,13 +495,16 @@ func (c *Core) settle(now float64, rec *trace.Record, o *Outcome) (extra float64
 	return extra, redirect
 }
 
-// access performs one demand L1-I block access, returning exposed stall
-// cycles.
-func (c *Core) access(now float64, b isa.Addr) float64 {
+// access performs one demand L1-I block access to b, which the step
+// found at slot (resident false: absent), returning exposed stall cycles.
+// The slot is checked again: a fill of another block fetched since may
+// have evicted b, though no fill but b's own can have brought it in.
+func (c *Core) access(now float64, b isa.Addr, slot int, resident bool) float64 {
 	st := &c.st
 	st.L1IAccesses++
 	key := blockKey(b)
-	hit := c.l1i.Lookup(key)
+	hit := resident && c.l1i.Holds(slot, key)
+	c.l1i.Access(slot, hit)
 	var stall float64
 	switch {
 	case hit:
@@ -500,30 +555,27 @@ func (c *Core) access(now float64, b isa.Addr) float64 {
 }
 
 // fill installs a block in the L1-I, mirroring the change into the BTB
-// design (Confluence's synchronization; other designs ignore the hooks).
-func (c *Core) fill(now float64, b isa.Addr, demand bool) {
-	c.fillQuiet(now, b, demand)
+// design (Confluence's synchronization; other designs ignore the hook),
+// and returns the block's L1-I slot.
+func (c *Core) fill(now float64, b isa.Addr, demand bool) int {
 	if c.cfg.BTB != nil {
 		c.st.L1IFills++
 	}
+	return c.fillQuiet(now, b, demand)
 }
 
 // fillQuiet is fill without the stat counter — the shared install path
 // FastStep also drives (fast-forward moves no counters).
-func (c *Core) fillQuiet(now float64, b isa.Addr, demand bool) {
-	evicted, was := c.l1i.Insert(blockKey(b))
-	d := c.cfg.BTB
-	if d == nil {
-		return
+func (c *Core) fillQuiet(now float64, b isa.Addr, demand bool) int {
+	slot, _, _ := c.l1i.InsertSlot(blockKey(b))
+	if d := c.cfg.BTB; d != nil {
+		var branches []isa.PredecodedBranch
+		if c.cfg.Prog != nil {
+			branches = c.cfg.Prog.PredecodeBlock(b)
+		}
+		d.BlockFilled(now, slot, b, branches, demand)
 	}
-	if was {
-		d.BlockEvicted(isa.Addr(evicted << isa.BlockShift))
-	}
-	var branches []isa.PredecodedBranch
-	if c.cfg.Prog != nil {
-		branches = c.cfg.Prog.PredecodeBlock(b)
-	}
-	d.BlockFilled(now, b, branches, demand)
+	return slot
 }
 
 // schedule registers prefetch requests with the fill pipeline.

@@ -139,19 +139,25 @@ func (c *Core) FastStep(rec *trace.Record) {
 		last = isa.BlockOf(rec.Start + isa.Addr((rec.N-1)*isa.InstrBytes))
 	}
 
-	// Materialize fills that completed before this block's fetch (entries
-	// left in flight by a preceding detailed window).
+	// Find each fetched block's L1-I slot once, materializing fills that
+	// completed before this block's fetch (entries left in flight by a
+	// preceding detailed window).
+	var s0, s1 int
+	var r0, r1 bool
 	if !c.cfg.PerfectL1I {
 		for b := first; b <= last; b += isa.BlockBytes {
-			if c.inflight.TakeIfReady(blockKey(b), now) {
-				c.fillQuiet(now, b, false)
+			if s1, r1 = c.l1i.Find(blockKey(b)); !r1 {
+				s1, r1 = c.materialize(now, b, false)
+			}
+			if b == first {
+				s0, r0 = s1, r1
 			}
 		}
 	}
 
 	if br := rec.Br; br.Kind.IsBranch() {
 		o := c.StreamPredict(rec)
-		if hit, _ := c.probeBTB(now, rec, &o); br.Taken {
+		if hit, _ := c.probeBTB(now, rec, &o, last, s1, r1); br.Taken {
 			c.ffCt.BTBTakenLookups++
 			if !hit {
 				c.ffCt.BTBMisses++
@@ -163,7 +169,16 @@ func (c *Core) FastStep(rec *trace.Record) {
 		for b := first; b <= last; b += isa.BlockBytes {
 			key := blockKey(b)
 			c.ffCt.L1IAccesses++
-			if !c.l1i.Lookup(key) {
+			slot, ok := s0, r0 // as in StepPredicted
+			if b != first {
+				slot, ok = s1, r1
+				if b != last {
+					slot, ok = c.l1i.Find(key)
+				}
+			}
+			hit := ok && c.l1i.Holds(slot, key)
+			c.l1i.Access(slot, hit)
+			if !hit {
 				if ready, ok := c.inflight.Take(key); ok {
 					// Same effective-miss rule as access(): a fill still at
 					// least half an LLC latency away failed to hide the miss.

@@ -63,7 +63,6 @@ type PhantomBTB struct {
 	cur       group
 	curRegion uint64
 	curValid  bool
-	missPend  bool // last lookup missed; Resolve appends to the group
 
 	// Pending group fills (LLC latency) awaiting arrival.
 	pending []pendingFill
@@ -128,49 +127,47 @@ func (p *PhantomBTB) drain(now float64) {
 	p.pending = kept
 }
 
-// Lookup implements the frontend BTB interface.
-func (p *PhantomBTB) Lookup(now float64, bb, brPC isa.Addr) btb.Result {
+// Predict implements the frontend BTB interface: the lookup, then the
+// resolve of the block's terminating branch.
+func (p *PhantomBTB) Predict(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) (bool, float64) {
+	hit := p.lookup(now, bb)
+	p.resolve(bb, nInstr, br, !hit)
+	return hit, 0
+}
+
+// lookup probes the first level, then the prefetch buffer; a miss in both
+// triggers a group prefetch for the block's region.
+func (p *PhantomBTB) lookup(now float64, bb isa.Addr) bool {
 	p.drain(now)
 	k := uint64(bb) >> 2
-	if e, ok := p.l1.Lookup(k); ok {
-		p.missPend = false
-		return btb.Result{Hit: true, Entry: e}
+	if _, ok := p.l1.Lookup(k); ok {
+		return true
 	}
 	if e, ok := p.pfbuf.Take(k); ok {
-		p.insertL1(k, e)
-		p.missPend = false
+		p.l1.Insert(k, e)
 		p.GroupHits++
-		return btb.Result{Hit: true, Entry: e}
+		return true
 	}
-	// First-level miss: trigger a group prefetch for this region and let
-	// Resolve append the missing entry to the forming group.
-	p.missPend = true
 	if g, ok := p.store.groups.Lookup(region(bb | p.asBase)); ok {
 		p.pending = append(p.pending, pendingFill{ready: now + p.metaLatency, g: g})
 		p.GroupFills++
 	}
-	return btb.Result{}
+	return false
 }
 
-func (p *PhantomBTB) insertL1(k uint64, e btb.Entry) {
-	p.l1.Insert(k, e)
-}
-
-// Resolve implements the frontend BTB interface: install the resolved entry
-// in the first level and, when the lookup missed, append it to the current
-// temporal group (consecutive misses pack together).
-func (p *PhantomBTB) Resolve(now float64, bb isa.Addr, nInstr int, br trace.BranchInfo) {
+// resolve installs a taken branch's entry in the first level and, when
+// the lookup missed, appends it to the current temporal group
+// (consecutive misses pack together).
+func (p *PhantomBTB) resolve(bb isa.Addr, nInstr int, br trace.BranchInfo, missed bool) {
 	if !br.Kind.IsBranch() || !br.Taken {
-		p.missPend = false
 		return
 	}
 	k := uint64(bb) >> 2
 	e := btb.Entry{Kind: br.Kind, Target: br.Target, FallN: uint8(nInstr)}
-	p.insertL1(k, e)
-	if !p.missPend {
+	p.l1.Insert(k, e)
+	if !missed {
 		return
 	}
-	p.missPend = false
 	if !p.curValid {
 		p.curValid = true
 		p.curRegion = region(bb | p.asBase)
@@ -186,11 +183,8 @@ func (p *PhantomBTB) Resolve(now float64, bb isa.Addr, nInstr int, br trace.Bran
 
 // BlockFilled implements the frontend BTB interface (no-op: PhantomBTB is
 // decoupled from L1-I content).
-func (p *PhantomBTB) BlockFilled(now float64, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
+func (p *PhantomBTB) BlockFilled(now float64, slot int, block isa.Addr, branches []isa.PredecodedBranch, demand bool) {
 }
-
-// BlockEvicted implements the frontend BTB interface (no-op).
-func (p *PhantomBTB) BlockEvicted(block isa.Addr) {}
 
 // StreamOnly implements the frontend BTB interface: false, because
 // lookups read the group store other cores write and time its fills.

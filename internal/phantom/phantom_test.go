@@ -13,8 +13,14 @@ func taken(pc isa.Addr, target isa.Addr) trace.BranchInfo {
 
 // missAndResolve drives one L1-BTB miss + resolution for bb.
 func missAndResolve(p *PhantomBTB, now float64, bb isa.Addr) {
-	p.Lookup(now, bb, bb+4)
-	p.Resolve(now, bb, 2, taken(bb+4, bb+0x1000))
+	p.Predict(now, bb, 2, taken(bb+4, bb+0x1000))
+}
+
+// lookup predicts a not-taken branch ending the block at bb: the lookup
+// alone, since a not-taken branch trains nothing.
+func lookup(p *PhantomBTB, now float64, bb isa.Addr) bool {
+	hit, _ := p.Predict(now, bb, 2, trace.BranchInfo{PC: bb + 4, Kind: isa.BrCond})
+	return hit
 }
 
 func TestGroupFormationPacksSixMisses(t *testing.T) {
@@ -56,15 +62,15 @@ func TestPrefetchFillArrivesAfterLatency(t *testing.T) {
 	// group fetch.
 	q := New("pb2", 4, 1, 16, store, lat)
 	now := 100.0
-	if res := q.Lookup(now, base, base+4); res.Hit {
+	if lookup(q, now, base) {
 		t.Fatal("unexpected hit")
 	}
 	// Before the fill lands, another entry from the group still misses.
-	if res := q.Lookup(now+1, base+8, base+12); res.Hit {
+	if lookup(q, now+1, base+8) {
 		t.Error("group arrived instantly; latency not modeled")
 	}
 	// After the latency, group entries hit via the prefetch buffer.
-	if res := q.Lookup(now+lat+1, base+16, base+20); !res.Hit {
+	if !lookup(q, now+lat+1, base+16) {
 		t.Error("group entry not available after fill latency")
 	}
 	if q.GroupHits == 0 {
@@ -76,13 +82,13 @@ func TestResolveWithoutMissDoesNotGroup(t *testing.T) {
 	store := NewStore(1024)
 	p := New("pb", 64, 4, 16, store, 20)
 	bb := isa.Addr(0x9000)
-	p.Resolve(0, bb, 2, taken(bb+4, 0xA000)) // hit-path resolve (no preceding miss)
-	if p.curValid {
-		t.Error("group formation started without an L1 miss")
-	}
-	// The entry still landed in L1.
-	if res := p.Lookup(1, bb, bb+4); !res.Hit {
+	p.Predict(0, bb, 2, taken(bb+4, 0xA000)) // a miss: the entry starts a group
+	n := p.cur.n
+	if hit, _ := p.Predict(1, bb, 2, taken(bb+4, 0xB000)); !hit { // hit-path resolve
 		t.Error("resolved entry not in first level")
+	}
+	if p.cur.n != n {
+		t.Error("a first-level hit joined the temporal group")
 	}
 }
 
@@ -90,8 +96,7 @@ func TestNotTakenClearsPendingMiss(t *testing.T) {
 	store := NewStore(1024)
 	p := New("pb", 64, 4, 16, store, 20)
 	bb := isa.Addr(0x9000)
-	p.Lookup(0, bb, bb+4) // miss
-	p.Resolve(0, bb, 2, trace.BranchInfo{PC: bb + 4, Kind: isa.BrCond, Taken: false})
+	lookup(p, 0, bb) // a miss, resolved not taken
 	if p.curValid {
 		t.Error("not-taken resolve joined a temporal group")
 	}
@@ -113,8 +118,8 @@ func TestSharedStoreAcrossCores(t *testing.T) {
 		missAndResolve(gen, float64(i), base+isa.Addr(i*8))
 	}
 	// The second core benefits from the first core's groups.
-	use.Lookup(50, base, base+4)
-	if res := use.Lookup(100, base+8, base+12); !res.Hit {
+	lookup(use, 50, base)
+	if !lookup(use, 100, base+8) {
 		t.Error("shared store did not serve the second core")
 	}
 }

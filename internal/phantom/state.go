@@ -88,7 +88,6 @@ type State struct {
 	Cur       GroupState
 	CurRegion uint64
 	CurValid  bool
-	MissPend  bool
 
 	Pending []PendingFillState
 }
@@ -103,7 +102,6 @@ func (p *PhantomBTB) ExportState() State {
 		Cur:       exportGroup(p.cur),
 		CurRegion: p.curRegion,
 		CurValid:  p.curValid,
-		MissPend:  p.missPend,
 	}
 	for _, f := range p.pending {
 		st.Pending = append(st.Pending, PendingFillState{Ready: f.ready, G: exportGroup(f.g)})
@@ -132,7 +130,6 @@ func (p *PhantomBTB) RestoreState(st State) error {
 	p.cur = cur
 	p.curRegion = st.CurRegion
 	p.curValid = st.CurValid
-	p.missPend = st.MissPend
 	p.pending = p.pending[:0]
 	for _, f := range st.Pending {
 		g, err := importGroup(f.G)

@@ -18,7 +18,7 @@ func TestStateRoundTrip(t *testing.T) {
 			missAndResolve(p, float64(g*10+i), base+isa.Addr(i*8))
 		}
 	}
-	p.Lookup(100, 0x8000, 0x8004) // group hit queues a pending fill
+	lookup(p, 100, 0x8000) // group hit queues a pending fill
 	missAndResolve(p, 101, 0x20000)
 
 	st := p.ExportState()
@@ -43,10 +43,9 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	// Bit-identical future decisions once both halves are restored.
-	r1 := p.Lookup(200, 0x9000, 0x9004)
-	r2 := fresh.Lookup(200, 0x9000, 0x9004)
-	if r1 != r2 {
-		t.Errorf("post-restore lookup diverged: %+v vs %+v", r1, r2)
+	h1, h2 := lookup(p, 200, 0x9000), lookup(fresh, 200, 0x9000)
+	if h1 != h2 || !reflect.DeepEqual(p.ExportState(), fresh.ExportState()) {
+		t.Errorf("post-restore lookup diverged: hit %v vs %v", h1, h2)
 	}
 }
 
